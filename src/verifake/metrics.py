@@ -73,7 +73,9 @@ def auc(genuine, imposter) -> float:
     imposter score, ties counted 1/2.
     """
     curve = roc_curve(genuine, imposter)
-    return float(np.trapezoid(curve.gar, curve.far))
+    far, gar = curve.far, curve.gar
+    # numpy 2's trapezoid expression, written out for numpy < 2.0
+    return float((np.diff(far) * (gar[1:] + gar[:-1]) / 2.0).sum())
 
 
 def eer(genuine, imposter) -> float:

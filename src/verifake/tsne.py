@@ -150,9 +150,16 @@ def calibrate_sigma(sq_distances_row, target_perplexity: float) -> float:
     return float(np.sqrt(0.5 / best_beta))
 
 
-def _pairwise_sq_dists(X: np.ndarray) -> np.ndarray:
+def _pairwise_sq_dists(X: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    """Squared distances sq_i + sq_j - 2 x_i.x_j, clamped at 0, zero diagonal.
+
+    Written into `out` with `scratch` holding the Gram matrix; either is
+    allocated when not given (same operations in the same order)."""
     sq = np.sum(X * X, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
+    scratch = np.matmul(X, X.T, out=scratch)
+    np.multiply(2.0, scratch, out=scratch)
+    d2 = np.add(sq[:, None], sq[None, :], out=out)
+    np.subtract(d2, scratch, out=d2)
     np.maximum(d2, 0.0, out=d2)
     np.fill_diagonal(d2, 0.0)
     return d2
@@ -204,14 +211,43 @@ def joint_affinities(X, perplexity: float) -> AffinityMatrix:
     return AffinityMatrix(P, sigmas)
 
 
-def _student_q(Y: np.ndarray):
-    """Student-t kernel weights and normalized Q for a 2-D layout."""
-    d2 = _pairwise_sq_dists(Y)
-    w = 1.0 / (1.0 + d2)
+def _student_q(Y: np.ndarray, w=None, Q=None, scratch=None):
+    """Student-t kernel weights and normalized Q for a 2-D layout.
+
+    Optional n x n buffers receive w and Q; `scratch` holds Y Y^T while
+    the kernel is built and is free again afterwards."""
+    w = _pairwise_sq_dists(Y, out=w, scratch=scratch)
+    np.add(1.0, w, out=w)
+    np.divide(1.0, w, out=w)
     np.fill_diagonal(w, 0.0)
     total = w.sum()
-    Q = np.maximum(w / total, MACHINE_EPSILON)
+    Q = np.divide(w, total, out=Q)
+    np.maximum(Q, MACHINE_EPSILON, out=Q)
     return w, Q
+
+
+def _kl_from_q(P_pos, mask, Q, terms) -> float:
+    """KL(P || Q) summed over the entries where P > 0, in row-major order.
+
+    `P_pos` is P[mask]; `terms` is a 1-D buffer of the same length."""
+    np.compress(mask.ravel(), Q.ravel(), out=terms)
+    np.divide(P_pos, terms, out=terms)
+    np.log(terms, out=terms)
+    np.multiply(P_pos, terms, out=terms)
+    return float(np.sum(terms))
+
+
+def _gradient_from_q(P, w, Q, Y, coeff, exaggeration=1.0) -> np.ndarray:
+    """Layout gradient of KL(exaggeration * P || Q); `coeff` is an n x n
+    buffer that receives (exaggeration * P - Q) * w."""
+    if exaggeration != 1.0:
+        np.multiply(P, exaggeration, out=coeff)
+        np.subtract(coeff, Q, out=coeff)
+    else:
+        np.subtract(P, Q, out=coeff)
+    np.multiply(coeff, w, out=coeff)
+    # sum_j coeff_ij (y_i - y_j) = rowsum(coeff) y_i - coeff @ Y
+    return 4.0 * (coeff.sum(axis=1)[:, None] * Y - coeff @ Y)
 
 
 def kl_divergence(P, Y) -> float:
@@ -224,7 +260,8 @@ def kl_divergence(P, Y) -> float:
     Y = np.asarray(Y, dtype=np.float64)
     _, Q = _student_q(Y)
     mask = P > 0.0
-    return float(np.sum(P[mask] * np.log(P[mask] / Q[mask])))
+    P_pos = P[mask]
+    return _kl_from_q(P_pos, mask, Q, np.empty_like(P_pos))
 
 
 def kl_gradient(P, Y) -> np.ndarray:
@@ -235,10 +272,7 @@ def kl_gradient(P, Y) -> np.ndarray:
     P = np.asarray(P, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     w, Q = _student_q(Y)
-    coeff = (P - Q) * w
-    # sum_j coeff_ij (y_i - y_j) = rowsum(coeff) y_i - coeff @ Y
-    grad = 4.0 * (coeff.sum(axis=1)[:, None] * Y - coeff @ Y)
-    return grad
+    return _gradient_from_q(P, w, Q, Y, np.empty_like(w))
 
 
 def run_tsne(X, cfg: TsneConfig):
@@ -247,6 +281,10 @@ def run_tsne(X, cfg: TsneConfig):
     Returns (Y, kl_trace) where kl_trace[k] is the divergence against
     the true (unexaggerated) P after iteration k+1. Deterministic for a
     fixed config.
+
+    Each iteration builds the Student-t kernel once: the (w, Q) that
+    gives the KL after step k is the one the gradient of step k+1 needs.
+    All n x n work runs in three buffers allocated up front.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 4:
@@ -255,21 +293,28 @@ def run_tsne(X, cfg: TsneConfig):
 
     affinity = joint_affinities(X, cfg.perplexity)
     P = affinity.P
+    mask = P > 0.0
+    P_pos = P[mask]
 
     rng = np.random.default_rng(cfg.seed)
     Y = rng.normal(0.0, cfg.init_std, size=(n, cfg.output_dim))
     velocity = np.zeros_like(Y)
     kl_trace = np.zeros(cfg.iterations, dtype=np.float64)
 
+    w, Q, coeff = (np.empty((n, n), dtype=np.float64) for _ in range(3))
+    # coeff is free once the gradient is taken, so it also holds the KL terms
+    kl_terms = coeff.ravel()[: P_pos.size]
+    _student_q(Y, w, Q, coeff)
     for it in range(cfg.iterations):
-        P_eff = P * cfg.early_exaggeration if it < cfg.exaggeration_until else P
-        grad = kl_gradient(P_eff, Y)
+        exaggeration = cfg.early_exaggeration if it < cfg.exaggeration_until else 1.0
+        grad = _gradient_from_q(P, w, Q, Y, coeff, exaggeration)
         momentum = (
             cfg.momentum_start if it < cfg.momentum_switch else cfg.momentum_final
         )
         velocity = momentum * velocity - cfg.learning_rate * grad
         Y = Y + velocity
-        kl_trace[it] = kl_divergence(P, Y)
+        _student_q(Y, w, Q, coeff)
+        kl_trace[it] = _kl_from_q(P_pos, mask, Q, kl_terms)
 
     return Y, kl_trace
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from verifake.tsne import joint_affinities, kl_divergence, kl_gradient
+
 
 def rel_err(analytic, numeric) -> float:
     """Max absolute difference scaled by the largest gradient magnitude.
@@ -44,3 +46,24 @@ def unit_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
 def unit_cols(rng: np.random.Generator, d: int, c: int) -> np.ndarray:
     W = rng.normal(size=(d, c))
     return W / np.linalg.norm(W, axis=0, keepdims=True)
+
+
+def reference_tsne(X, cfg):
+    """The two-kernel t-SNE loop, built from the public gradient and KL:
+    every iteration builds the Student-t kernel once for the gradient and
+    once more for the KL of the updated layout. `run_tsne` must match it
+    bit for bit."""
+    X = np.asarray(X, dtype=np.float64)
+    P = joint_affinities(X, cfg.perplexity).P
+    rng = np.random.default_rng(cfg.seed)
+    Y = rng.normal(0.0, cfg.init_std, size=(X.shape[0], cfg.output_dim))
+    velocity = np.zeros_like(Y)
+    kl_trace = np.zeros(cfg.iterations, dtype=np.float64)
+    for it in range(cfg.iterations):
+        P_eff = P * cfg.early_exaggeration if it < cfg.exaggeration_until else P
+        grad = kl_gradient(P_eff, Y)
+        momentum = cfg.momentum_start if it < cfg.momentum_switch else cfg.momentum_final
+        velocity = momentum * velocity - cfg.learning_rate * grad
+        Y = Y + velocity
+        kl_trace[it] = kl_divergence(P, Y)
+    return Y, kl_trace

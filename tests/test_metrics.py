@@ -107,6 +107,17 @@ def test_auc_invariant_under_increasing_transform():
     assert auc(np.tanh(2 * g), np.tanh(2 * i)) == auc(g, i)
 
 
+def test_auc_does_not_need_numpy_trapezoid(monkeypatch):
+    # np.trapezoid only exists from numpy 2.0; the declared floor is 1.24
+    rng = np.random.default_rng(20)
+    g = rng.uniform(-1, 1, 40)
+    i = rng.uniform(-1, 1, 35)
+    expected = auc(g, i)
+    monkeypatch.delattr(np, "trapezoid", raising=False)
+    assert auc(g, i) == expected
+    assert auc([0.6, 0.4], [0.5, 0.3]) == pytest.approx(0.75, abs=1e-12)
+
+
 # ------------------------------------------------------------------- eer
 
 

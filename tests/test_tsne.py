@@ -4,8 +4,9 @@ import warnings
 
 import numpy as np
 import pytest
-from helpers import fd_grad, rel_err
+from helpers import fd_grad, reference_tsne, rel_err
 
+import verifake.tsne as tsne_module
 from verifake.embeddings import LabeledEmbedding, Method, real_record
 from verifake.errors import CalibrationWarning, ConfigError
 from verifake.tsne import (
@@ -193,6 +194,53 @@ def test_run_tsne_trace_decreases_and_separates_clusters():
             d = float(np.linalg.norm(Y[i] - Y[j]))
             (within if labs[i] == labs[j] else between).append(d)
     assert np.mean(within) < np.mean(between)
+
+
+def separated_clusters():
+    """Two tight clusters 100 apart: the Gaussian affinities between them
+    underflow, so P has exact zeros off the diagonal."""
+    g = np.random.default_rng(21)
+    return np.vstack([g.normal(0, 0.05, size=(10, 3)), 100.0 + g.normal(0, 0.05, size=(10, 3))])
+
+
+@pytest.mark.parametrize("iterations", [3, 7, 15])
+@pytest.mark.parametrize(
+    "make_input",
+    [lambda: three_clusters(per=6)[0], separated_clusters],
+    ids=["three_clusters", "separated_clusters"],
+)
+def test_run_tsne_matches_two_kernel_reference_bitwise(make_input, iterations):
+    # 3 stays inside exaggeration, 7 crosses it, 15 also crosses the momentum switch
+    X = make_input()
+    cfg = TsneConfig(
+        perplexity=3, iterations=iterations, exaggeration_until=5, momentum_switch=10, seed=2
+    )
+    Y, trace = run_tsne(X, cfg)
+    Y_ref, trace_ref = reference_tsne(X, cfg)
+    assert Y.tobytes() == Y_ref.tobytes()
+    assert trace.tobytes() == trace_ref.tobytes()
+
+
+def test_separated_clusters_have_exact_zero_affinities():
+    X = separated_clusters()
+    P = joint_affinities(X, 3).P
+    off_diag = ~np.eye(len(X), dtype=bool)
+    assert np.any(P[off_diag] == 0.0)
+    assert np.any(P[off_diag] > 0.0)
+
+
+def test_run_tsne_builds_one_kernel_per_iteration(monkeypatch):
+    calls = []
+    original = tsne_module._student_q
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(tsne_module, "_student_q", counting)
+    X, _ = three_clusters(per=5)
+    run_tsne(X, TsneConfig(perplexity=3, iterations=12, seed=1))
+    assert len(calls) == 12 + 1
 
 
 def test_run_tsne_needs_four_points():
