@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, LabelError, NormalizationError
+from .errors import ConfigError, DimensionMismatch, LabelError, NormalizationError
 
 ARCCOS_EPS = 1e-7
 # Gate for "approximately unit" inputs; loose enough that finite-difference
@@ -244,7 +244,11 @@ def margin_loss_backward(X, labels, head: ClassHead, cfg: MarginConfig):
     internal renormalization: components along each vector are projected
     out and the result is divided by the input's norm.
     """
-    p = _margin_pieces(X, labels, head, cfg)
+    return _margin_grads(_margin_pieces(X, labels, head, cfg), cfg)
+
+
+def _margin_grads(p, cfg: MarginConfig):
+    """(dX, dW) from the pieces of one forward pass."""
     labels_, Xh, Wh = p["labels"], p["Xh"], p["Wh"]
     N = labels_.shape[0]
     n = np.arange(N)
@@ -303,42 +307,69 @@ def plain_softmax_loss(X, labels, head: ClassHead):
     return loss, dX, dW, db
 
 
+def _row_dots(X, Y):
+    """Per-row dot products, each through BLAS ddot like `x @ y` on one
+    pair of vectors (an elementwise product summed per row rounds
+    differently)."""
+    return np.matmul(X[:, None, :], Y[:, :, None])[:, 0, 0]
+
+
+def triplet_loss_batch(E, cfg: TripletConfig):
+    """Summed angular triplet hinge over a batch, with its gradient.
+
+    E: (3B, d) unit-norm rows ordered anchor, positive, negative per
+    triple (a0, p0, n0, a1, ...). Returns (loss_sum, dE) where loss_sum
+    adds the B hinges max(0, theta(a,p) - theta(a,n) + margin) in triple
+    order and dE has E's shape, zero on the rows of inactive triples.
+    Gradients are taken through the internal renormalization; each
+    triple's values are bit-identical to a batch holding that triple alone.
+    """
+    E = np.asarray(E, dtype=np.float64)
+    if E.ndim != 2 or E.shape[0] == 0 or E.shape[0] % 3:
+        raise DimensionMismatch(f"triplet batch must be (3B, d), got shape {E.shape}")
+    En, norms = _unit_rows(E, "triplet")
+    A, P, Ng = En[0::3], En[1::3], En[2::3]
+
+    cap_raw = _row_dots(A, P)
+    can_raw = _row_dots(A, Ng)
+    cap = np.clip(cap_raw, -1.0 + ARCCOS_EPS, 1.0 - ARCCOS_EPS)
+    can = np.clip(can_raw, -1.0 + ARCCOS_EPS, 1.0 - ARCCOS_EPS)
+    # math.acos per triple: np.arccos may take a SIMD path that differs
+    # from it in the last bit
+    hinge = np.array(
+        [math.acos(cp) - math.acos(cn) + cfg.margin for cp, cn in zip(cap.tolist(), can.tolist())]
+    )
+    t = np.flatnonzero(hinge > 0.0)
+    loss_sum = 0.0
+    for h in hinge[t].tolist():  # a running sum in triple order, not pairwise
+        loss_sum += h
+
+    # dtheta/dcos = -1/sqrt(1-c^2); zero where the clamp was engaged
+    cap, can = cap[t], can[t]
+    dcap = np.where(np.abs(cap_raw[t]) < 1.0 - ARCCOS_EPS, -1.0 / np.sqrt(1.0 - cap * cap), 0.0)
+    dcan = np.where(np.abs(can_raw[t]) < 1.0 - ARCCOS_EPS, 1.0 / np.sqrt(1.0 - can * can), 0.0)
+    a, p, ng = A[t], P[t], Ng[t]
+
+    def through_norm(g, unit, rows):
+        return (g - _row_dots(g, unit)[:, None] * unit) / norms[rows, None]
+
+    dE = np.zeros_like(En)
+    dE[3 * t] += through_norm(dcap[:, None] * p + dcan[:, None] * ng, a, 3 * t)
+    dE[3 * t + 1] += through_norm(dcap[:, None] * a, p, 3 * t + 1)
+    dE[3 * t + 2] += through_norm(dcan[:, None] * a, ng, 3 * t + 2)
+    return loss_sum, dE
+
+
 def triplet_loss(anchor, positive, negative, cfg: TripletConfig):
     """Angular triplet hinge max(0, theta(a,p) - theta(a,n) + margin).
 
     All three vectors must be unit-norm. Returns (loss, (da, dp, dn));
     gradients are zero when the hinge is inactive and, as for the margin
-    loss, are taken through the internal renormalization.
+    loss, are taken through the internal renormalization. One-triple
+    case of `triplet_loss_batch`.
     """
-    A, na = _unit_rows(np.asarray(anchor, dtype=np.float64)[None, :], "anchor")
-    P, npos = _unit_rows(np.asarray(positive, dtype=np.float64)[None, :], "positive")
-    Ng, nneg = _unit_rows(np.asarray(negative, dtype=np.float64)[None, :], "negative")
-    a, p, ng = A[0], P[0], Ng[0]
-    if not (a.shape == p.shape == ng.shape):
+    vecs = [np.asarray(v, dtype=np.float64) for v in (anchor, positive, negative)]
+    if not (vecs[0].shape == vecs[1].shape == vecs[2].shape):
         raise NormalizationError("triplet vectors must share one dimension")
-
-    cap_raw = float(a @ p)
-    can_raw = float(a @ ng)
-    cap = min(1.0 - ARCCOS_EPS, max(-1.0 + ARCCOS_EPS, cap_raw))
-    can = min(1.0 - ARCCOS_EPS, max(-1.0 + ARCCOS_EPS, can_raw))
-    loss = math.acos(cap) - math.acos(can) + cfg.margin
-
-    zeros = np.zeros_like(a)
-    if loss <= 0.0:
-        return 0.0, (zeros, zeros.copy(), zeros.copy())
-
-    # dtheta/dcos = -1/sqrt(1-c^2); zero where the clamp was engaged
-    dcap = -1.0 / math.sqrt(1.0 - cap * cap) if abs(cap_raw) < 1.0 - ARCCOS_EPS else 0.0
-    dcan = 1.0 / math.sqrt(1.0 - can * can) if abs(can_raw) < 1.0 - ARCCOS_EPS else 0.0
-
-    da_hat = dcap * p + dcan * ng
-    dp_hat = dcap * a
-    dn_hat = dcan * a
-
-    def through_norm(g, unit, norm):
-        return (g - float(g @ unit) * unit) / norm
-
-    da = through_norm(da_hat, a, na[0])
-    dp = through_norm(dp_hat, p, npos[0])
-    dn = through_norm(dn_hat, ng, nneg[0])
-    return float(loss), (da, dp, dn)
+    loss, dE = triplet_loss_batch(np.stack(vecs), cfg)
+    return loss, (dE[0], dE[1], dE[2])

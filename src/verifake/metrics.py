@@ -219,29 +219,6 @@ def build_report(records, metadata: dict | None = None) -> EvalReport:
     return report
 
 
-def report_from_dict(data: dict) -> EvalReport:
-    """Inverse of EvalReport.to_dict (used by the CLI report command)."""
-    report = EvalReport(
-        histograms={k: np.asarray(v) for k, v in data.get("histograms", {}).items()},
-        counts=dict(data.get("counts", {})),
-        warnings=list(data.get("warnings", [])),
-        metadata=dict(data.get("metadata", {})),
-        histogram_bins=data.get("histogram_bins", HISTOGRAM_BINS),
-    )
-    for row in data.get("rows", []):
-        report.rows.append(
-            ReportRow(
-                method=row["method"],
-                group=row["group"],
-                auc=row["auc"],
-                eer_percent=row["eer_percent"],
-                n_genuine=row["n_genuine"],
-                n_imposter=row["n_imposter"],
-            )
-        )
-    return report
-
-
 def roc_to_csv(curves: dict[str, RocCurve]) -> str:
     """Serialize per-method ROC curves as `method,threshold,far,gar` CSV."""
     lines = ["method,threshold,far,gar"]
@@ -272,7 +249,6 @@ __all__ = [
     "eer",
     "histogram",
     "build_report",
-    "report_from_dict",
     "roc_to_csv",
     "histograms_to_csv",
     "HISTOGRAM_BINS",

@@ -16,18 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import losses
 from .embeddings import EmbeddingDataset, real_record
-from .errors import ConfigError, DegenerateVector, DimensionMismatch
+from .errors import ConfigError, DegenerateVector, DimensionMismatch, VerifakeError
 from .losses import (
     LOSS_NAMES,
     ClassHead,
     MarginConfig,
     TripletConfig,
-    margin_loss_backward,
-    margin_loss_forward,
     margin_preset,
     plain_softmax_loss,
-    triplet_loss,
+    triplet_loss_batch,
 )
 
 DEFAULT_HIDDEN = (128, 128)
@@ -117,6 +116,9 @@ class EmbedderNetwork:
             acts.append(h)
         z = h @ self.weights[-1] + self.biases[-1]
         znorm = np.linalg.norm(z, axis=1)
+        if not np.all(np.isfinite(znorm)):
+            # an infinite norm of finite z would give zero rows below
+            raise DegenerateVector("embedder produced a non-finite vector (training diverged)")
         if np.any(znorm <= 1e-12):
             raise DegenerateVector("embedder produced a zero vector")
         e = z / znorm[:, None]
@@ -190,12 +192,6 @@ class _SGD:
             p -= lr * v
 
 
-def _resolve_margin(loss_name: str, margin: MarginConfig | None) -> MarginConfig:
-    if margin is not None:
-        return margin
-    return margin_preset(loss_name)
-
-
 def _triplet_indices(labels: np.ndarray, by_label: dict, rng: np.random.Generator):
     """Positive and negative companions for each anchor index."""
     n = labels.shape[0]
@@ -229,7 +225,9 @@ def train_embedder(
     Returns (network, loss_curve) where loss_curve[k] is the
     sample-weighted mean batch loss of epoch k. Deterministic for a
     fixed config: parameter init, shuffling, and triplet sampling all
-    derive from cfg.seed.
+    derive from cfg.seed. Diverged training raises: DegenerateVector
+    when the network output stops being finite, VerifakeError when an
+    epoch's loss does; both name the loss and the epoch.
     """
     if loss_name not in LOSS_NAMES:
         raise ConfigError(f"unknown loss {loss_name!r}; expected one of {LOSS_NAMES}")
@@ -271,7 +269,7 @@ def train_embedder(
             # margin losses keep W on the sphere (renormalized after every
             # step), which makes weight decay on it a no-op radial pull
             decay.append(False)
-            margin_cfg = _resolve_margin(loss_name, margin)
+            margin_cfg = margin if margin is not None else margin_preset(loss_name)
 
     optimizer = _SGD(params, decay, cfg)
     batches_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
@@ -296,31 +294,24 @@ def train_embedder(
             batch = order[start : start + cfg.batch_size]
             nb = len(batch)
 
+            try:
+                e, cache = network._forward_batch(features[batch.reshape(-1)])
+            except DegenerateVector as exc:
+                raise DegenerateVector(f"{loss_name} training, epoch {epoch + 1}: {exc}") from exc
             if loss_name == "triplet":
-                idx = batch.reshape(-1)
-                e, cache = network._forward_batch(features[idx])
-                de = np.zeros_like(e)
-                loss_sum = 0.0
-                for b in range(nb):
-                    la, (da, dp, dn) = triplet_loss(
-                        e[3 * b], e[3 * b + 1], e[3 * b + 2], triplet_cfg
-                    )
-                    loss_sum += la
-                    de[3 * b] += da
-                    de[3 * b + 1] += dp
-                    de[3 * b + 2] += dn
+                loss_sum, de = triplet_loss_batch(e, triplet_cfg)
                 loss = loss_sum / nb
                 gW, gb = network._backward_batch(cache, de / nb, normalized=True)
                 grads = gW + gb
             elif loss_name == "softmax":
-                _, cache = network._forward_batch(features[batch])
                 loss, dz, dW, db = plain_softmax_loss(cache["z"], labels[batch], head)
                 gW, gb = network._backward_batch(cache, dz, normalized=False)
                 grads = gW + gb + [dW, db]
             else:
-                e, cache = network._forward_batch(features[batch])
-                loss, _ = margin_loss_forward(e, labels[batch], head, margin_cfg)
-                de, dW = margin_loss_backward(e, labels[batch], head, margin_cfg)
+                # one forward pass feeds both the loss value and the gradients
+                pieces = losses._margin_pieces(e, labels[batch], head, margin_cfg)
+                loss = pieces["loss"]
+                de, dW = losses._margin_grads(pieces, margin_cfg)
                 gW, gb = network._backward_batch(cache, de, normalized=True)
                 grads = gW + gb + [dW]
 
@@ -330,6 +321,10 @@ def train_embedder(
             weighted_loss += loss * nb
             iteration += 1
         curve[epoch] = weighted_loss / n
+        if not np.isfinite(curve[epoch]):
+            raise VerifakeError(
+                f"{loss_name} training diverged: epoch {epoch + 1} loss is {curve[epoch]}"
+            )
 
     return network, curve
 

@@ -1,7 +1,11 @@
 """Shared numeric helpers for the test suite."""
 
+import math
+
 import numpy as np
 
+from verifake.errors import NormalizationError
+from verifake.losses import ARCCOS_EPS, TripletConfig, _unit_rows
 from verifake.tsne import joint_affinities, kl_divergence, kl_gradient
 
 
@@ -67,3 +71,57 @@ def reference_tsne(X, cfg):
         Y = Y + velocity
         kl_trace[it] = kl_divergence(P, Y)
     return Y, kl_trace
+
+
+def reference_triplet_loss(anchor, positive, negative, cfg: TripletConfig):
+    """The one-triple angular triplet loss as it was written before the
+    batched form: (loss, (da, dp, dn)) for max(0, theta(a,p) - theta(a,n)
+    + margin), gradients through the renormalization."""
+    A, na = _unit_rows(np.asarray(anchor, dtype=np.float64)[None, :], "anchor")
+    P, npos = _unit_rows(np.asarray(positive, dtype=np.float64)[None, :], "positive")
+    Ng, nneg = _unit_rows(np.asarray(negative, dtype=np.float64)[None, :], "negative")
+    a, p, ng = A[0], P[0], Ng[0]
+    if not (a.shape == p.shape == ng.shape):
+        raise NormalizationError("triplet vectors must share one dimension")
+
+    cap_raw = float(a @ p)
+    can_raw = float(a @ ng)
+    cap = min(1.0 - ARCCOS_EPS, max(-1.0 + ARCCOS_EPS, cap_raw))
+    can = min(1.0 - ARCCOS_EPS, max(-1.0 + ARCCOS_EPS, can_raw))
+    loss = math.acos(cap) - math.acos(can) + cfg.margin
+
+    zeros = np.zeros_like(a)
+    if loss <= 0.0:
+        return 0.0, (zeros, zeros.copy(), zeros.copy())
+
+    # dtheta/dcos = -1/sqrt(1-c^2); zero where the clamp was engaged
+    dcap = -1.0 / math.sqrt(1.0 - cap * cap) if abs(cap_raw) < 1.0 - ARCCOS_EPS else 0.0
+    dcan = 1.0 / math.sqrt(1.0 - can * can) if abs(can_raw) < 1.0 - ARCCOS_EPS else 0.0
+
+    da_hat = dcap * p + dcan * ng
+    dp_hat = dcap * a
+    dn_hat = dcan * a
+
+    def through_norm(g, unit, norm):
+        return (g - float(g @ unit) * unit) / norm
+
+    da = through_norm(da_hat, a, na[0])
+    dp = through_norm(dp_hat, p, npos[0])
+    dn = through_norm(dn_hat, ng, nneg[0])
+    return float(loss), (da, dp, dn)
+
+
+def reference_triplet_batch(e, cfg: TripletConfig):
+    """The per-triple training step over rows a0, p0, n0, a1, ...:
+    `reference_triplet_loss` once per triple, losses summed in triple
+    order and gradients added into a zero array. `triplet_loss_batch`
+    must match it bit for bit."""
+    de = np.zeros_like(e)
+    loss_sum = 0.0
+    for b in range(e.shape[0] // 3):
+        la, (da, dp, dn) = reference_triplet_loss(e[3 * b], e[3 * b + 1], e[3 * b + 2], cfg)
+        loss_sum += la
+        de[3 * b] += da
+        de[3 * b + 1] += dp
+        de[3 * b + 2] += dn
+    return loss_sum, de

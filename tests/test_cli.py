@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from verifake.cli import EXIT_CONFIG, EXIT_FAILURE, EXIT_OK, main
@@ -168,6 +169,20 @@ def test_train_writes_embeddings_and_curve(cfg_path, tmp_path, capsys):
     assert curve[0] == "epoch,loss"
     assert len(curve) == 3  # header + 2 epochs
     assert "trained cosface" in capsys.readouterr().out
+
+
+def test_diverged_training_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "diverge.cfg"
+    cfg.write_text(CLI_CFG.replace("run.loss = cosface", "run.loss = softmax") + "train.lr = 1e200\n")
+    out = tmp_path / "diverge_out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert "stage 'train' failed: softmax training, epoch 1" in err
+        assert "non-finite" in err
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_FAILURE
+    assert "softmax training, epoch 1" in capsys.readouterr().err
+    assert not (out / "train_curve.csv").exists()
 
 
 def test_tsne_command(cfg_path, run_dir, tmp_path, capsys):

@@ -9,9 +9,17 @@ import math
 import numpy as np
 import pytest
 
-from helpers import fd_grad, rel_err, unit_cols, unit_rows
-from verifake.errors import ConfigError, LabelError, NormalizationError
+from helpers import (
+    fd_grad,
+    reference_triplet_batch,
+    reference_triplet_loss,
+    rel_err,
+    unit_cols,
+    unit_rows,
+)
+from verifake.errors import ConfigError, DimensionMismatch, LabelError, NormalizationError
 from verifake.losses import (
+    ARCCOS_EPS,
     DEFAULT_SCALE,
     MARGIN_PRESETS,
     ClassHead,
@@ -23,6 +31,7 @@ from verifake.losses import (
     plain_softmax_loss,
     target_logit,
     triplet_loss,
+    triplet_loss_batch,
 )
 
 # oracle: math.cos(math.acos(0.8) + 0.3) - 0.2
@@ -314,6 +323,83 @@ def test_triplet_gradients_match_finite_differences():
 def test_triplet_rejects_non_unit():
     with pytest.raises(NormalizationError):
         triplet_loss([2.0, 0.0], [1.0, 0.0], [0.0, 1.0], TripletConfig(0.5))
+
+
+def triplet_edge_batch(rng, d):
+    """Seeded random triples plus the edge cases of the hinge: a == p
+    (clamp engaged, dcap = 0), negatives 1e-6 and 1e-3 off -a (inside
+    and just outside the clamp), and a separated triple (inactive)."""
+    a = unit_rows(rng, 1, d)[0]
+    near = unit(rng.normal(size=d))
+    rows = list(unit_rows(rng, 3 * 12, d))
+    rows += [a, a.copy(), unit(a + 0.3 * near)]
+    rows += [a, unit(-a + 0.3 * near), unit(-a + 1e-6 * near)]
+    rows += [a, unit(-a + 0.3 * near), unit(-a + 1e-3 * near)]
+    rows += [a, unit(a + 0.05 * near), unit(-a + 0.3 * near)]
+    return np.array(rows)
+
+
+def assert_bitwise(x, y):
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def test_triplet_batch_matches_per_triple_reference_bitwise():
+    rng = np.random.default_rng(71)
+    for d, margin in ((8, 0.5), (64, 0.5), (16, 2.0)):
+        cfg = TripletConfig(margin)
+        E = triplet_edge_batch(rng, d)
+        loss, dE = triplet_loss_batch(E, cfg)
+        ref_loss, ref_dE = reference_triplet_batch(E, cfg)
+        assert_bitwise(loss, ref_loss)
+        assert_bitwise(dE, ref_dE)
+        # the batch mixes live and dead hinges
+        live = np.abs(dE).reshape(-1, 3 * d).max(axis=1) > 0.0
+        assert live.any() and not live.all()
+        # every triple alone: a batch of 1, and the one-triple wrapper
+        for b in range(E.shape[0] // 3):
+            for got, want in zip(
+                triplet_loss_batch(E[3 * b : 3 * b + 3], cfg),
+                reference_triplet_batch(E[3 * b : 3 * b + 3], cfg),
+            ):
+                assert_bitwise(got, want)
+            one, grads = triplet_loss(E[3 * b], E[3 * b + 1], E[3 * b + 2], cfg)
+            ref_one, ref_grads = reference_triplet_loss(E[3 * b], E[3 * b + 1], E[3 * b + 2], cfg)
+            assert_bitwise(one, ref_one)
+            for g, r in zip(grads, ref_grads):
+                # only the sign of a zero may differ: the batch adds each
+                # gradient into zeros, as the training step always did
+                assert_bitwise(g, r + 0.0)
+
+
+def test_triplet_batch_edge_cases_engage_the_clamp():
+    rng = np.random.default_rng(72)
+    E = triplet_edge_batch(rng, 8)
+    cfg = TripletConfig(0.5)
+    a, p, n = E[-12:-9]  # a == p, live hinge
+    loss, (_, dp, dn) = reference_triplet_loss(a, p, n, cfg)
+    assert loss > 0.0 and np.all(dp == 0.0) and np.any(dn != 0.0)
+    a, p, n = E[-9:-6]  # negative within the clamp of -a, live hinge
+    loss, (_, dp, dn) = reference_triplet_loss(a, p, n, cfg)
+    assert loss > 0.0 and np.all(dn == 0.0) and np.any(dp != 0.0)
+    a, p, n = E[-6:-3]  # negative just outside the clamp
+    loss, (_, _, dn) = reference_triplet_loss(a, p, n, cfg)
+    assert -1.0 + ARCCOS_EPS < a @ n < -1.0 + 1e-5
+    assert loss > 0.0 and np.any(dn != 0.0)
+    a, p, n = E[-3:]
+    assert reference_triplet_loss(a, p, n, cfg)[0] == 0.0
+
+
+def test_triplet_batch_rejects_bad_rows():
+    rng = np.random.default_rng(73)
+    E = unit_rows(rng, 6, 4)
+    E[4] *= 1.5
+    with pytest.raises(NormalizationError):
+        triplet_loss_batch(E, TripletConfig(0.5))
+    with pytest.raises(DimensionMismatch):
+        triplet_loss_batch(unit_rows(rng, 4, 4), TripletConfig(0.5))
+    with pytest.raises(NormalizationError):
+        triplet_loss([1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0], TripletConfig(0.5))
 
 
 def test_class_head_initialized_unit_columns():

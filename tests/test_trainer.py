@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from verifake.errors import ConfigError, DimensionMismatch
+import verifake.losses as losses_mod
+import verifake.trainer as trainer_mod
+from helpers import reference_triplet_batch
+from verifake.errors import ConfigError, DegenerateVector, DimensionMismatch, VerifakeError
 from verifake.synthetic import SyntheticSpec, generate_identities
 from verifake.trainer import (
     EmbedderNetwork,
@@ -171,3 +174,56 @@ def test_triplet_needs_pairable_identities():
     raw = small_dataset(seed=8, ids=3, samples=1)
     with pytest.raises(ConfigError):
         train_embedder(raw, "triplet", quick_cfg(), embed_dim=8)
+
+
+def network_bytes(net):
+    return b"".join(a.tobytes() for a in net.weights + net.biases)
+
+
+def test_triplet_training_matches_per_triple_reference(monkeypatch):
+    raw = small_dataset(seed=9, ids=5, samples=12)
+    cfg = quick_cfg(epochs=6, batch_size=8)
+    net, curve = train_embedder(raw, "triplet", cfg, embed_dim=8)
+    monkeypatch.setattr(trainer_mod, "triplet_loss_batch", reference_triplet_batch)
+    ref_net, ref_curve = train_embedder(raw, "triplet", cfg, embed_dim=8)
+    assert curve.tobytes() == ref_curve.tobytes()
+    assert network_bytes(net) == network_bytes(ref_net)
+
+
+def test_margin_pieces_built_once_per_batch(monkeypatch):
+    calls = []
+    original = losses_mod._margin_pieces
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(losses_mod, "_margin_pieces", counted)
+    raw = small_dataset(seed=10, ids=4, samples=10)  # 40 rows: 3 batches of 16
+    for loss in ("arcface", "cosface", "sphereface", "combined"):
+        calls.clear()
+        train_embedder(raw, loss, quick_cfg(epochs=2), embed_dim=8)
+        assert len(calls) == 2 * 3, loss
+
+
+def test_non_finite_output_fails_with_loss_and_epoch():
+    raw = small_dataset(seed=11)
+    for loss in ("softmax", "cosface", "triplet"):
+        with pytest.raises(DegenerateVector, match=rf"{loss} training, epoch 1: .*non-finite"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                train_embedder(raw, loss, quick_cfg(lr=1e200), embed_dim=8)
+
+
+def test_non_finite_epoch_loss_fails_with_loss_epoch_and_value(monkeypatch):
+    calls = []
+    original = trainer_mod.plain_softmax_loss
+
+    def nan_from_epoch_two(*args):
+        loss, *grads = original(*args)
+        calls.append(1)
+        return (float("nan") if len(calls) > 4 else loss, *grads)
+
+    monkeypatch.setattr(trainer_mod, "plain_softmax_loss", nan_from_epoch_two)
+    raw = small_dataset(seed=12)  # 60 rows: 4 batches of 16 per epoch
+    with pytest.raises(VerifakeError, match=r"softmax training diverged: epoch 2 loss is nan"):
+        train_embedder(raw, "softmax", quick_cfg(), embed_dim=8)
