@@ -20,7 +20,7 @@ import numpy as np
 
 from verifake.config import PipelineConfig, SwapSettings
 from verifake.embeddings import Method
-from verifake.pipeline import embed_stage, simulate_fakes, synth_stage, train_stage
+from verifake.pipeline import embed_stage, synth_stage, train_stage
 from verifake.tsne import TsneConfig, layout_to_csv, run_tsne
 
 cfg = PipelineConfig(
@@ -35,29 +35,28 @@ cfg = PipelineConfig(
 
 train_raw, eval_raw = synth_stage(cfg)
 net, _ = train_stage(cfg, train_raw)
-real_ds = embed_stage(cfg, net, eval_raw)
-fakes = simulate_fakes(real_ds, cfg.swaps, cfg.seed)
-records = real_ds.records + fakes
+# the real embeddings followed by their simulated fakes, as columns
+dataset = embed_stage(cfg, net, eval_raw)
 
-X = np.vstack([r.vector for r in records])
+X = dataset.vectors.astype(np.float64)
 
-# the margin loss collapses same-identity embeddings so hard that some
-# pairs coincide at float resolution; t-SNE jitters those apart and warns
+# points that coincide at float resolution would be jittered apart with a
+# warning; print any warning t-SNE gives
 with warnings.catch_warnings(record=True) as caught:
     warnings.simplefilter("always")
     Y, trace = run_tsne(X, TsneConfig(perplexity=12.0, iterations=600, seed=0))
 for w in caught:
-    print(f"(expected) {w.message}")
+    print(f"warning: {w.message}")
 
-print(f"{len(records)} points ({len(fakes)} fakes), KL trace:")
+print(f"{len(dataset)} points ({dataset.fake.sum()} fakes), KL trace:")
 for it in (0, 99, 100, 299, 599):
     print(f"  iteration {it + 1:>4}: KL = {trace[it]:.4f}")
 
-subjects = np.array([r.subject_id for r in records])
-real = np.array([not r.fake for r in records])
+subjects = dataset.subject
+real = ~dataset.fake
 same = subjects[:, None] == subjects[None, :]
 dist = np.linalg.norm(Y[:, None, :] - Y[None, :, :], axis=2)
-off = ~np.eye(len(records), dtype=bool)
+off = ~np.eye(len(dataset), dtype=bool)
 
 rr = real[:, None] & real[None, :]
 print()
@@ -69,7 +68,7 @@ print(f"mean layout distance, cross subject (real-real): "
 # an identity swap is enrolled under its host (the claimed identity) but
 # its embedding has been pulled toward the donor subject, so in the layout
 # it should hug the donor cluster and sit far from the claimed one
-hosts = np.array([r.host_subject_id for r in records])
+hosts = dataset.host
 fake_idx = np.flatnonzero(~real)
 to_claimed = np.array([
     dist[i, (subjects == hosts[i]) & real].mean() for i in fake_idx
@@ -83,6 +82,6 @@ print(f"fake -> donor identity's real cluster:           "
       f"{to_donor.mean():8.2f}")
 
 with open("tsne_demo.csv", "w", encoding="utf-8") as fh:
-    fh.write(layout_to_csv(Y, records))
+    fh.write(layout_to_csv(Y, dataset))
 print()
 print("wrote tsne_demo.csv")

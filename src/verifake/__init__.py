@@ -14,13 +14,11 @@ from .embeddings import (
     METHOD_BY_NAME,
     METHOD_NAMES,
     EmbeddingDataset,
-    LabeledEmbedding,
     Method,
     between_center_cosine,
     cosine_similarity,
     l2_normalize,
     method_group,
-    real_record,
     subject_centers,
     within_identity_cosine,
 )
@@ -58,7 +56,6 @@ from .losses import (
 from .metrics import EvalReport, auc, build_report, eer, histogram, roc_curve
 from .protocol import (
     Gallery,
-    ProbeSet,
     ScoreRecord,
     assert_subject_disjoint,
     build_gallery,

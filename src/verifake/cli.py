@@ -19,6 +19,7 @@ from pathlib import Path
 from .config import PipelineConfig, child_seed, load_config
 from .dataset_io import read_dataset, write_dataset
 from .errors import ConfigError, VerifakeError
+from .losses import LOSS_NAMES
 from .metrics import build_report
 from .pipeline import (
     StageFailure,
@@ -113,13 +114,13 @@ def cmd_eval(args) -> int:
 def cmd_tsne(args) -> int:
     cfg = _load_pipeline_config(args)
     dataset = read_dataset(args.embeddings)
-    records, Y, trace = tsne_stage(cfg, dataset)
+    points, Y, trace = tsne_stage(cfg, dataset)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "tsne.csv").write_text(layout_to_csv(Y, records), encoding="utf-8")
+    (out / "tsne.csv").write_text(layout_to_csv(Y, points), encoding="utf-8")
     (out / "kl_trace.csv").write_text(kl_trace_to_csv(trace), encoding="utf-8")
     print(
-        f"embedded {len(records)} points; final KL {trace[-1]:.6f} "
+        f"embedded {len(points)} points; final KL {trace[-1]:.6f} "
         f"(wrote {out / 'tsne.csv'})"
     )
     return EXIT_OK
@@ -153,7 +154,7 @@ def _add_common_flags(sub, config=True):
     sub.add_argument("--out", help="output directory")
     sub.add_argument(
         "--loss",
-        choices=["softmax", "arcface", "cosface", "sphereface", "combined", "triplet"],
+        choices=LOSS_NAMES,
         help="loss preset",
     )
     sub.add_argument("--gallery-size", type=int, dest="gallery_size")

@@ -18,95 +18,121 @@ realness spelled `real`/`fake` and the method by name. Both formats
 round-trip datasets bit-exactly (vectors are float32).
 """
 
-import struct
-
 import numpy as np
 
 from .embeddings import (
     EmbeddingDataset,
-    LabeledEmbedding,
     Method,
     METHOD_BY_NAME,
     METHOD_NAMES,
     MIN_DIM,
+    first_fault,
+    label_faults,
 )
 from .errors import FormatError
+from .losses import INPUT_NORM_TOL
 
 MAGIC = b"EMB1"
-_HEADER = struct.Struct("<II")
-_REC_FIXED = struct.Struct("<IIBBH")
+_HEADER_SIZE = 12  # magic, u32 record count, u32 dim
+_U32_MAX = 2**32 - 1
+
+
+def _record_dtype(dim: int) -> np.dtype:
+    return np.dtype([
+        ("subject", "<u4"),
+        ("host", "<u4"),
+        ("realness", "u1"),
+        ("method", "u1"),
+        ("reserved", "<u2"),
+        ("vector", "<f4", (dim,)),
+    ])
+
+
+def _record_faults(vectors, subject, host, fake, method) -> list:
+    """Label then vector checks of every record, as (bad rows, message for
+    row i) pairs. A vector must be finite with its norm within
+    INPUT_NORM_TOL of 1."""
+    faults = [
+        (mask, lambda i, text=text: text)
+        for mask, text in label_faults(subject, host, fake, method)
+    ]
+    norms = np.sqrt(np.einsum("ij,ij->i", vectors, vectors, dtype=np.float64))
+
+    def vector_message(i):
+        if not np.isfinite(norms[i]):
+            return "vector has a non-finite component"
+        return f"vector norm {float(norms[i])!r} is not within {INPUT_NORM_TOL} of 1"
+
+    faults.append((~(np.abs(norms - 1.0) <= INPUT_NORM_TOL), vector_message))
+    return faults
 
 
 def write_emb1(path, dataset: EmbeddingDataset) -> None:
     """Write `dataset` to `path` in EMB1 format."""
+    rows = np.zeros(len(dataset), dtype=_record_dtype(dataset.dim))
+    rows["subject"] = dataset.subject
+    rows["host"] = dataset.host
+    rows["realness"] = dataset.fake
+    rows["method"] = dataset.method
+    rows["vector"] = dataset.vectors
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(_HEADER.pack(len(dataset.records), dataset.dim))
-        for rec in dataset.records:
-            fh.write(
-                _REC_FIXED.pack(
-                    rec.subject_id,
-                    rec.host_subject_id,
-                    1 if rec.fake else 0,
-                    int(rec.method),
-                    0,
-                )
-            )
-            fh.write(rec.vector.astype("<f4", copy=False).tobytes())
+        fh.write(np.array([len(dataset), dataset.dim], dtype="<u4").tobytes())
+        fh.write(rows.tobytes())
 
 
 def read_emb1(path) -> EmbeddingDataset:
-    """Read an EMB1 file, validating structure byte-for-byte."""
+    """Read an EMB1 file, validating structure byte-for-byte. A bad record
+    is reported at the offset of the field at fault (the record's start
+    for label and vector faults)."""
     with open(path, "rb") as fh:
         data = fh.read()
 
     if len(data) < 4 or data[:4] != MAGIC:
         raise FormatError(f"bad magic {data[:4]!r}, expected {MAGIC!r}", offset=0)
-    if len(data) < 4 + _HEADER.size:
+    if len(data) < _HEADER_SIZE:
         raise FormatError("truncated header", offset=len(data))
-    count, dim = _HEADER.unpack_from(data, 4)
+    count, dim = (int(x) for x in np.frombuffer(data, dtype="<u4", count=2, offset=4))
     if dim < MIN_DIM:
         raise FormatError(f"dim {dim} below minimum {MIN_DIM}", offset=8)
 
-    rec_size = _REC_FIXED.size + 4 * dim
-    offset = 4 + _HEADER.size
-    records = []
-    for i in range(count):
-        if offset + rec_size > len(data):
-            raise FormatError(
-                f"truncated payload: record {i} of {count} incomplete",
-                offset=len(data),
-            )
-        subject, host, realness, method_code, reserved = _REC_FIXED.unpack_from(
-            data, offset
-        )
-        if realness not in (0, 1):
-            raise FormatError(f"invalid realness byte {realness}", offset=offset + 8)
-        try:
-            method = Method(method_code)
-        except ValueError:
-            raise FormatError(
-                f"unknown method code {method_code}", offset=offset + 9
-            ) from None
-        if reserved != 0:
-            raise FormatError(
-                f"reserved field must be zero, got {reserved}", offset=offset + 10
-            )
-        vec = np.frombuffer(
-            data, dtype="<f4", count=dim, offset=offset + _REC_FIXED.size
-        )
-        try:
-            records.append(
-                LabeledEmbedding(subject, host, bool(realness), method, vec)
-            )
-        except ValueError as exc:
-            raise FormatError(f"record {i}: {exc}", offset=offset) from None
-        offset += rec_size
-    if offset != len(data):
+    try:
+        record = _record_dtype(dim)
+    except ValueError:  # numpy caps one record at 2**31 - 1 bytes
+        raise FormatError(f"dim {dim} too large", offset=8) from None
+
+    rec_size = record.itemsize
+    complete = min(count, (len(data) - _HEADER_SIZE) // rec_size)
+    rows = np.frombuffer(data, dtype=record, count=complete, offset=_HEADER_SIZE)
+    realness, code, reserved = rows["realness"], rows["method"], rows["reserved"]
+    columns = (rows["vector"], rows["subject"], rows["host"], realness == 1, code)
+    # (bad rows, field offset within the record, message for row i), in
+    # the order the fields are checked
+    faults = [
+        (realness > 1, 8, lambda i: f"invalid realness byte {realness[i]}"),
+        (code > max(Method), 9, lambda i: f"unknown method code {code[i]}"),
+        (reserved != 0, 10, lambda i: f"reserved field must be zero, got {reserved[i]}"),
+    ]
+    faults += [
+        (mask, 0, lambda i, message=message: f"record {i}: {message(i)}")
+        for mask, message in _record_faults(*columns)
+    ]
+    hit = first_fault([mask for mask, _, _ in faults])
+    if hit is not None:
+        i, k = hit
+        _, field, message = faults[k]
+        raise FormatError(message(i), offset=_HEADER_SIZE + i * rec_size + field)
+    if complete < count:
         raise FormatError(
-            f"{len(data) - offset} trailing bytes after last record", offset=offset
+            f"truncated payload: record {complete} of {count} incomplete",
+            offset=len(data),
         )
-    return EmbeddingDataset(dim, records)
+    end = _HEADER_SIZE + count * rec_size
+    if end != len(data):
+        raise FormatError(
+            f"{len(data) - end} trailing bytes after last record", offset=end
+        )
+    return EmbeddingDataset(*columns)
 
 
 def write_csv(path, dataset: EmbeddingDataset) -> None:
@@ -114,15 +140,21 @@ def write_csv(path, dataset: EmbeddingDataset) -> None:
     float32 components round-trip exactly."""
     d = dataset.dim
     header = "subject,host,realness,method," + ",".join(f"v{i}" for i in range(d))
+    labels = zip(
+        dataset.subject.tolist(),
+        dataset.host.tolist(),
+        dataset.fake.tolist(),
+        dataset.method.tolist(),
+    )
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(header + "\n")
-        for rec in dataset.records:
-            values = ",".join(repr(float(x)) for x in rec.vector)
-            fh.write(
-                f"{rec.subject_id},{rec.host_subject_id},"
-                f"{'fake' if rec.fake else 'real'},"
-                f"{METHOD_NAMES[rec.method]},{values}\n"
-            )
+        # one row's floats at a time: a whole-matrix tolist() would hold
+        # every component as a Python float at once
+        fh.writelines(
+            f"{subject},{host},{'fake' if fake else 'real'},{METHOD_NAMES[method]},"
+            f"{','.join(map(repr, row.tolist()))}\n"
+            for (subject, host, fake, method), row in zip(labels, dataset.vectors)
+        )
 
 
 def read_csv(path) -> EmbeddingDataset:
@@ -141,37 +173,58 @@ def read_csv(path) -> EmbeddingDataset:
     if cols[4:] != [f"v{i}" for i in range(dim)]:
         raise FormatError("value columns must be v0..v{d-1}", offset=1)
 
-    records = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != 4 + dim:
-            raise FormatError(
-                f"expected {4 + dim} fields, got {len(fields)}", offset=lineno
-            )
-        try:
-            subject = int(fields[0])
-            host = int(fields[1])
-        except ValueError:
-            raise FormatError("non-integer subject/host id", offset=lineno) from None
-        if fields[2] not in ("real", "fake"):
-            raise FormatError(f"invalid realness {fields[2]!r}", offset=lineno)
-        if fields[3] not in METHOD_BY_NAME:
-            raise FormatError(f"unknown method {fields[3]!r}", offset=lineno)
-        try:
-            vec = np.array([float(x) for x in fields[4:]], dtype=np.float32)
-        except ValueError:
-            raise FormatError("non-numeric vector component", offset=lineno) from None
-        try:
-            records.append(
-                LabeledEmbedding(
-                    subject, host, fields[2] == "fake", METHOD_BY_NAME[fields[3]], vec
+    n = len(lines) - 1
+    vectors = np.empty((n, dim))
+    ids = np.empty((n, 2), dtype=np.uint32)
+    fake = np.empty(n, dtype=bool)
+    method = np.empty(n, dtype=np.uint8)
+    linenos = []
+
+    def checked_columns():
+        # the rows read so far; the earliest label or vector fault raises
+        k = len(linenos)
+        with np.errstate(over="ignore"):  # out-of-range values become inf: a fault
+            columns = (vectors[:k].astype(np.float32), ids[:k, 0], ids[:k, 1], fake[:k], method[:k])
+        faults = _record_faults(*columns)
+        hit = first_fault([mask for mask, _ in faults])
+        if hit is not None:
+            i, j = hit
+            raise FormatError(faults[j][1](i), offset=linenos[i])
+        return columns
+
+    try:
+        for lineno, line in enumerate(lines[1:], start=2):
+            if not line:
+                continue
+            fields = line.split(",")
+            if len(fields) != 4 + dim:
+                raise FormatError(
+                    f"expected {4 + dim} fields, got {len(fields)}", offset=lineno
                 )
-            )
-        except ValueError as exc:
-            raise FormatError(str(exc), offset=lineno) from None
-    return EmbeddingDataset(dim, records)
+            try:
+                subject, host = int(fields[0]), int(fields[1])
+            except ValueError:
+                raise FormatError("non-integer subject/host id", offset=lineno) from None
+            if not (0 <= subject <= _U32_MAX and 0 <= host <= _U32_MAX):
+                raise FormatError("subject/host id outside the u32 range", offset=lineno)
+            if fields[2] not in ("real", "fake"):
+                raise FormatError(f"invalid realness {fields[2]!r}", offset=lineno)
+            if fields[3] not in METHOD_BY_NAME:
+                raise FormatError(f"unknown method {fields[3]!r}", offset=lineno)
+            k = len(linenos)
+            try:
+                vectors[k] = list(map(float, fields[4:]))
+            except ValueError:
+                raise FormatError("non-numeric vector component", offset=lineno) from None
+            ids[k] = subject, host
+            fake[k] = fields[2] == "fake"
+            method[k] = METHOD_BY_NAME[fields[3]]
+            linenos.append(lineno)
+    except FormatError:
+        checked_columns()  # a fault on an earlier line is reported first
+        raise
+    del lines  # free the text before the checks allocate
+    return EmbeddingDataset(*checked_columns())
 
 
 def write_dataset(path, dataset: EmbeddingDataset, fmt: str = "emb1") -> None:

@@ -1,11 +1,11 @@
-"""Embedding vector primitives and labeled-embedding datasets.
+"""Embedding vector primitives and the columnar embedding dataset.
 
 Embeddings are unit-norm float32 vectors; all other modules consume the
 types defined here. Vectors are stored float32 so that file round-trips
 are bit-exact; score arithmetic upcasts to float64.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -13,7 +13,6 @@ import numpy as np
 from .errors import DegenerateVector, DimensionMismatch
 
 MIN_DIM = 2
-NORM_TOL = 1e-6
 
 
 class Method(IntEnum):
@@ -82,131 +81,141 @@ def cosine_similarity(u, v) -> float:
 
 
 @dataclass(eq=False)
-class LabeledEmbedding:
-    """One embedding with its identity label and manipulation tag.
+class EmbeddingDataset:
+    """Embedding records stored as columns that mirror the EMB1 record;
+    row i of every column is record i.
 
-    For real records the method is NONE and host_subject_id equals
-    subject_id. For fakes, host_subject_id is the target identity whose
-    gallery the record is matched against; identity swaps carry the
-    donor identity in subject_id.
+    vectors: (n, dim) float32; subject, host: (n,) uint32; fake: (n,)
+    bool; method: (n,) uint8 wire code (see Method). For real records the
+    method is NONE and host equals subject. For fakes, host is the target
+    identity whose gallery the record is matched against; identity swaps
+    carry the donor identity in subject.
     """
 
-    subject_id: int
-    host_subject_id: int
-    fake: bool
-    method: Method
-    vector: np.ndarray
+    vectors: np.ndarray
+    subject: np.ndarray
+    host: np.ndarray
+    fake: np.ndarray
+    method: np.ndarray
 
     def __post_init__(self):
-        self.method = Method(self.method)
-        self.vector = np.ascontiguousarray(self.vector, dtype=np.float32)
-        if self.vector.ndim != 1 or self.vector.shape[0] < MIN_DIM:
+        self.vectors = np.ascontiguousarray(self.vectors, dtype=np.float32)
+        if self.vectors.ndim != 2 or self.vectors.shape[1] < MIN_DIM:
             raise DimensionMismatch(
-                f"embedding must be a vector of dim >= {MIN_DIM}, "
-                f"got shape {self.vector.shape}"
+                f"vectors must be an (n, dim >= {MIN_DIM}) matrix, "
+                f"got shape {self.vectors.shape}"
             )
-        if not self.fake:
-            if self.method != Method.NONE:
-                raise ValueError("real records must carry method 'none'")
-            if self.host_subject_id != self.subject_id:
-                raise ValueError("real records must have host == subject")
-        elif self.method == Method.NONE:
-            raise ValueError("fake records must carry a manipulation method")
+        n = self.vectors.shape[0]
+        self.subject = np.ascontiguousarray(self.subject, dtype=np.uint32)
+        self.host = np.ascontiguousarray(self.host, dtype=np.uint32)
+        self.fake = np.ascontiguousarray(self.fake, dtype=bool)
+        self.method = np.ascontiguousarray(self.method, dtype=np.uint8)
+        for column in (self.subject, self.host, self.fake, self.method):
+            if column.shape != (n,):
+                raise DimensionMismatch(
+                    f"label column has shape {column.shape}, expected ({n},)"
+                )
+        faults = label_faults(self.subject, self.host, self.fake, self.method)
+        hit = first_fault([mask for mask, _ in faults])
+        if hit is not None:
+            raise ValueError(f"record {hit[0]}: {faults[hit[1]][1]}")
+
+    @classmethod
+    def reals(cls, subject, vectors) -> "EmbeddingDataset":
+        """Real (genuine) records: host equals subject, method NONE."""
+        n = len(subject)
+        return cls(vectors, subject, subject, np.zeros(n, bool), np.zeros(n, np.uint8))
 
     @property
     def dim(self) -> int:
-        return self.vector.shape[0]
-
-    def __eq__(self, other):
-        if not isinstance(other, LabeledEmbedding):
-            return NotImplemented
-        return (
-            self.subject_id == other.subject_id
-            and self.host_subject_id == other.host_subject_id
-            and self.fake == other.fake
-            and self.method == other.method
-            and self.vector.shape == other.vector.shape
-            and bool(np.all(self.vector.view(np.uint32) == other.vector.view(np.uint32)))
-        )
-
-
-def real_record(subject_id: int, vector) -> LabeledEmbedding:
-    """Convenience constructor for a real (genuine) record."""
-    return LabeledEmbedding(subject_id, subject_id, False, Method.NONE, vector)
-
-
-@dataclass(eq=False)
-class EmbeddingDataset:
-    """Ordered collection of LabeledEmbedding records sharing one dim."""
-
-    dim: int
-    records: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.dim < MIN_DIM:
-            raise DimensionMismatch(f"dataset dim must be >= {MIN_DIM}")
-        for i, rec in enumerate(self.records):
-            if rec.dim != self.dim:
-                raise DimensionMismatch(
-                    f"record {i} has dim {rec.dim}, dataset dim is {self.dim}"
-                )
+        return self.vectors.shape[1]
 
     def __len__(self):
-        return len(self.records)
+        return self.vectors.shape[0]
 
-    def __iter__(self):
-        return iter(self.records)
-
-    def __eq__(self, other):
-        if not isinstance(other, EmbeddingDataset):
-            return NotImplemented
-        return (
-            self.dim == other.dim
-            and len(self.records) == len(other.records)
-            and all(a == b for a, b in zip(self.records, other.records))
+    def take(self, index) -> "EmbeddingDataset":
+        """The records selected by an index array or boolean mask, in order."""
+        return EmbeddingDataset(
+            self.vectors[index], self.subject[index], self.host[index],
+            self.fake[index], self.method[index],
         )
 
-    def subject_ids(self) -> set:
-        return {rec.subject_id for rec in self.records}
+    def concat(self, *others: "EmbeddingDataset") -> "EmbeddingDataset":
+        """This dataset's records followed by those of each of `others`."""
+        for other in others:
+            if other.dim != self.dim:
+                raise DimensionMismatch(f"dims {self.dim} and {other.dim} differ")
+        return EmbeddingDataset(*(
+            np.concatenate(columns)
+            for columns in zip(self._columns(), *(o._columns() for o in others))
+        ))
 
-    def real_records(self) -> list:
-        return [rec for rec in self.records if not rec.fake]
+    def _columns(self):
+        return self.vectors, self.subject, self.host, self.fake, self.method
 
-    def fake_records(self) -> list:
-        return [rec for rec in self.records if rec.fake]
+    def __eq__(self, other):
+        """Bitwise equality of every column (vectors compared as bits)."""
+        if not isinstance(other, EmbeddingDataset):
+            return NotImplemented
+        return np.array_equal(
+            self.vectors.view(np.uint32), other.vectors.view(np.uint32)
+        ) and all(
+            np.array_equal(a, b) for a, b in zip(self._columns()[1:], other._columns()[1:])
+        )
 
-    def matrix(self) -> np.ndarray:
-        """Stack all vectors into an (n, dim) float64 matrix."""
-        if not self.records:
-            return np.zeros((0, self.dim))
-        return np.stack([rec.vector for rec in self.records]).astype(np.float64)
+
+def label_faults(subject, host, fake, method) -> list:
+    """The record label rules as (violating-rows mask, message) pairs, in
+    check order."""
+    real = ~fake
+    return [
+        (real & (method != Method.NONE), "real records must carry method 'none'"),
+        (real & (host != subject), "real records must have host == subject"),
+        (fake & (method == Method.NONE), "fake records must carry a manipulation method"),
+    ]
+
+
+def first_fault(masks):
+    """(row, check) indices of the earliest row failing any of the boolean
+    row masks in `masks`, given in check order; a row failing several
+    checks reports the first. None when every row passes."""
+    hits = [(int(np.argmax(mask)), k) for k, mask in enumerate(masks) if mask.any()]
+    return min(hits) if hits else None
+
+
+def row_groups(keys: np.ndarray):
+    """(key, positions) for each distinct key of a 1-D array, keys
+    ascending as Python ints; the positions of a key keep input order."""
+    order = np.argsort(keys, kind="stable")
+    uniq, starts = np.unique(keys[order], return_index=True)
+    return zip(uniq.tolist(), np.split(order, starts[1:]))
+
+
+def _real_rows_by_subject(dataset: EmbeddingDataset) -> dict:
+    """Subject id -> float64 matrix of its real vectors, in record order."""
+    real = dataset.take(~dataset.fake)
+    return {
+        sid: real.vectors[pos].astype(np.float64) for sid, pos in row_groups(real.subject)
+    }
 
 
 def subject_centers(dataset: EmbeddingDataset) -> dict:
     """Normalized mean direction of each subject's real records."""
-    sums: dict = {}
-    for rec in dataset.real_records():
-        acc = sums.setdefault(rec.subject_id, np.zeros(dataset.dim))
-        acc += rec.vector.astype(np.float64)
-    return {sid: l2_normalize(acc) for sid, acc in sorted(sums.items())}
+    return {
+        sid: l2_normalize(M.sum(axis=0))
+        for sid, M in _real_rows_by_subject(dataset).items()
+    }
 
 
 def within_identity_cosine(dataset: EmbeddingDataset) -> float:
     """Mean cosine over all within-subject pairs of real records,
     averaged per subject first so small subjects count equally."""
-    by_subject: dict = {}
-    for rec in dataset.real_records():
-        by_subject.setdefault(rec.subject_id, []).append(
-            rec.vector.astype(np.float64)
-        )
     per_subject = []
-    for sid in sorted(by_subject):
-        vecs = by_subject[sid]
-        if len(vecs) < 2:
+    for M in _real_rows_by_subject(dataset).values():
+        if M.shape[0] < 2:
             continue
-        M = np.stack(vecs)
         C = M @ M.T
-        iu = np.triu_indices(len(vecs), k=1)
+        iu = np.triu_indices(M.shape[0], k=1)
         per_subject.append(float(C[iu].mean()))
     if not per_subject:
         raise DegenerateVector("no subject has two or more real records")

@@ -22,11 +22,12 @@ from . import __version__
 from .config import FORMAT_VERSIONS, PipelineConfig, child_seed
 from .dataset_io import write_dataset
 from .embeddings import (
+    EXPRESSION_SWAP_METHODS,
     IDENTITY_SWAP_METHODS,
     METHOD_NAMES,
     EmbeddingDataset,
     Method,
-    real_record,
+    row_groups,
 )
 from .errors import ConfigError, VerifakeError
 from .metrics import (
@@ -46,9 +47,11 @@ from .synthetic import (
     RawDataset,
     SwapSpec,
     SyntheticSpec,
+    draws_noise,
+    expression_swap_rows,
     generate_identities,
-    simulate_expression_swap,
-    simulate_identity_swap,
+    identity_swap_rows,
+    swap_noise,
 )
 from .trainer import TrainConfig, extract_embeddings, train_embedder
 from .tsne import TsneConfig, kl_trace_to_csv, layout_to_csv, run_tsne
@@ -84,28 +87,25 @@ def _run_stage(stage, fn, *args, **kwargs):
         raise StageFailure(stage, exc) from exc
 
 
+def _synthetic_spec(cfg: PipelineConfig, part: str) -> SyntheticSpec:
+    """Generator spec of the 'train' or 'eval' identities."""
+    return SyntheticSpec(
+        cfg.train_identities if part == "train" else cfg.eval_identities,
+        cfg.samples_per_identity,
+        cfg.raw_dim,
+        cfg.concentration,
+        child_seed(cfg.seed, f"synth:{part}"),
+    )
+
+
 def synth_stage(cfg: PipelineConfig):
     """Generate disjoint training and evaluation identity clusters.
 
     Evaluation labels are offset by the training identity count so the
     two id ranges never collide.
     """
-    train_spec = SyntheticSpec(
-        cfg.train_identities,
-        cfg.samples_per_identity,
-        cfg.raw_dim,
-        cfg.concentration,
-        child_seed(cfg.seed, "synth:train"),
-    )
-    eval_spec = SyntheticSpec(
-        cfg.eval_identities,
-        cfg.samples_per_identity,
-        cfg.raw_dim,
-        cfg.concentration,
-        child_seed(cfg.seed, "synth:eval"),
-    )
-    train_raw = generate_identities(train_spec)
-    eval_raw = generate_identities(eval_spec)
+    train_raw = generate_identities(_synthetic_spec(cfg, "train"))
+    eval_raw = generate_identities(_synthetic_spec(cfg, "eval"))
     eval_raw = RawDataset(
         eval_raw.features, eval_raw.labels + cfg.train_identities, eval_raw.means
     )
@@ -136,66 +136,74 @@ def train_stage(cfg: PipelineConfig, train_raw: RawDataset):
     )
 
 
-def simulate_fakes(real_ds: EmbeddingDataset, swaps, seed: int) -> list:
+def simulate_fakes(real_ds: EmbeddingDataset, swaps, seed: int) -> EmbeddingDataset:
     """Apply every configured simulator to the real records.
 
     For identity swaps the donor is a seeded pick among the OTHER
     subjects; the host record and donor record are seeded picks among
-    each subject's real embeddings.
+    each subject's real embeddings. Each fake draws from its method's
+    stream in a fixed order (host record, donor subject until it differs
+    from the host, donor record, noise), so the fakes do not depend on
+    how the arithmetic is batched.
     """
-    by_subject: dict = {}
-    for rec in real_ds.real_records():
-        by_subject.setdefault(rec.subject_id, []).append(rec)
-    subjects = sorted(by_subject)
+    real = np.flatnonzero(~real_ds.fake)
+    groups = list(row_groups(real_ds.subject[real]))
+    subjects = [subject for subject, _ in groups]
+    pools = [real[pos] for _, pos in groups]  # each subject's real rows, in order
+    n_subjects = len(subjects)
 
-    fakes = []
+    parts = []
     for settings in swaps:
         method = Method(settings.method)
         rng = np.random.default_rng(
             child_seed(seed, f"swap:{METHOD_NAMES[method]}")
         )
         identity_swap = method in IDENTITY_SWAP_METHODS
-        if identity_swap and len(subjects) < 2:
+        if identity_swap and n_subjects < 2:
             raise ConfigError("identity swaps need at least 2 subjects")
+        if not identity_swap and method not in EXPRESSION_SWAP_METHODS:
+            raise ConfigError(f"{method!r} is not a manipulation method")
         spec = SwapSpec(alpha=settings.alpha, noise_sigma=settings.sigma)
-        for host in subjects:
-            host_pool = by_subject[host]
-            for _ in range(settings.per_subject):
-                host_rec = host_pool[rng.integers(len(host_pool))]
-                if identity_swap:
-                    donor = subjects[rng.integers(len(subjects))]
-                    while donor == host:
-                        donor = subjects[rng.integers(len(subjects))]
-                    donor_pool = by_subject[donor]
-                    donor_rec = donor_pool[rng.integers(len(donor_pool))]
-                    fakes.append(
-                        simulate_identity_swap(
-                            donor_rec.vector.astype(np.float64),
-                            donor,
-                            host_rec.vector.astype(np.float64),
-                            host,
-                            spec,
-                            method=method,
-                            rng=rng,
-                        )
-                    )
-                else:
-                    fakes.append(
-                        simulate_expression_swap(
-                            host_rec.vector.astype(np.float64),
-                            host,
-                            settings.sigma,
-                            method=method,
-                            rng=rng,
-                        )
-                    )
-    return fakes
+        noisy = draws_noise(spec, identity_swap)
+
+        k = n_subjects * settings.per_subject
+        host_rows = np.empty(k, dtype=np.int64)
+        donor_rows = np.empty(k, dtype=np.int64)
+        noise = np.empty((k, real_ds.dim)) if noisy else None
+        for j in range(k):
+            host = j // settings.per_subject  # index into subjects
+            host_pool = pools[host]
+            host_rows[j] = host_pool[rng.integers(len(host_pool))]
+            if identity_swap:
+                donor = rng.integers(n_subjects)
+                while donor == host:
+                    donor = rng.integers(n_subjects)
+                donor_pool = pools[donor]
+                donor_rows[j] = donor_pool[rng.integers(len(donor_pool))]
+            if noisy:
+                noise[j] = swap_noise(rng, spec.noise_sigma, real_ds.dim)
+
+        hosts = real_ds.vectors[host_rows].astype(np.float64)
+        if identity_swap:
+            donors = real_ds.vectors[donor_rows].astype(np.float64)
+            vectors = identity_swap_rows(donors, hosts, spec, noise)
+            subject = real_ds.subject[donor_rows]
+        else:
+            vectors = expression_swap_rows(hosts, spec, noise)
+            subject = real_ds.subject[host_rows]
+        parts.append(EmbeddingDataset(
+            vectors,
+            subject,
+            np.repeat(subjects, settings.per_subject),
+            np.ones(k, dtype=bool),
+            np.full(k, method, dtype=np.uint8),
+        ))
+    return real_ds.take(slice(0, 0)).concat(*parts)
 
 
 def embed_stage(cfg: PipelineConfig, network, eval_raw: RawDataset) -> EmbeddingDataset:
     real_ds = extract_embeddings(network, eval_raw.features, eval_raw.labels)
-    fakes = simulate_fakes(real_ds, cfg.swaps, cfg.seed)
-    return EmbeddingDataset(real_ds.dim, real_ds.records + fakes)
+    return real_ds.concat(simulate_fakes(real_ds, cfg.swaps, cfg.seed))
 
 
 def protocol_stage(cfg: PipelineConfig, dataset: EmbeddingDataset):
@@ -221,12 +229,11 @@ def report_stage(cfg: PipelineConfig, scores) -> EvalReport:
 
 def tsne_stage(cfg: PipelineConfig, dataset: EmbeddingDataset):
     """Seeded subsample (if needed) plus the 2-D layout and KL trace."""
-    records = list(dataset.records)
     rng = np.random.default_rng(child_seed(cfg.seed, "tsne"))
-    if len(records) > cfg.tsne_max_points:
-        chosen = rng.choice(len(records), size=cfg.tsne_max_points, replace=False)
-        records = [records[i] for i in sorted(int(c) for c in chosen)]
-    X = np.stack([rec.vector.astype(np.float64) for rec in records])
+    if len(dataset) > cfg.tsne_max_points:
+        chosen = rng.choice(len(dataset), size=cfg.tsne_max_points, replace=False)
+        dataset = dataset.take(np.sort(chosen))
+    X = dataset.vectors.astype(np.float64)
     tsne_cfg = TsneConfig(
         perplexity=cfg.tsne_perplexity,
         iterations=cfg.tsne_iterations,
@@ -234,7 +241,7 @@ def tsne_stage(cfg: PipelineConfig, dataset: EmbeddingDataset):
         seed=child_seed(cfg.seed, "tsne"),
     )
     Y, trace = run_tsne(X, tsne_cfg)
-    return records, Y, trace
+    return dataset, Y, trace
 
 
 def curve_to_csv(curve) -> str:
@@ -302,8 +309,8 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None) -> RunResult:
     _write_text(out, "histograms.csv", histograms_to_csv(report), artifacts)
 
     if cfg.tsne_enabled:
-        records, Y, trace = _run_stage("tsne", tsne_stage, cfg, dataset)
-        _write_text(out, "tsne.csv", layout_to_csv(Y, records), artifacts)
+        points, Y, trace = _run_stage("tsne", tsne_stage, cfg, dataset)
+        _write_text(out, "tsne.csv", layout_to_csv(Y, points), artifacts)
         _write_text(out, "kl_trace.csv", kl_trace_to_csv(trace), artifacts)
 
     write_manifest(cfg, out, artifacts)
@@ -331,20 +338,9 @@ def synth_embedding_dataset(cfg: PipelineConfig) -> EmbeddingDataset:
     """Training-free dataset: the synthetic clusters are used directly
     as embeddings (they already live on the unit sphere) and the
     configured simulators supply the fakes."""
-    spec = SyntheticSpec(
-        cfg.eval_identities,
-        cfg.samples_per_identity,
-        cfg.raw_dim,
-        cfg.concentration,
-        child_seed(cfg.seed, "synth:eval"),
-    )
-    raw = generate_identities(spec)
-    records = []
-    for row, label in zip(raw.features, raw.labels):
-        records.append(real_record(int(label), row))
-    real_ds = EmbeddingDataset(raw.raw_dim, records)
-    fakes = simulate_fakes(real_ds, cfg.swaps, cfg.seed)
-    return EmbeddingDataset(real_ds.dim, real_ds.records + fakes)
+    raw = generate_identities(_synthetic_spec(cfg, "eval"))
+    real_ds = EmbeddingDataset.reals(raw.labels, raw.features)
+    return real_ds.concat(simulate_fakes(real_ds, cfg.swaps, cfg.seed))
 
 
 __all__ = [

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import METHOD_BY_NAME, METHOD_NAMES, EmbeddingDataset, Method
+from .embeddings import METHOD_BY_NAME, METHOD_NAMES, EmbeddingDataset, Method, row_groups
 from .errors import (
     ConfigError,
     EmptyGallery,
@@ -42,21 +42,6 @@ class Gallery:
         return self.entries[subject]
 
 
-@dataclass
-class ProbeSet:
-    """Probe records remaining after enrollment, cap applied per host
-    subject."""
-
-    records: list
-    cap: int
-
-    def __len__(self):
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-
 @dataclass(frozen=True)
 class ScoreRecord:
     """One probe's match score against its host subject's gallery."""
@@ -81,56 +66,48 @@ def build_gallery(
     seed: int = 0,
     probe_cap: int = DEFAULT_PROBE_CAP,
 ):
-    """Split a dataset into (Gallery, ProbeSet).
+    """Split a dataset into (Gallery, probes).
 
     For every subject, g of its real records are enrolled by seeded
     uniform sampling without replacement; everything else (including all
     fakes) becomes a probe. When a host subject has more than probe_cap
-    probe records, a seeded subsample keeps exactly probe_cap of them,
-    preserving input order.
+    probe records, a seeded subsample keeps exactly probe_cap of them.
+    The probes are an EmbeddingDataset in input order.
     """
     if g < 1:
         raise ConfigError("gallery size must be >= 1", field="gallery_size")
     if probe_cap < 1:
         raise ConfigError("probe cap must be >= 1", field="probe_cap")
 
-    real_by_subject: dict = {}
-    for i, rec in enumerate(dataset.records):
-        if not rec.fake:
-            real_by_subject.setdefault(rec.subject_id, []).append(i)
-
-    short = sorted(s for s, idx in real_by_subject.items() if len(idx) < g)
+    real = np.flatnonzero(~dataset.fake)
+    by_subject = [(s, real[pos]) for s, pos in row_groups(dataset.subject[real])]
+    short = [s for s, rows in by_subject if len(rows) < g]
     if short:
         raise InsufficientEnrollment(short, g)
 
     rng = np.random.default_rng(seed)
-    enrolled: set = set()
+    enrolled = np.zeros(len(dataset), dtype=bool)
     entries = {}
-    for subject in sorted(real_by_subject):
-        indices = real_by_subject[subject]
-        chosen = rng.choice(len(indices), size=g, replace=False)
-        chosen_ids = [indices[int(c)] for c in chosen]
-        enrolled.update(chosen_ids)
-        entries[subject] = np.stack(
-            [dataset.records[i].vector.astype(np.float64) for i in sorted(chosen_ids)]
-        )
+    for subject, rows in by_subject:
+        chosen = np.sort(rows[rng.choice(len(rows), size=g, replace=False)])
+        enrolled[chosen] = True
+        entries[subject] = dataset.vectors[chosen].astype(np.float64)
 
-    probe_indices = [i for i in range(len(dataset.records)) if i not in enrolled]
+    probe_rows = np.flatnonzero(~enrolled)
+    keep = np.ones(len(probe_rows), dtype=bool)
+    for _, pos in row_groups(dataset.host[probe_rows]):
+        if len(pos) > probe_cap:
+            keep[pos] = False
+            keep[pos[rng.choice(len(pos), size=probe_cap, replace=False)]] = True
+    return Gallery(g, entries), dataset.take(probe_rows[keep])
 
-    by_host: dict = {}
-    for i in probe_indices:
-        by_host.setdefault(dataset.records[i].host_subject_id, []).append(i)
-    keep: set = set()
-    for host in sorted(by_host):
-        idx = by_host[host]
-        if len(idx) > probe_cap:
-            chosen = rng.choice(len(idx), size=probe_cap, replace=False)
-            keep.update(idx[int(c)] for c in chosen)
-        else:
-            keep.update(idx)
 
-    probes = [dataset.records[i] for i in probe_indices if i in keep]
-    return Gallery(g, entries), ProbeSet(probes, probe_cap)
+def _score(templates: np.ndarray, probes: np.ndarray, aggregation: str) -> np.ndarray:
+    # one gemv per probe row, the same BLAS call as `templates @ probe`, so
+    # each score is bitwise what scoring that probe alone gives
+    cosines = np.matmul(templates[None], probes[:, :, None])[:, :, 0]
+    values = cosines.mean(axis=1) if aggregation == "mean" else cosines.max(axis=1)
+    return np.clip(values, -1.0, 1.0)
 
 
 def match_probe(probe, subject_gallery, aggregation: str = "mean") -> float:
@@ -143,32 +120,33 @@ def match_probe(probe, subject_gallery, aggregation: str = "mean") -> float:
         raise EmptyGallery("cannot match against an empty gallery")
     if templates.ndim != 2:
         raise EmptyGallery(f"gallery must be a (g, dim) matrix, got {templates.shape}")
-
     vec = np.asarray(probe, dtype=np.float64)
-    cosines = templates @ vec
-    value = cosines.mean() if aggregation == "mean" else cosines.max()
-    return float(min(1.0, max(-1.0, value)))
+    return float(_score(templates, vec[None], aggregation)[0])
 
 
-def run_protocol(gallery: Gallery, probes, aggregation: str = "mean") -> list:
+def run_protocol(gallery: Gallery, probes: EmbeddingDataset, aggregation: str = "mean") -> list:
     """Score every probe against its host subject's gallery.
 
     Output order equals input order and every probe produces exactly one
     ScoreRecord.
     """
-    records = []
-    for rec in probes:
-        host = rec.host_subject_id
-        if host not in gallery.entries:
-            raise UnknownSubject(f"probe host subject {host} is not enrolled")
-        score = match_probe(
-            rec.vector.astype(np.float64), gallery.entries[host], aggregation
+    if aggregation not in AGGREGATIONS:
+        raise ConfigError(f"aggregation must be one of {AGGREGATIONS}")
+    unknown = ~np.isin(probes.host, list(gallery.entries))
+    if unknown.any():
+        host = int(probes.host[np.argmax(unknown)])
+        raise UnknownSubject(f"probe host subject {host} is not enrolled")
+    scores = np.empty(len(probes))
+    for host, pos in row_groups(probes.host):
+        vectors = probes.vectors[pos].astype(np.float64)
+        scores[pos] = _score(gallery.entries[host], vectors, aggregation)
+    methods = tuple(Method)  # by wire code; real records carry NONE
+    return [
+        ScoreRecord(score, "imposter" if fake else "genuine", methods[code], host)
+        for score, fake, code, host in zip(
+            scores.tolist(), probes.fake.tolist(), probes.method.tolist(), probes.host.tolist()
         )
-        if rec.fake:
-            records.append(ScoreRecord(score, "imposter", rec.method, host))
-        else:
-            records.append(ScoreRecord(score, "genuine", Method.NONE, host))
-    return records
+    ]
 
 
 def assert_subject_disjoint(training_ids, evaluation_ids) -> None:
@@ -212,7 +190,6 @@ def scores_from_csv(text: str) -> list:
 
 __all__ = [
     "Gallery",
-    "ProbeSet",
     "ScoreRecord",
     "build_gallery",
     "match_probe",

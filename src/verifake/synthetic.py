@@ -14,11 +14,9 @@ import numpy as np
 from .embeddings import (
     IDENTITY_SWAP_METHODS,
     EXPRESSION_SWAP_METHODS,
-    LabeledEmbedding,
     Method,
-    l2_normalize,
 )
-from .errors import ConfigError, SimulationError
+from .errors import ConfigError, DegenerateVector, SimulationError
 
 DEFAULT_ALPHA = 0.8
 DEFAULT_NOISE_SIGMA = 0.05
@@ -116,11 +114,59 @@ def _resolve_rng(seed, rng):
     return np.random.default_rng(seed)
 
 
-def _noise(gen: np.random.Generator, sigma: float, dim: int) -> np.ndarray:
-    # isotropic Gaussian whose expected total magnitude is sigma (the
-    # per-component std is sigma/sqrt(d)), so the perturbation strength
-    # does not grow with the embedding dimension
+def swap_noise(gen: np.random.Generator, sigma: float, dim: int) -> np.ndarray:
+    """One fake's noise: isotropic Gaussian whose expected total magnitude
+    is sigma (the per-component std is sigma/sqrt(d)), so the perturbation
+    strength does not grow with the embedding dimension."""
     return gen.normal(0.0, sigma / np.sqrt(dim), size=dim)
+
+
+def draws_noise(spec: SwapSpec, identity_swap: bool) -> bool:
+    """Whether each fake of a swap draws noise. Noise-free expression swaps
+    and degenerate identity blends (no noise, alpha 0 or 1) reproduce a
+    source sample bit for bit and draw nothing."""
+    if spec.noise_sigma != 0.0:
+        return True
+    return identity_swap and spec.alpha not in (0.0, 1.0)
+
+
+def _normalize_rows(V: np.ndarray) -> np.ndarray:
+    # l2_normalize on every row of V, in place and bit for bit: each norm is
+    # the square root of the row's own dot product, as np.linalg.norm takes it
+    norms = np.sqrt(np.matmul(V[:, None, :], V[:, :, None])[:, 0, 0])
+    if np.any(norms <= 1e-12):
+        raise DegenerateVector(f"cannot normalize vector with norm {norms.min():.3e}")
+    V /= norms[:, None]
+    return V
+
+
+def identity_swap_rows(donor, host, spec: SwapSpec, noise) -> np.ndarray:
+    """Identity-swap fakes for aligned (k, d) float64 donor and host rows:
+
+        fake = normalize(alpha * donor + (1 - alpha) * host + noise)
+
+    `noise` has one `swap_noise` row per fake; it is ignored (and may be
+    None) when `draws_noise(spec, True)` is false.
+    """
+    if not draws_noise(spec, True):
+        return donor if spec.alpha == 1.0 else host
+    fakes = spec.alpha * donor
+    fakes += (1.0 - spec.alpha) * host
+    fakes += noise
+    return _normalize_rows(fakes)
+
+
+def expression_swap_rows(host, spec: SwapSpec, noise) -> np.ndarray:
+    """Expression-swap fakes for (k, d) float64 host rows:
+
+        fake = normalize(host + noise)
+
+    With spec.noise_sigma 0 the host rows are returned and `noise` is
+    ignored.
+    """
+    if not draws_noise(spec, False):
+        return host
+    return _normalize_rows(host + noise)
 
 
 def simulate_identity_swap(
@@ -131,13 +177,11 @@ def simulate_identity_swap(
     spec: SwapSpec,
     method: Method = Method.FACESWAP,
     rng: np.random.Generator | None = None,
-) -> LabeledEmbedding:
-    """Blend a donor embedding onto a host: the fake carries the donor's
-    identity features but is matched against the HOST gallery.
+) -> np.ndarray:
+    """Blend a donor embedding onto a host and return the fake vector
+    (unit-norm float64): it carries the donor's identity features but is
+    matched against the HOST gallery. One row of `identity_swap_rows`.
 
-        fake = normalize(alpha * donor + (1 - alpha) * host + noise)
-
-    Noise is isotropic Gaussian with total magnitude ~ spec.noise_sigma.
     Pass a shared rng to draw many distinct fakes; otherwise spec.seed
     is used.
     """
@@ -145,49 +189,36 @@ def simulate_identity_swap(
         raise SimulationError("identity swap needs distinct donor and host")
     if Method(method) not in IDENTITY_SWAP_METHODS:
         raise ConfigError(f"{method!r} is not an identity-swap method")
-    donor = np.asarray(donor_sample, dtype=np.float64)
-    host = np.asarray(host_sample, dtype=np.float64)
-
-    if spec.noise_sigma == 0.0 and spec.alpha in (0.0, 1.0):
-        # degenerate blends reproduce the source sample bit-for-bit
-        blended = donor if spec.alpha == 1.0 else host
-    else:
-        gen = _resolve_rng(spec.seed, rng)
-        noise = _noise(gen, spec.noise_sigma, donor.shape[0])
-        blended = l2_normalize(
-            spec.alpha * donor + (1.0 - spec.alpha) * host + noise
-        )
-    return LabeledEmbedding(donor_id, host_id, True, method, blended)
+    donor = np.array(donor_sample, dtype=np.float64)
+    host = np.array(host_sample, dtype=np.float64)
+    noise = None
+    if draws_noise(spec, True):
+        noise = swap_noise(_resolve_rng(spec.seed, rng), spec.noise_sigma, donor.shape[0])
+    return identity_swap_rows(donor[None], host[None], spec, noise)[0]
 
 
 def simulate_expression_swap(
     host_sample,
-    host_id: int,
     noise_sigma: float,
     seed: int = 0,
     method: Method = Method.NEURALTEXTURES,
     rng: np.random.Generator | None = None,
-) -> LabeledEmbedding:
-    """Perturb a host embedding in place, keeping its identity:
-
-        fake = normalize(host + sigma * noise)
+) -> np.ndarray:
+    """Perturb a host embedding in place, keeping its identity, and return
+    the fake vector (unit-norm float64). One row of `expression_swap_rows`.
 
     Models manipulations that reanimate expression while leaving the
     identity features intact, so scores against the host gallery stay
     close to genuine.
     """
-    if noise_sigma < 0:
-        raise ConfigError("noise_sigma must be >= 0", field="noise_sigma")
+    spec = SwapSpec(noise_sigma=noise_sigma)
     if Method(method) not in EXPRESSION_SWAP_METHODS:
         raise ConfigError(f"{method!r} is not an expression-swap method")
-    host = np.asarray(host_sample, dtype=np.float64)
-
-    if noise_sigma == 0.0:
-        vector = host
-    else:
-        gen = _resolve_rng(seed, rng)
-        vector = l2_normalize(host + _noise(gen, noise_sigma, host.shape[0]))
-    return LabeledEmbedding(host_id, host_id, True, method, vector)
+    host = np.array(host_sample, dtype=np.float64)
+    noise = None
+    if draws_noise(spec, False):
+        noise = swap_noise(_resolve_rng(seed, rng), noise_sigma, host.shape[0])
+    return expression_swap_rows(host[None], spec, noise)[0]
 
 
 __all__ = [
@@ -197,6 +228,10 @@ __all__ = [
     "generate_identities",
     "simulate_identity_swap",
     "simulate_expression_swap",
+    "identity_swap_rows",
+    "expression_swap_rows",
+    "draws_noise",
+    "swap_noise",
     "DEFAULT_ALPHA",
     "DEFAULT_NOISE_SIGMA",
 ]

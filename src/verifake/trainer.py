@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses
-from .embeddings import EmbeddingDataset, real_record
+from .embeddings import EmbeddingDataset
 from .errors import ConfigError, DegenerateVector, DimensionMismatch, VerifakeError
 from .losses import (
     LOSS_NAMES,
@@ -115,7 +115,8 @@ class EmbedderNetwork:
             h = np.tanh(h @ W + b)
             acts.append(h)
         z = h @ self.weights[-1] + self.biases[-1]
-        znorm = np.linalg.norm(z, axis=1)
+        with np.errstate(over="ignore"):  # an overflowing norm is reported below
+            znorm = np.linalg.norm(z, axis=1)
         if not np.all(np.isfinite(znorm)):
             # an infinite norm of finite z would give zero rows below
             raise DegenerateVector("embedder produced a non-finite vector (training diverged)")
@@ -343,11 +344,7 @@ def extract_embeddings(network: EmbedderNetwork, features, labels) -> EmbeddingD
         raise DimensionMismatch(
             f"network expects raw dim {network.raw_dim}, got {features.shape[1]}"
         )
-    records = [
-        real_record(int(label), network.embed_one(row))
-        for row, label in zip(features, labels)
-    ]
-    return EmbeddingDataset(network.embed_dim, records)
+    return EmbeddingDataset.reals(labels, network.embed(features))
 
 
 __all__ = [

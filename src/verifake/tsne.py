@@ -319,22 +319,20 @@ def run_tsne(X, cfg: TsneConfig):
     return Y, kl_trace
 
 
-def layout_to_csv(Y, records) -> str:
-    """Serialize a layout and its source records as
+def layout_to_csv(Y, dataset) -> str:
+    """Serialize a layout and its source records (an EmbeddingDataset) as
     `x,y,subject,realness,method` CSV (one row per point)."""
     from .embeddings import METHOD_NAMES
 
     Y = np.asarray(Y, dtype=np.float64)
-    if Y.shape[0] != len(records):
+    if Y.shape[0] != len(dataset):
         raise ConfigError("layout and record count differ")
     lines = ["x,y,subject,realness,method"]
-    for row, rec in zip(Y, records):
-        # same byte convention as the EMB1 format: 0 real, 1 fake
-        realness = 1 if rec.fake else 0
-        lines.append(
-            f"{float(row[0])!r},{float(row[1])!r},"
-            f"{rec.subject_id},{realness},{METHOD_NAMES[rec.method]}"
-        )
+    # realness uses the EMB1 byte convention: 0 real, 1 fake
+    for (x, y), subject, fake, method in zip(
+        Y.tolist(), dataset.subject.tolist(), dataset.fake.tolist(), dataset.method.tolist()
+    ):
+        lines.append(f"{x!r},{y!r},{subject},{int(fake)},{METHOD_NAMES[method]}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,11 +1,30 @@
 """Shared numeric helpers for the test suite."""
 
 import math
+import struct
+from typing import NamedTuple
 
 import numpy as np
 
-from verifake.errors import NormalizationError
+from verifake.config import child_seed
+from verifake.embeddings import (
+    IDENTITY_SWAP_METHODS,
+    EXPRESSION_SWAP_METHODS,
+    METHOD_NAMES,
+    Method,
+    l2_normalize,
+)
+from verifake.errors import (
+    ConfigError,
+    EmptyGallery,
+    InsufficientEnrollment,
+    NormalizationError,
+    SimulationError,
+    UnknownSubject,
+)
 from verifake.losses import ARCCOS_EPS, TripletConfig, _unit_rows
+from verifake.protocol import AGGREGATIONS, Gallery, ScoreRecord
+from verifake.synthetic import SwapSpec
 from verifake.tsne import joint_affinities, kl_divergence, kl_gradient
 
 
@@ -125,3 +144,228 @@ def reference_triplet_batch(e, cfg: TripletConfig):
         de[3 * b + 1] += dp
         de[3 * b + 2] += dn
     return loss_sum, de
+
+
+# ------------------------------------------------------------------
+# Per-record oracles for the columnar dataset. Each is the record-list
+# code as it was before the dataset became columns, run over `Record`
+# tuples; the columnar code must match them byte for byte.
+
+
+class Record(NamedTuple):
+    """One embedding record, laid out as the old per-record type."""
+
+    subject_id: int
+    host_subject_id: int
+    fake: bool
+    method: Method
+    vector: np.ndarray  # float32
+
+
+def records_of(dataset) -> list:
+    """The dataset's rows as Records, in order."""
+    return [
+        Record(int(s), int(h), bool(f), Method(int(m)), v)
+        for s, h, f, m, v in zip(
+            dataset.subject, dataset.host, dataset.fake, dataset.method, dataset.vectors
+        )
+    ]
+
+
+def record_keys(records) -> list:
+    """Records as comparable tuples, vectors as their float32 bytes."""
+    return [(*rec[:4], np.asarray(rec.vector, np.float32).tobytes()) for rec in records]
+
+
+def reference_write_emb1(path, dim, records) -> None:
+    with open(path, "wb") as fh:
+        fh.write(b"EMB1")
+        fh.write(struct.pack("<II", len(records), dim))
+        for rec in records:
+            fh.write(
+                struct.pack(
+                    "<IIBBH",
+                    rec.subject_id,
+                    rec.host_subject_id,
+                    1 if rec.fake else 0,
+                    int(rec.method),
+                    0,
+                )
+            )
+            fh.write(rec.vector.astype("<f4", copy=False).tobytes())
+
+
+def reference_write_csv(path, dim, records) -> None:
+    d = dim
+    header = "subject,host,realness,method," + ",".join(f"v{i}" for i in range(d))
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(header + "\n")
+        for rec in records:
+            values = ",".join(repr(float(x)) for x in rec.vector)
+            fh.write(
+                f"{rec.subject_id},{rec.host_subject_id},"
+                f"{'fake' if rec.fake else 'real'},"
+                f"{METHOD_NAMES[rec.method]},{values}\n"
+            )
+
+
+def _reference_noise(gen, sigma, dim):
+    return gen.normal(0.0, sigma / np.sqrt(dim), size=dim)
+
+
+def reference_identity_swap(donor_sample, donor_id, host_sample, host_id, spec, method, rng):
+    if donor_id == host_id:
+        raise SimulationError("identity swap needs distinct donor and host")
+    if Method(method) not in IDENTITY_SWAP_METHODS:
+        raise ConfigError(f"{method!r} is not an identity-swap method")
+    donor = np.asarray(donor_sample, dtype=np.float64)
+    host = np.asarray(host_sample, dtype=np.float64)
+
+    if spec.noise_sigma == 0.0 and spec.alpha in (0.0, 1.0):
+        blended = donor if spec.alpha == 1.0 else host
+    else:
+        noise = _reference_noise(rng, spec.noise_sigma, donor.shape[0])
+        blended = l2_normalize(
+            spec.alpha * donor + (1.0 - spec.alpha) * host + noise
+        )
+    return Record(donor_id, host_id, True, method, blended.astype(np.float32))
+
+
+def reference_expression_swap(host_sample, host_id, noise_sigma, method, rng):
+    if noise_sigma < 0:
+        raise ConfigError("noise_sigma must be >= 0", field="noise_sigma")
+    if Method(method) not in EXPRESSION_SWAP_METHODS:
+        raise ConfigError(f"{method!r} is not an expression-swap method")
+    host = np.asarray(host_sample, dtype=np.float64)
+
+    if noise_sigma == 0.0:
+        vector = host
+    else:
+        vector = l2_normalize(host + _reference_noise(rng, noise_sigma, host.shape[0]))
+    return Record(host_id, host_id, True, method, vector.astype(np.float32))
+
+
+def reference_simulate_fakes(records, swaps, seed: int) -> list:
+    """`pipeline.simulate_fakes` as it was over a record list."""
+    by_subject: dict = {}
+    for rec in [rec for rec in records if not rec.fake]:
+        by_subject.setdefault(rec.subject_id, []).append(rec)
+    subjects = sorted(by_subject)
+
+    fakes = []
+    for settings in swaps:
+        method = Method(settings.method)
+        rng = np.random.default_rng(
+            child_seed(seed, f"swap:{METHOD_NAMES[method]}")
+        )
+        identity_swap = method in IDENTITY_SWAP_METHODS
+        if identity_swap and len(subjects) < 2:
+            raise ConfigError("identity swaps need at least 2 subjects")
+        spec = SwapSpec(alpha=settings.alpha, noise_sigma=settings.sigma)
+        for host in subjects:
+            host_pool = by_subject[host]
+            for _ in range(settings.per_subject):
+                host_rec = host_pool[rng.integers(len(host_pool))]
+                if identity_swap:
+                    donor = subjects[rng.integers(len(subjects))]
+                    while donor == host:
+                        donor = subjects[rng.integers(len(subjects))]
+                    donor_pool = by_subject[donor]
+                    donor_rec = donor_pool[rng.integers(len(donor_pool))]
+                    fakes.append(
+                        reference_identity_swap(
+                            donor_rec.vector.astype(np.float64),
+                            donor,
+                            host_rec.vector.astype(np.float64),
+                            host,
+                            spec,
+                            method=method,
+                            rng=rng,
+                        )
+                    )
+                else:
+                    fakes.append(
+                        reference_expression_swap(
+                            host_rec.vector.astype(np.float64),
+                            host,
+                            settings.sigma,
+                            method=method,
+                            rng=rng,
+                        )
+                    )
+    return fakes
+
+
+def reference_build_gallery(records, g, seed, probe_cap):
+    """`protocol.build_gallery` as it was over a record list: (Gallery,
+    probe Records)."""
+    real_by_subject: dict = {}
+    for i, rec in enumerate(records):
+        if not rec.fake:
+            real_by_subject.setdefault(rec.subject_id, []).append(i)
+
+    short = sorted(s for s, idx in real_by_subject.items() if len(idx) < g)
+    if short:
+        raise InsufficientEnrollment(short, g)
+
+    rng = np.random.default_rng(seed)
+    enrolled: set = set()
+    entries = {}
+    for subject in sorted(real_by_subject):
+        indices = real_by_subject[subject]
+        chosen = rng.choice(len(indices), size=g, replace=False)
+        chosen_ids = [indices[int(c)] for c in chosen]
+        enrolled.update(chosen_ids)
+        entries[subject] = np.stack(
+            [records[i].vector.astype(np.float64) for i in sorted(chosen_ids)]
+        )
+
+    probe_indices = [i for i in range(len(records)) if i not in enrolled]
+
+    by_host: dict = {}
+    for i in probe_indices:
+        by_host.setdefault(records[i].host_subject_id, []).append(i)
+    keep: set = set()
+    for host in sorted(by_host):
+        idx = by_host[host]
+        if len(idx) > probe_cap:
+            chosen = rng.choice(len(idx), size=probe_cap, replace=False)
+            keep.update(idx[int(c)] for c in chosen)
+        else:
+            keep.update(idx)
+
+    probes = [records[i] for i in probe_indices if i in keep]
+    return Gallery(g, entries), probes
+
+
+def reference_match_probe(probe, subject_gallery, aggregation="mean") -> float:
+    if aggregation not in AGGREGATIONS:
+        raise ConfigError(f"aggregation must be one of {AGGREGATIONS}")
+    templates = np.asarray(subject_gallery, dtype=np.float64)
+    if templates.size == 0:
+        raise EmptyGallery("cannot match against an empty gallery")
+    if templates.ndim != 2:
+        raise EmptyGallery(f"gallery must be a (g, dim) matrix, got {templates.shape}")
+
+    vec = np.asarray(probe, dtype=np.float64)
+    cosines = templates @ vec
+    value = cosines.mean() if aggregation == "mean" else cosines.max()
+    return float(min(1.0, max(-1.0, value)))
+
+
+def reference_run_protocol(gallery, probes, aggregation="mean") -> list:
+    """`protocol.run_protocol` as it was: one `match_probe` per probe
+    Record."""
+    records = []
+    for rec in probes:
+        host = rec.host_subject_id
+        if host not in gallery.entries:
+            raise UnknownSubject(f"probe host subject {host} is not enrolled")
+        score = reference_match_probe(
+            rec.vector.astype(np.float64), gallery.entries[host], aggregation
+        )
+        if rec.fake:
+            records.append(ScoreRecord(score, "imposter", rec.method, host))
+        else:
+            records.append(ScoreRecord(score, "genuine", Method.NONE, host))
+    return records

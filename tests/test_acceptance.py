@@ -315,7 +315,7 @@ def test_criterion_8_determinism_and_formats(tmp_path):
     path = tmp_path / "roundtrip.emb1"
     write_dataset(path, dataset, fmt="emb1")
     loaded = read_dataset(path)
-    assert loaded.records == dataset.records  # bitwise record equality
+    assert loaded == dataset  # bitwise equality of every record
     assert loaded.dim == dataset.dim
 
     # subject-disjoint violation fails with the specified error

@@ -1,12 +1,14 @@
 """CLI subcommands, exit codes, and artifact behavior."""
 
+import argparse
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from verifake.cli import EXIT_CONFIG, EXIT_FAILURE, EXIT_OK, main
+from verifake.cli import EXIT_CONFIG, EXIT_FAILURE, EXIT_OK, build_parser, main
+from verifake.losses import LOSS_NAMES
 
 CLI_CFG = """
 run.seed = 5
@@ -219,6 +221,17 @@ def test_report_bad_csv_exits_2(tmp_path, capsys):
     bad = tmp_path / "scores.csv"
     bad.write_text("score,kind,method,subject\n0.5,maybe,none,0\n")
     assert main(["report", str(bad)]) == EXIT_CONFIG
+
+
+def test_loss_choices_are_the_loss_names():
+    commands = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ).choices
+    for name, sub in commands.items():
+        for action in sub._actions:
+            if action.dest == "loss":
+                assert action.choices is LOSS_NAMES, name
 
 
 def test_usage_error_exits_2():

@@ -5,6 +5,9 @@ import struct
 import numpy as np
 import pytest
 
+from helpers import records_of, reference_write_csv, reference_write_emb1
+
+from verifake.config import PipelineConfig, SwapSettings
 from verifake.dataset_io import (
     MAGIC,
     read_csv,
@@ -14,18 +17,30 @@ from verifake.dataset_io import (
     write_dataset,
     write_emb1,
 )
-from verifake.embeddings import EmbeddingDataset, LabeledEmbedding, Method, real_record
+from verifake.embeddings import EmbeddingDataset, Method, l2_normalize
 from verifake.errors import FormatError
+from verifake.pipeline import synth_embedding_dataset
+
+CSV_HEADER = "subject,host,realness,method,v0,v1\n"
+
+
+def unit(rng, dim):
+    return l2_normalize(rng.normal(size=dim))
 
 
 def sample_dataset(dim=6, seed=0):
     rng = np.random.default_rng(seed)
-    recs = [
-        real_record(0, rng.normal(size=dim)),
-        real_record(1, rng.normal(size=dim)),
-        LabeledEmbedding(0, 1, True, Method.NEURALTEXTURES, rng.normal(size=dim)),
-    ]
-    return EmbeddingDataset(dim, recs)
+    return EmbeddingDataset(
+        [unit(rng, dim) for _ in range(3)],
+        [0, 1, 0],
+        [0, 1, 1],
+        [False, False, True],
+        [Method.NONE, Method.NONE, Method.NEURALTEXTURES],
+    )
+
+
+def one_real(dim=2):
+    return EmbeddingDataset.reals([0], [np.eye(dim)[0]])
 
 
 def test_emb1_round_trip_bit_exact(tmp_path):
@@ -47,9 +62,32 @@ def test_csv_round_trip_bit_exact(tmp_path):
     assert read_csv(path) == ds
 
 
+@pytest.mark.parametrize("fmt", ["emb1", "csv"])
+def test_writers_match_per_record_reference_bytes(tmp_path, fmt):
+    # seeded swaps of both groups, the two record kinds and several subjects
+    cfg = PipelineConfig(
+        seed=5,
+        eval_identities=5,
+        samples_per_identity=7,
+        raw_dim=9,
+        swaps=[
+            SwapSettings(Method.DEEPFAKES, per_subject=4),
+            SwapSettings(Method.FACE2FACE, sigma=0.2, per_subject=3),
+        ],
+    )
+    ds = synth_embedding_dataset(cfg)
+    assert ds.fake.any() and (~ds.fake).any()
+    path, ref = tmp_path / f"new.{fmt}", tmp_path / f"ref.{fmt}"
+    write_dataset(path, ds, fmt=fmt)
+    reference = reference_write_emb1 if fmt == "emb1" else reference_write_csv
+    reference(ref, ds.dim, records_of(ds))
+    assert path.read_bytes() == ref.read_bytes()
+    assert read_dataset(ref) == ds
+
+
 def test_emb1_layout_is_as_documented(tmp_path):
     vec = np.array([0.25, -1.5], dtype=np.float32)
-    ds = EmbeddingDataset(2, [LabeledEmbedding(7, 9, True, Method.FACESWAP, vec)])
+    ds = EmbeddingDataset([vec], [7], [9], [True], [Method.FACESWAP])
     path = tmp_path / "one.emb1"
     write_emb1(path, ds)
     raw = path.read_bytes()
@@ -77,16 +115,26 @@ def test_truncated_header(tmp_path):
         read_emb1(path)
 
 
+def test_oversized_dim_rejected(tmp_path):
+    path = tmp_path / "dim.emb1"
+    for count in (0, 1):
+        path.write_bytes(MAGIC + struct.pack("<II", count, 2**32 - 1))
+        with pytest.raises(FormatError, match="dim") as err:
+            read_emb1(path)
+        assert err.value.offset == 8
+
+
 def test_count_exceeds_payload(tmp_path):
     ds = sample_dataset(dim=4)
     path = tmp_path / "trunc.emb1"
     write_emb1(path, ds)
     data = bytearray(path.read_bytes())
     # claim one more record than the payload holds
-    struct.pack_into("<I", data, 4, len(ds.records) + 1)
+    struct.pack_into("<I", data, 4, len(ds) + 1)
     path.write_bytes(bytes(data))
-    with pytest.raises(FormatError, match="truncated"):
+    with pytest.raises(FormatError, match="truncated") as err:
         read_emb1(path)
+    assert err.value.offset == len(data)
 
 
 def test_trailing_bytes_rejected(tmp_path):
@@ -98,49 +146,95 @@ def test_trailing_bytes_rejected(tmp_path):
         read_emb1(path)
 
 
-def test_invalid_realness_byte(tmp_path):
-    ds = EmbeddingDataset(2, [real_record(0, [1.0, 0.0])])
-    path = tmp_path / "real.emb1"
+def corrupt(tmp_path, ds, index, value, name="c.emb1"):
+    path = tmp_path / name
     write_emb1(path, ds)
     data = bytearray(path.read_bytes())
-    data[12 + 8] = 2
+    data[index] = value
     path.write_bytes(bytes(data))
-    with pytest.raises(FormatError, match="realness"):
+    return path
+
+
+def test_invalid_realness_byte(tmp_path):
+    path = corrupt(tmp_path, one_real(), 12 + 8, 2)
+    with pytest.raises(FormatError, match="realness") as err:
         read_emb1(path)
+    assert err.value.offset == 12 + 8
 
 
 def test_unknown_method_code(tmp_path):
-    ds = EmbeddingDataset(2, [real_record(0, [1.0, 0.0])])
-    path = tmp_path / "m.emb1"
-    write_emb1(path, ds)
-    data = bytearray(path.read_bytes())
-    data[12 + 9] = 200
-    path.write_bytes(bytes(data))
-    with pytest.raises(FormatError, match="method"):
+    path = corrupt(tmp_path, one_real(), 12 + 9, 200)
+    with pytest.raises(FormatError, match="method") as err:
         read_emb1(path)
+    assert err.value.offset == 12 + 9
 
 
 def test_nonzero_reserved_rejected(tmp_path):
-    ds = EmbeddingDataset(2, [real_record(0, [1.0, 0.0])])
-    path = tmp_path / "r.emb1"
-    write_emb1(path, ds)
-    data = bytearray(path.read_bytes())
-    data[12 + 10] = 1
-    path.write_bytes(bytes(data))
-    with pytest.raises(FormatError, match="reserved"):
+    path = corrupt(tmp_path, one_real(), 12 + 10, 1)
+    with pytest.raises(FormatError, match="reserved") as err:
         read_emb1(path)
+    assert err.value.offset == 12 + 10
 
 
 def test_inconsistent_record_labels_rejected(tmp_path):
     # realness byte says real but the method byte is a manipulation tag
-    ds = EmbeddingDataset(2, [real_record(0, [1.0, 0.0])])
-    path = tmp_path / "i.emb1"
-    write_emb1(path, ds)
-    data = bytearray(path.read_bytes())
-    data[12 + 9] = int(Method.FACESWAP)
-    path.write_bytes(bytes(data))
-    with pytest.raises(FormatError):
+    path = corrupt(tmp_path, one_real(), 12 + 9, int(Method.FACESWAP))
+    with pytest.raises(FormatError, match="record 0: real records must carry") as err:
         read_emb1(path)
+    assert err.value.offset == 12
+
+
+def test_emb1_earliest_bad_record_reported_first(tmp_path):
+    # record 1 has a label fault, record 2 a bad realness byte: the
+    # earlier record wins even though realness is checked first within one
+    ds = sample_dataset(dim=4)
+    rec_size = 12 + 4 * 4
+    path = corrupt(tmp_path, ds, 12 + rec_size + 9, int(Method.FACESWAP))
+    data = bytearray(path.read_bytes())
+    data[12 + 2 * rec_size + 8] = 7
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError, match="record 1: real records") as err:
+        read_emb1(path)
+    assert err.value.offset == 12 + rec_size
+
+
+BAD_VECTORS = [
+    pytest.param([np.nan, 0.0], "non-finite", id="nan"),
+    pytest.param([14.0, 0.0], "norm 14.0", id="norm-14"),
+    pytest.param([0.0, 0.0], "norm 0.0", id="zero"),
+]
+
+
+@pytest.mark.parametrize("vector, message", BAD_VECTORS)
+def test_emb1_rejects_bad_vector_with_record_offset(tmp_path, vector, message):
+    ds = EmbeddingDataset.reals([0, 1, 2], [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+    ds.vectors[1] = vector  # stored as written, bypassing every writer check
+    path = tmp_path / "v.emb1"
+    write_emb1(path, ds)
+    with pytest.raises(FormatError, match=f"record 1: vector .*{message}") as err:
+        read_emb1(path)
+    assert err.value.offset == 12 + (12 + 8)
+
+
+@pytest.mark.parametrize("vector, message", BAD_VECTORS)
+def test_csv_rejects_bad_vector_with_line(tmp_path, vector, message):
+    path = tmp_path / "v.csv"
+    path.write_text(
+        CSV_HEADER + "0,0,real,none,1.0,0.0\n\n"
+        f"1,1,real,none,{vector[0]!r},{vector[1]!r}\n"
+    )
+    with pytest.raises(FormatError, match=f"vector .*{message}") as err:
+        read_csv(path)
+    assert err.value.offset == 4  # the blank line 3 is skipped
+
+
+def test_vectors_within_tolerance_accepted(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(CSV_HEADER + "0,0,real,none,1.0009,0.0\n")
+    assert read_csv(path).vectors[0, 0] == np.float32(1.0009)
+    path.write_text(CSV_HEADER + "0,0,real,none,1.0011,0.0\n")
+    with pytest.raises(FormatError, match="norm"):
+        read_csv(path)
 
 
 def test_csv_header_checked(tmp_path):
@@ -153,7 +247,7 @@ def test_csv_header_checked(tmp_path):
 
 def test_csv_bad_field_count(tmp_path):
     path = tmp_path / "f.csv"
-    path.write_text("subject,host,realness,method,v0,v1\n0,0,real,none,1.0\n")
+    path.write_text(CSV_HEADER + "0,0,real,none,1.0\n")
     with pytest.raises(FormatError) as err:
         read_csv(path)
     assert err.value.offset == 2
@@ -161,12 +255,31 @@ def test_csv_bad_field_count(tmp_path):
 
 def test_csv_bad_realness_and_method(tmp_path):
     path = tmp_path / "x.csv"
-    path.write_text("subject,host,realness,method,v0,v1\n0,0,maybe,none,1.0,0.0\n")
+    path.write_text(CSV_HEADER + "0,0,maybe,none,1.0,0.0\n")
     with pytest.raises(FormatError, match="realness"):
         read_csv(path)
-    path.write_text("subject,host,realness,method,v0,v1\n0,0,real,Bogus,1.0,0.0\n")
+    path.write_text(CSV_HEADER + "0,0,real,Bogus,1.0,0.0\n")
     with pytest.raises(FormatError, match="method"):
         read_csv(path)
+
+
+def test_csv_ids_must_fit_u32(tmp_path):
+    path = tmp_path / "u.csv"
+    for ids in ("-1,-1", f"{2**32},{2**32}"):
+        path.write_text(CSV_HEADER + "0,0,real,none,1.0,0.0\n" + ids + ",real,none,1.0,0.0\n")
+        with pytest.raises(FormatError, match="u32") as err:
+            read_csv(path)
+        assert err.value.offset == 3
+
+
+def test_csv_earliest_bad_line_reported_first(tmp_path):
+    # a label fault on line 2 is found after the loop, a parse error on
+    # line 3 inside it; line 2 must still be the one reported
+    path = tmp_path / "o.csv"
+    path.write_text(CSV_HEADER + "0,1,real,none,1.0,0.0\n0,0,real,none,1.0,oops\n")
+    with pytest.raises(FormatError, match="host == subject") as err:
+        read_csv(path)
+    assert err.value.offset == 2
 
 
 def test_sniffing_dispatch(tmp_path):
@@ -181,10 +294,9 @@ def test_sniffing_dispatch(tmp_path):
 
 def test_record_order_stable(tmp_path):
     rng = np.random.default_rng(4)
-    recs = [real_record(i % 3, rng.normal(size=2)) for i in range(10)]
-    ds = EmbeddingDataset(2, recs)
+    ds = EmbeddingDataset.reals([i % 3 for i in range(10)], [unit(rng, 2) for _ in range(10)])
     path = tmp_path / "ord.emb1"
     write_emb1(path, ds)
     back = read_emb1(path)
-    for a, b in zip(ds.records, back.records):
-        assert a == b
+    assert back.subject.tolist() == ds.subject.tolist()
+    assert back.vectors.tobytes() == ds.vectors.tobytes()

@@ -1,4 +1,4 @@
-"""Vector primitives, labeled records, and dataset invariants."""
+"""Vector primitives, the columnar dataset, and its invariants."""
 
 import numpy as np
 import pytest
@@ -9,13 +9,12 @@ from verifake.embeddings import (
     METHOD_BY_NAME,
     METHOD_NAMES,
     EmbeddingDataset,
-    LabeledEmbedding,
     Method,
     between_center_cosine,
     cosine_similarity,
     l2_normalize,
     method_group,
-    real_record,
+    row_groups,
     subject_centers,
     within_identity_cosine,
 )
@@ -81,62 +80,80 @@ def test_cosine_clamped():
     assert -1.0 <= cosine_similarity(v, v) <= 1.0
 
 
-def test_real_record_invariants():
-    rec = real_record(3, [1.0, 0.0])
-    assert not rec.fake
-    assert rec.method == Method.NONE
-    assert rec.host_subject_id == rec.subject_id == 3
+def one_record(subject, host, fake, method, vector):
+    return EmbeddingDataset([vector], [subject], [host], [fake], [method])
 
-    with pytest.raises(ValueError):
-        LabeledEmbedding(1, 1, False, Method.FACESWAP, [1.0, 0.0])
-    with pytest.raises(ValueError):
-        LabeledEmbedding(1, 2, False, Method.NONE, [1.0, 0.0])
-    with pytest.raises(ValueError):
-        LabeledEmbedding(1, 2, True, Method.NONE, [1.0, 0.0])
+
+def test_real_record_invariants():
+    ds = EmbeddingDataset.reals([3], [[1.0, 0.0]])
+    assert not ds.fake[0]
+    assert ds.method[0] == Method.NONE
+    assert ds.host[0] == ds.subject[0] == 3
+
+    with pytest.raises(ValueError, match="record 0: real records must carry method"):
+        one_record(1, 1, False, Method.FACESWAP, [1.0, 0.0])
+    with pytest.raises(ValueError, match="host == subject"):
+        one_record(1, 2, False, Method.NONE, [1.0, 0.0])
+    with pytest.raises(ValueError, match="fake records must carry"):
+        one_record(1, 2, True, Method.NONE, [1.0, 0.0])
+
+
+def test_label_fault_names_first_bad_record():
+    vectors = np.eye(3)[:, :2]
+    with pytest.raises(ValueError, match="record 1: real records must have host"):
+        EmbeddingDataset(vectors, [0, 1, 2], [0, 5, 6], [False] * 3, [0] * 3)
 
 
 def test_fake_record_host_association():
-    rec = LabeledEmbedding(5, 9, True, Method.FACESWAP, [0.0, 1.0])
-    assert rec.fake and rec.subject_id == 5 and rec.host_subject_id == 9
+    ds = one_record(5, 9, True, Method.FACESWAP, [0.0, 1.0])
+    assert ds.fake[0] and ds.subject[0] == 5 and ds.host[0] == 9
 
 
 def test_vector_stored_float32():
-    rec = real_record(0, [0.1, 0.2, 0.3])
-    assert rec.vector.dtype == np.float32
+    # the columns mirror the EMB1 record types
+    ds = EmbeddingDataset.reals([0, 1], [[0.1, 0.2, 0.3], [0.3, 0.2, 0.1]])
+    assert ds.vectors.dtype == np.float32 and ds.vectors.shape == (2, 3)
+    assert ds.subject.dtype == ds.host.dtype == np.uint32
+    assert ds.fake.dtype == bool and ds.method.dtype == np.uint8
 
 
 def test_record_equality_is_bitwise():
-    a = real_record(0, [0.1, 0.2])
-    b = real_record(0, [0.1, 0.2])
-    c = real_record(0, [0.1, np.nextafter(np.float32(0.2), 1.0)])
+    a = EmbeddingDataset.reals([0], [[0.1, 0.2]])
+    b = EmbeddingDataset.reals([0], [[0.1, 0.2]])
+    c = EmbeddingDataset.reals([0], [[0.1, np.nextafter(np.float32(0.2), 1.0)]])
+    d = EmbeddingDataset.reals([1], [[0.1, 0.2]])
     assert a == b
     assert a != c
+    assert a != d
 
 
 def test_min_dim_enforced():
     with pytest.raises(DimensionMismatch):
-        real_record(0, [1.0])
+        EmbeddingDataset.reals([0], [[1.0]])
 
 
 def test_dataset_dim_consistency():
-    recs = [real_record(0, [1.0, 0.0]), real_record(1, [0.0, 1.0, 0.0])]
     with pytest.raises(DimensionMismatch):
-        EmbeddingDataset(2, recs)
+        EmbeddingDataset([[1.0, 0.0], [0.0, 1.0]], [0, 1], [0], [False] * 2, [0] * 2)
 
 
 def test_dataset_accessors():
-    recs = [
-        real_record(0, [1.0, 0.0]),
-        real_record(1, [0.0, 1.0]),
-        LabeledEmbedding(0, 1, True, Method.DEEPFAKES, [1.0, 1.0]),
-    ]
-    ds = EmbeddingDataset(2, recs)
-    assert len(ds) == 3
-    assert len(ds.real_records()) == 2
-    assert len(ds.fake_records()) == 1
-    assert ds.subject_ids() == {0, 1}
-    assert ds.matrix().shape == (3, 2)
-    assert ds.matrix().dtype == np.float64
+    reals = EmbeddingDataset.reals([0, 1], [[1.0, 0.0], [0.0, 1.0]])
+    fakes = one_record(0, 1, True, Method.DEEPFAKES, [1.0, 1.0])
+    ds = reals.concat(fakes)
+    assert len(ds) == 3 and ds.dim == 2
+    assert ds.take(~ds.fake) == reals
+    assert ds.take(ds.fake) == fakes
+    assert ds.take(np.array([2, 0])).subject.tolist() == [0, 0]
+    assert reals.take(slice(0, 0)).concat(reals, fakes) == ds
+    with pytest.raises(DimensionMismatch):
+        reals.concat(EmbeddingDataset.reals([0], [[1.0, 0.0, 0.0]]))
+
+
+def test_row_groups_sorted_keys_stable_positions():
+    groups = [(k, pos.tolist()) for k, pos in row_groups(np.array([7, 2, 7, 2, 9]))]
+    assert groups == [(2, [1, 3]), (7, [0, 2]), (9, [4])]
+    assert all(type(k) is int for k, _ in groups)
 
 
 def test_method_tables_round_trip():
@@ -157,13 +174,7 @@ def test_method_groups_partition():
 
 def test_subject_centers_and_spread_stats():
     e0, e1 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    recs = [
-        real_record(0, e0),
-        real_record(0, e0),
-        real_record(1, e1),
-        real_record(1, e1),
-    ]
-    ds = EmbeddingDataset(2, recs)
+    ds = EmbeddingDataset.reals([0, 0, 1, 1], [e0, e0, e1, e1])
     centers = subject_centers(ds)
     assert np.allclose(centers[0], e0) and np.allclose(centers[1], e1)
     assert within_identity_cosine(ds) == pytest.approx(1.0)
@@ -171,12 +182,12 @@ def test_subject_centers_and_spread_stats():
 
 
 def test_within_identity_needs_pairs():
-    ds = EmbeddingDataset(2, [real_record(0, [1.0, 0.0])])
+    ds = EmbeddingDataset.reals([0], [[1.0, 0.0]])
     with pytest.raises(DegenerateVector):
         within_identity_cosine(ds)
 
 
 def test_between_center_needs_two_subjects():
-    ds = EmbeddingDataset(2, [real_record(0, [1.0, 0.0]), real_record(0, [1.0, 0.0])])
+    ds = EmbeddingDataset.reals([0, 0], [[1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(DegenerateVector):
         between_center_cosine(ds)

@@ -6,10 +6,13 @@ import json
 import numpy as np
 import pytest
 
-from verifake.config import child_seed, parse_config
+from helpers import record_keys, records_of, reference_simulate_fakes
+
+from verifake.config import SwapSettings, child_seed, parse_config
 from verifake.embeddings import (
     EXPRESSION_SWAP_METHODS,
     IDENTITY_SWAP_METHODS,
+    EmbeddingDataset,
     Method,
 )
 from verifake.dataset_io import read_dataset
@@ -127,7 +130,7 @@ def test_tsne_subsample_respected(run):
 def test_written_embeddings_load_back(run):
     _, result = run
     ds = read_dataset(result.out_dir / "embeddings.emb1")
-    assert ds.records == result.dataset.records
+    assert ds == result.dataset
 
 
 def test_rerun_is_byte_identical(run, tmp_path):
@@ -175,37 +178,67 @@ def test_evaluate_dataset_matches_pipeline_report(run):
 
 def test_simulate_fakes_labeling(run):
     cfg, result = run
-    fakes = [rec for rec in result.dataset.records if rec.fake]
-    for rec in fakes:
-        if rec.method in IDENTITY_SWAP_METHODS:
-            assert rec.subject_id != rec.host_subject_id
+    fakes = result.dataset.take(result.dataset.fake)
+    assert len(fakes) > 0
+    for subject, host, method in zip(fakes.subject, fakes.host, fakes.method):
+        if method in IDENTITY_SWAP_METHODS:
+            assert subject != host
         else:
-            assert rec.method in EXPRESSION_SWAP_METHODS
-            assert rec.subject_id == rec.host_subject_id
+            assert method in EXPRESSION_SWAP_METHODS
+            assert subject == host
 
 
 def test_simulate_fakes_deterministic(run):
     cfg, result = run
-    reals = type(result.dataset)(
-        result.dataset.dim, [r for r in result.dataset.records if not r.fake]
-    )
+    reals = result.dataset.take(~result.dataset.fake)
     f1 = simulate_fakes(reals, cfg.swaps, cfg.seed)
     f2 = simulate_fakes(reals, cfg.swaps, cfg.seed)
     assert f1 == f2
-    assert f1 == [rec for rec in result.dataset.records if rec.fake]
+    assert f1 == result.dataset.take(result.dataset.fake)
+
+
+SWAP_CASES = {
+    "defaults": [
+        SwapSettings(Method.FACESWAP, alpha=0.8, sigma=0.05, per_subject=6),
+        SwapSettings(Method.NEURALTEXTURES, sigma=0.05, per_subject=6),
+    ],
+    "every-method": [
+        SwapSettings(method, alpha=0.6, sigma=0.3, per_subject=3)
+        for method in sorted(IDENTITY_SWAP_METHODS | EXPRESSION_SWAP_METHODS)
+    ],
+    "noise-free": [
+        SwapSettings(Method.FACESWAP, alpha=1.0, sigma=0.0, per_subject=4),
+        SwapSettings(Method.DEEPFAKES, alpha=0.0, sigma=0.0, per_subject=4),
+        SwapSettings(Method.FACESHIFTER, alpha=0.5, sigma=0.0, per_subject=4),
+        SwapSettings(Method.FACE2FACE, sigma=0.0, per_subject=4),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWAP_CASES))
+def test_simulate_fakes_matches_per_record_reference_bitwise(case):
+    # uneven real records per subject, shuffled so pools interleave
+    rng = np.random.default_rng(21)
+    labels = np.concatenate([np.full(4 + s, 10 + 3 * s) for s in range(5)])
+    rng.shuffle(labels)
+    vectors = rng.normal(size=(len(labels), 12))
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    reals = EmbeddingDataset.reals(labels, vectors)
+    fakes = simulate_fakes(reals, SWAP_CASES[case], seed=77)
+    expected = reference_simulate_fakes(records_of(reals), SWAP_CASES[case], 77)
+    assert len(fakes) == len(expected) > 0
+    assert record_keys(records_of(fakes)) == record_keys(expected)
 
 
 def test_training_free_dataset():
     cfg = parse_config(PIPE_CFG)
     ds1 = synth_embedding_dataset(cfg)
     ds2 = synth_embedding_dataset(cfg)
-    assert ds1.records == ds2.records
-    reals = [r for r in ds1.records if not r.fake]
-    fakes = [r for r in ds1.records if r.fake]
-    assert len(reals) == cfg.eval_identities * cfg.samples_per_identity
-    assert len(fakes) == cfg.eval_identities * sum(s.per_subject for s in cfg.swaps)
+    assert ds1 == ds2
+    assert (~ds1.fake).sum() == cfg.eval_identities * cfg.samples_per_identity
+    assert ds1.fake.sum() == cfg.eval_identities * sum(s.per_subject for s in cfg.swaps)
     assert ds1.dim == cfg.raw_dim
-    norms = np.linalg.norm(ds1.matrix(), axis=1)
+    norms = np.linalg.norm(ds1.vectors.astype(np.float64), axis=1)
     assert np.abs(norms - 1.0).max() < 1e-5
 
 

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from verifake.embeddings import (
-    EmbeddingDataset,
-    LabeledEmbedding,
-    Method,
-    l2_normalize,
-    real_record,
+from helpers import (
+    record_keys,
+    records_of,
+    reference_build_gallery,
+    reference_run_protocol,
 )
+
+from verifake.embeddings import EmbeddingDataset, Method, l2_normalize
 from verifake.errors import (
     ConfigError,
     EmptyGallery,
@@ -35,13 +36,19 @@ from verifake.synthetic import (
 )
 
 
+def unit_rows(rng, n, dim):
+    return [l2_normalize(rng.normal(size=dim)) for _ in range(n)]
+
+
 def toy_dataset(subjects=3, per_subject=6, dim=4, seed=0):
     rng = np.random.default_rng(seed)
-    records = []
-    for s in range(subjects):
-        for _ in range(per_subject):
-            records.append(real_record(s, l2_normalize(rng.normal(size=dim))))
-    return EmbeddingDataset(dim, records)
+    labels = np.repeat(np.arange(subjects), per_subject)
+    return EmbeddingDataset.reals(labels, unit_rows(rng, len(labels), dim))
+
+
+def fakes_of(subject, host, method, vectors):
+    n = len(vectors)
+    return EmbeddingDataset(vectors, [subject] * n, [host] * n, [True] * n, [method] * n)
 
 
 # ---------------------------------------------------------------- gallery
@@ -51,7 +58,7 @@ def test_gallery_exhaustion_leaves_no_real_probes():
     ds = toy_dataset(subjects=2, per_subject=5)
     gallery, probes = build_gallery(ds, g=5, seed=0)
     assert gallery.subjects() == {0, 1}
-    assert all(rec.fake for rec in probes)
+    assert probes.fake.all()
     assert len(probes) == 0
 
 
@@ -61,13 +68,13 @@ def test_gallery_probe_partition():
     for s in range(3):
         assert gallery.templates(s).shape == (5, 4)
     # every record is either enrolled or a probe, never both
-    probe_keys = [rec.vector.tobytes() for rec in probes]
+    probe_keys = [row.tobytes() for row in probes.vectors]
     enrolled_keys = [
         row.astype(np.float32).tobytes()
         for s in range(3)
         for row in gallery.templates(s)
     ]
-    all_keys = [rec.vector.tobytes() for rec in ds.records]
+    all_keys = [row.tobytes() for row in ds.vectors]
     assert sorted(probe_keys + enrolled_keys) == sorted(all_keys)
     assert not set(probe_keys) & set(enrolled_keys)
 
@@ -81,9 +88,7 @@ def test_gallery_short_subject_rejected():
 
 def test_gallery_reports_only_short_subjects():
     rng = np.random.default_rng(2)
-    records = [real_record(0, l2_normalize(rng.normal(size=4))) for _ in range(5)]
-    records += [real_record(7, l2_normalize(rng.normal(size=4))) for _ in range(2)]
-    ds = EmbeddingDataset(4, records)
+    ds = EmbeddingDataset.reals([0] * 5 + [7] * 2, unit_rows(rng, 7, 4))
     with pytest.raises(InsufficientEnrollment) as info:
         build_gallery(ds, g=3, seed=0)
     assert info.value.subjects == [7]
@@ -95,19 +100,16 @@ def test_gallery_deterministic():
     g2, p2 = build_gallery(ds, g=4, seed=9)
     for s in g1.subjects():
         assert np.array_equal(g1.templates(s), g2.templates(s))
-    assert [r.vector.tobytes() for r in p1] == [r.vector.tobytes() for r in p2]
+    assert p1 == p2
 
 
 def test_probe_cap_is_per_host_and_order_preserving():
     ds = toy_dataset(subjects=2, per_subject=12, seed=4)
     _, probes = build_gallery(ds, g=4, seed=0, probe_cap=5)
-    by_host: dict = {}
-    for rec in probes:
-        by_host.setdefault(rec.host_subject_id, []).append(rec)
-    assert all(len(v) == 5 for v in by_host.values())
+    assert np.bincount(probes.host).tolist() == [5, 5]
     # capped probes appear in the same relative order as the dataset
-    order = {rec.vector.tobytes(): i for i, rec in enumerate(ds.records)}
-    positions = [order[rec.vector.tobytes()] for rec in probes]
+    order = {row.tobytes(): i for i, row in enumerate(ds.vectors)}
+    positions = [order[row.tobytes()] for row in probes.vectors]
     assert positions == sorted(positions)
 
 
@@ -165,29 +167,23 @@ def test_all_real_probes_are_genuine():
 def test_conservation_and_order():
     ds = toy_dataset(subjects=2, per_subject=8, seed=5)
     rng = np.random.default_rng(6)
-    fakes = [
-        LabeledEmbedding(
-            1, 0, True, Method.FACESWAP, l2_normalize(rng.normal(size=4))
-        )
-        for _ in range(4)
-    ]
-    ds = EmbeddingDataset(4, ds.records + fakes)
+    ds = ds.concat(fakes_of(1, 0, Method.FACESWAP, unit_rows(rng, 4, 4)))
     gallery, probes = build_gallery(ds, g=5, seed=0)
     records = run_protocol(gallery, probes)
     assert len(records) == len(probes)
     # output order and method multiset follow the probe list exactly
-    for rec, score in zip(probes, records):
-        assert score.kind == ("imposter" if rec.fake else "genuine")
-        expect = rec.method if rec.fake else Method.NONE
+    for fake, method, host, score in zip(probes.fake, probes.method, probes.host, records):
+        assert score.kind == ("imposter" if fake else "genuine")
+        expect = method if fake else Method.NONE
         assert score.method == expect
-        assert score.subject == rec.host_subject_id
+        assert score.subject == host
 
 
 def test_unknown_host_subject():
     ds = toy_dataset(subjects=2, per_subject=6)
     gallery, _ = build_gallery(ds, g=5, seed=0)
-    stray = [real_record(99, np.array([1.0, 0.0, 0.0, 0.0]))]
-    with pytest.raises(UnknownSubject):
+    stray = EmbeddingDataset.reals([0, 99], [[1.0, 0.0, 0.0, 0.0]] * 2)
+    with pytest.raises(UnknownSubject, match="subject 99 "):
         run_protocol(gallery, stray)
 
 
@@ -195,9 +191,7 @@ def test_identity_swaps_score_below_genuine():
     # fakes blended toward a donor identity should sit farther from the
     # host gallery than the host's own real probes
     raw = generate_identities(SyntheticSpec(4, 30, 16, concentration=12.0, seed=11))
-    records = [
-        real_record(int(lab), vec) for vec, lab in zip(raw.features, raw.labels)
-    ]
+    ds = EmbeddingDataset.reals(raw.labels, raw.features)
     swap = SwapSpec(alpha=0.8, noise_sigma=0.05, seed=13)
     rng = np.random.default_rng(13)
     for k in range(40):
@@ -210,8 +204,7 @@ def test_identity_swaps_score_below_genuine():
             swap,
             rng=rng,
         )
-        records.append(fake)
-    ds = EmbeddingDataset(16, records)
+        ds = ds.concat(fakes_of(donor, host, Method.FACESWAP, [fake]))
     gallery, probes = build_gallery(ds, g=10, seed=0)
     scored = run_protocol(gallery, probes)
     genuine = [r.score for r in scored if r.kind == "genuine"]
@@ -223,11 +216,7 @@ def test_identity_swaps_score_below_genuine():
 def test_monotone_transform_keeps_roc():
     ds = toy_dataset(subjects=3, per_subject=10, seed=7)
     rng = np.random.default_rng(8)
-    fakes = [
-        LabeledEmbedding(2, 0, True, Method.DEEPFAKES, l2_normalize(rng.normal(size=4)))
-        for _ in range(8)
-    ]
-    ds = EmbeddingDataset(4, ds.records + fakes)
+    ds = ds.concat(fakes_of(2, 0, Method.DEEPFAKES, unit_rows(rng, 8, 4)))
     gallery, probes = build_gallery(ds, g=6, seed=0)
     scored = run_protocol(gallery, probes)
     genuine = np.array([r.score for r in scored if r.kind == "genuine"])
@@ -240,6 +229,40 @@ def test_monotone_transform_keeps_roc():
     assert eer(genuine, imposter) == pytest.approx(
         eer(genuine ** 3, imposter ** 3), abs=1e-12
     )
+
+
+def uneven_dataset(seed, g):
+    """Seeded reals and fakes whose hosts get uneven probe counts: subject
+    s has g + 3 + 3s real records, and host 0 receives every fake."""
+    rng = np.random.default_rng(seed)
+    labels = np.concatenate([np.full(g + 3 + 3 * s, s) for s in range(4)])
+    rng.shuffle(labels)
+    ds = EmbeddingDataset.reals(labels, unit_rows(rng, len(labels), 6))
+    return ds.concat(
+        fakes_of(2, 0, Method.FACESWAP, unit_rows(rng, 7, 6)),
+        fakes_of(0, 0, Method.FACE2FACE, unit_rows(rng, 5, 6)),
+    )
+
+
+@pytest.mark.parametrize("aggregation", ["mean", "max"])
+@pytest.mark.parametrize("seed, g", [(0, 6), (1, 6), (2, 20)])
+def test_protocol_matches_per_record_reference_bitwise(seed, g, aggregation):
+    ds = uneven_dataset(seed, g)
+    # host 0 has 3 real probes plus 12 fakes: over the cap of 13
+    gallery, probes = build_gallery(ds, g=g, seed=seed, probe_cap=13)
+    ref_gallery, ref_probes = reference_build_gallery(records_of(ds), g, seed, 13)
+    assert gallery.entries.keys() == ref_gallery.entries.keys()
+    for subject, templates in gallery.entries.items():
+        assert templates.tobytes() == ref_gallery.entries[subject].tobytes()
+    assert record_keys(records_of(probes)) == record_keys(ref_probes)
+
+    counts = np.bincount(probes.host).tolist()
+    assert counts == [13, 6, 9, 12]  # host 0 capped, the others uneven
+    scores = run_protocol(gallery, probes, aggregation)
+    expected = reference_run_protocol(ref_gallery, ref_probes, aggregation)
+    assert [(repr(r.score), r.kind, r.method, r.subject) for r in scores] == [
+        (repr(r.score), r.kind, r.method, r.subject) for r in expected
+    ]
 
 
 # -------------------------------------------------------------- disjoint

@@ -1,5 +1,7 @@
 """Embedder network and the SGD training loop."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -155,11 +157,14 @@ def test_extract_embeddings_roundtrip():
     ds = extract_embeddings(net, raw.features, raw.labels)
     assert len(ds) == len(raw)
     assert ds.dim == 8
-    assert all(not rec.fake for rec in ds.records)
-    labels = [rec.subject_id for rec in ds.records]
-    assert labels == raw.labels.tolist()
+    assert not ds.fake.any()
+    assert ds.subject.tolist() == raw.labels.tolist()
+    # rows embedded one at a time, stored float32
+    assert ds.vectors.tobytes() == np.stack(
+        [net.embed_one(row) for row in raw.features]
+    ).astype(np.float32).tobytes()
     # unit norm within float32 storage tolerance
-    M = ds.matrix()
+    M = ds.vectors.astype(np.float64)
     assert np.abs(np.linalg.norm(M, axis=1) - 1.0).max() < 1e-6
 
 
@@ -212,6 +217,17 @@ def test_non_finite_output_fails_with_loss_and_epoch():
         with pytest.raises(DegenerateVector, match=rf"{loss} training, epoch 1: .*non-finite"):
             with np.errstate(over="ignore", invalid="ignore"):
                 train_embedder(raw, loss, quick_cfg(lr=1e200), embed_dim=8)
+
+
+def test_divergence_raises_without_overflow_warnings():
+    # the output norm overflows before anything else does; taking it must
+    # not warn, so the divergence error is all a user sees
+    raw = small_dataset(seed=11)
+    for loss in ("softmax", "cosface", "triplet"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateVector, match=rf"{loss} training, epoch \d: .*non-finite"):
+                train_embedder(raw, loss, quick_cfg(lr=1e20), embed_dim=8)
 
 
 def test_non_finite_epoch_loss_fails_with_loss_epoch_and_value(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from helpers import fd_grad, reference_tsne, rel_err
 
 import verifake.tsne as tsne_module
-from verifake.embeddings import LabeledEmbedding, Method, real_record
+from verifake.embeddings import EmbeddingDataset, Method
 from verifake.errors import CalibrationWarning, ConfigError
 from verifake.tsne import (
     AffinityMatrix,
@@ -268,11 +268,10 @@ def test_config_validation():
 
 def test_layout_csv_format():
     Y = np.array([[0.5, -1.25], [2.0, 3.0]])
-    records = [
-        real_record(3, np.array([1.0, 0.0])),
-        LabeledEmbedding(1, 4, True, Method.FACESWAP, np.array([0.0, 1.0])),
-    ]
-    text = layout_to_csv(Y, records)
+    points = EmbeddingDataset(
+        [[1.0, 0.0], [0.0, 1.0]], [3, 1], [3, 4], [False, True], [Method.NONE, Method.FACESWAP]
+    )
+    text = layout_to_csv(Y, points)
     lines = text.strip().split("\n")
     assert lines[0] == "x,y,subject,realness,method"
     assert lines[1] == "0.5,-1.25,3,0,none"
@@ -281,7 +280,7 @@ def test_layout_csv_format():
 
 def test_layout_csv_count_mismatch():
     with pytest.raises(ConfigError):
-        layout_to_csv(np.zeros((2, 2)), [real_record(0, np.array([1.0, 0.0]))])
+        layout_to_csv(np.zeros((2, 2)), EmbeddingDataset.reals([0], [[1.0, 0.0]]))
 
 
 def test_kl_trace_csv_one_based():
