@@ -24,6 +24,7 @@ from .embeddings import METHOD_BY_NAME, Method
 from .errors import ConfigError
 from .losses import LOSS_NAMES, MarginConfig, TripletConfig, margin_preset
 from .protocol import AGGREGATIONS
+from .tsne import TsneConfig
 
 _LINE = re.compile(r"^([A-Za-z0-9_.]+)\.([A-Za-z0-9_]+)\s*=\s*(.*\S)\s*$")
 
@@ -107,6 +108,8 @@ class PipelineConfig:
                 SwapSettings(Method.FACESWAP, alpha=0.8, sigma=0.05, per_subject=40),
                 SwapSettings(Method.NEURALTEXTURES, sigma=0.05, per_subject=40),
             ]
+        if self.tsne_enabled:
+            self.tsne_config()  # fail before any stage runs
 
     def resolved_margin(self) -> MarginConfig | None:
         if self.loss_name in ("softmax", "triplet"):
@@ -114,6 +117,23 @@ class PipelineConfig:
         if self.margin is not None:
             return self.margin
         return margin_preset(self.loss_name)
+
+    def tsne_config(self) -> TsneConfig:
+        """The t-SNE optimizer settings; a bad value names its tsne.* field."""
+        if self.tsne_max_points < 4:
+            raise ConfigError(
+                "max_points must be >= 4 (t-SNE needs at least 4 points)",
+                field="tsne.max_points",
+            )
+        try:
+            return TsneConfig(
+                perplexity=self.tsne_perplexity,
+                iterations=self.tsne_iterations,
+                learning_rate=self.tsne_learning_rate,
+                seed=child_seed(self.seed, "tsne"),
+            )
+        except ConfigError as exc:
+            raise ConfigError(exc.reason, field=f"tsne.{exc.field}") from None
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.raw_text.encode("utf-8")).hexdigest()

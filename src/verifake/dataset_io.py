@@ -35,6 +35,7 @@ from .losses import INPUT_NORM_TOL
 MAGIC = b"EMB1"
 _HEADER_SIZE = 12  # magic, u32 record count, u32 dim
 _U32_MAX = 2**32 - 1
+_CSV_BLOCK_ROWS = 4096  # CSV rows parsed into one float64 block before the float32 cast
 
 
 def _record_dtype(dim: int) -> np.dtype:
@@ -158,72 +159,83 @@ def write_csv(path, dataset: EmbeddingDataset) -> None:
 
 
 def read_csv(path) -> EmbeddingDataset:
-    """Read the CSV embedding format; FormatError offsets are line numbers."""
+    """Read the CSV embedding format; FormatError offsets are line numbers.
+
+    The file is read as a stream: each physical line is split with
+    str.splitlines(), which yields exactly the lines of the whole text
+    (\\v, \\f and \\x1c-\\x1e end a line too), and parsed rows are kept
+    in float32 blocks of _CSV_BLOCK_ROWS."""
     with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise FormatError("empty file", offset=1)
+        lines = (line for physical in fh for line in physical.splitlines())
+        header = next(lines, None)
+        if header is None:
+            raise FormatError("empty file", offset=1)
+        cols = header.split(",")
+        if cols[:4] != ["subject", "host", "realness", "method"]:
+            raise FormatError(f"bad header {header!r}", offset=1)
+        dim = len(cols) - 4
+        if dim < MIN_DIM:
+            raise FormatError(f"dim {dim} below minimum {MIN_DIM}", offset=1)
+        if cols[4:] != [f"v{i}" for i in range(dim)]:
+            raise FormatError("value columns must be v0..v{d-1}", offset=1)
 
-    cols = lines[0].split(",")
-    if cols[:4] != ["subject", "host", "realness", "method"]:
-        raise FormatError(f"bad header {lines[0]!r}", offset=1)
-    dim = len(cols) - 4
-    if dim < MIN_DIM:
-        raise FormatError(f"dim {dim} below minimum {MIN_DIM}", offset=1)
-    if cols[4:] != [f"v{i}" for i in range(dim)]:
-        raise FormatError("value columns must be v0..v{d-1}", offset=1)
+        # full blocks as (float32 vectors, labels); labels are subject,
+        # host, fake, method codes
+        blocks = []
+        vectors = np.empty((_CSV_BLOCK_ROWS, dim))
+        labels = np.empty((_CSV_BLOCK_ROWS, 4), dtype=np.int64)
+        linenos = []
 
-    n = len(lines) - 1
-    vectors = np.empty((n, dim))
-    ids = np.empty((n, 2), dtype=np.uint32)
-    fake = np.empty(n, dtype=bool)
-    method = np.empty(n, dtype=np.uint8)
-    linenos = []
+        def close_block(k):
+            with np.errstate(over="ignore"):  # out-of-range values become inf: a fault
+                blocks.append((vectors[:k].astype(np.float32), labels[:k].copy()))
 
-    def checked_columns():
-        # the rows read so far; the earliest label or vector fault raises
-        k = len(linenos)
-        with np.errstate(over="ignore"):  # out-of-range values become inf: a fault
-            columns = (vectors[:k].astype(np.float32), ids[:k, 0], ids[:k, 1], fake[:k], method[:k])
-        faults = _record_faults(*columns)
-        hit = first_fault([mask for mask, _ in faults])
-        if hit is not None:
-            i, j = hit
-            raise FormatError(faults[j][1](i), offset=linenos[i])
-        return columns
+        def checked_columns():
+            # the rows read so far; the earliest label or vector fault raises
+            close_block(len(linenos) % _CSV_BLOCK_ROWS)
+            vecs = np.concatenate([v for v, _ in blocks])
+            labs = np.concatenate([lab for _, lab in blocks])
+            blocks.clear()
+            ids = labs[:, :2].astype(np.uint32)
+            columns = (vecs, ids[:, 0], ids[:, 1], labs[:, 2] == 1, labs[:, 3].astype(np.uint8))
+            faults = _record_faults(*columns)
+            hit = first_fault([mask for mask, _ in faults])
+            if hit is not None:
+                i, j = hit
+                raise FormatError(faults[j][1](i), offset=linenos[i])
+            return columns
 
-    try:
-        for lineno, line in enumerate(lines[1:], start=2):
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != 4 + dim:
-                raise FormatError(
-                    f"expected {4 + dim} fields, got {len(fields)}", offset=lineno
-                )
-            try:
-                subject, host = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise FormatError("non-integer subject/host id", offset=lineno) from None
-            if not (0 <= subject <= _U32_MAX and 0 <= host <= _U32_MAX):
-                raise FormatError("subject/host id outside the u32 range", offset=lineno)
-            if fields[2] not in ("real", "fake"):
-                raise FormatError(f"invalid realness {fields[2]!r}", offset=lineno)
-            if fields[3] not in METHOD_BY_NAME:
-                raise FormatError(f"unknown method {fields[3]!r}", offset=lineno)
-            k = len(linenos)
-            try:
-                vectors[k] = list(map(float, fields[4:]))
-            except ValueError:
-                raise FormatError("non-numeric vector component", offset=lineno) from None
-            ids[k] = subject, host
-            fake[k] = fields[2] == "fake"
-            method[k] = METHOD_BY_NAME[fields[3]]
-            linenos.append(lineno)
-    except FormatError:
-        checked_columns()  # a fault on an earlier line is reported first
-        raise
-    del lines  # free the text before the checks allocate
+        try:
+            for lineno, line in enumerate(lines, start=2):
+                if not line:
+                    continue
+                fields = line.split(",")
+                if len(fields) != 4 + dim:
+                    raise FormatError(
+                        f"expected {4 + dim} fields, got {len(fields)}", offset=lineno
+                    )
+                try:
+                    subject, host = int(fields[0]), int(fields[1])
+                except ValueError:
+                    raise FormatError("non-integer subject/host id", offset=lineno) from None
+                if not (0 <= subject <= _U32_MAX and 0 <= host <= _U32_MAX):
+                    raise FormatError("subject/host id outside the u32 range", offset=lineno)
+                if fields[2] not in ("real", "fake"):
+                    raise FormatError(f"invalid realness {fields[2]!r}", offset=lineno)
+                if fields[3] not in METHOD_BY_NAME:
+                    raise FormatError(f"unknown method {fields[3]!r}", offset=lineno)
+                k = len(linenos) % _CSV_BLOCK_ROWS
+                try:
+                    vectors[k] = list(map(float, fields[4:]))
+                except ValueError:
+                    raise FormatError("non-numeric vector component", offset=lineno) from None
+                labels[k] = subject, host, fields[2] == "fake", METHOD_BY_NAME[fields[3]]
+                linenos.append(lineno)
+                if k == _CSV_BLOCK_ROWS - 1:
+                    close_block(_CSV_BLOCK_ROWS)
+        except FormatError:
+            checked_columns()  # a fault on an earlier line is reported first
+            raise
     return EmbeddingDataset(*checked_columns())
 
 

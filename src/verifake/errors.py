@@ -39,7 +39,8 @@ class ConfigError(VerifakeError):
     """Invalid configuration value or file.
 
     `line` is the 1-based line number for file-based configs, `field`
-    the offending key; both optional.
+    the offending key; both optional. `reason` is the message without
+    them.
     """
 
     def __init__(self, message, line=None, field=None):
@@ -49,6 +50,7 @@ class ConfigError(VerifakeError):
         if line is not None:
             parts.append(f"line {line}")
         super().__init__(": ".join(parts))
+        self.reason = message
         self.line = line
         self.field = field
 

@@ -54,7 +54,7 @@ from .synthetic import (
     swap_noise,
 )
 from .trainer import TrainConfig, extract_embeddings, train_embedder
-from .tsne import TsneConfig, kl_trace_to_csv, layout_to_csv, run_tsne
+from .tsne import kl_trace_to_csv, layout_to_csv, run_tsne
 
 
 @dataclass
@@ -229,18 +229,12 @@ def report_stage(cfg: PipelineConfig, scores) -> EvalReport:
 
 def tsne_stage(cfg: PipelineConfig, dataset: EmbeddingDataset):
     """Seeded subsample (if needed) plus the 2-D layout and KL trace."""
+    tsne_cfg = cfg.tsne_config()
     rng = np.random.default_rng(child_seed(cfg.seed, "tsne"))
     if len(dataset) > cfg.tsne_max_points:
         chosen = rng.choice(len(dataset), size=cfg.tsne_max_points, replace=False)
         dataset = dataset.take(np.sort(chosen))
-    X = dataset.vectors.astype(np.float64)
-    tsne_cfg = TsneConfig(
-        perplexity=cfg.tsne_perplexity,
-        iterations=cfg.tsne_iterations,
-        learning_rate=cfg.tsne_learning_rate,
-        seed=child_seed(cfg.seed, "tsne"),
-    )
-    Y, trace = run_tsne(X, tsne_cfg)
+    Y, trace = run_tsne(dataset.vectors.astype(np.float64), tsne_cfg)
     return dataset, Y, trace
 
 

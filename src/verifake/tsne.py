@@ -23,6 +23,7 @@ CALIBRATION_TOL = 1e-5
 CALIBRATION_REFINE = 1e-8  # keep bisecting well past the declared tolerance
 CALIBRATION_MAX_ITER = 200
 DUPLICATE_JITTER = 1e-10
+_CALIBRATION_BLOCK = 128  # rows calibrated together; temporaries are O(block x n)
 
 
 @dataclass(frozen=True)
@@ -78,17 +79,71 @@ class AffinityMatrix:
         self.sigmas = np.asarray(self.sigmas, dtype=np.float64)
 
 
-def _row_entropy_bits(sq_row: np.ndarray, beta: float):
+def _entropy_bits(S: np.ndarray, beta: np.ndarray):
     """Shannon entropy (bits) and conditional probabilities of the
-    Gaussian row kernel exp(-beta * d^2), computed with a shifted
-    exponent for stability."""
-    shifted = sq_row - sq_row.min()
-    w = np.exp(-beta * shifted)
-    sum_w = w.sum()
-    p = w / sum_w
-    # H = ln(sum_w) + beta * E[d^2], then converted from nats to bits
-    h_nats = np.log(sum_w) + beta * float(np.dot(sq_row - sq_row.min(), p))
-    return h_nats / np.log(2.0), p
+    Gaussian row kernels exp(-beta_i * s_ij), one beta per row of S.
+
+    The rows of S are squared distances shifted to a minimum of 0, which
+    keeps the exponent stable; S must be C-contiguous so each row runs
+    through the same exp, sum and dot as a single row would."""
+    p = np.multiply(-beta[:, None], S)
+    np.exp(p, out=p)
+    sum_w = p.sum(axis=1)
+    np.divide(p, sum_w[:, None], out=p)
+    # H = ln(sum_w) + beta * E[d^2]; a stacked matmul of 1 x k by k x 1
+    # is one BLAS dot per row, the call np.dot makes on a single row
+    expected = np.matmul(S[:, None, :], p[:, :, None])[:, 0, 0]
+    return (np.log(sum_w) + beta * expected) / np.log(2.0), p
+
+
+def _calibrated_betas(S: np.ndarray, target_perplexity) -> np.ndarray:
+    """Precisions beta = 1/(2 sigma^2) at which each row kernel of S
+    (shifted as for `_entropy_bits`) has the target perplexity.
+
+    Every row runs its own binary search, all rows in lockstep: double
+    beta until the entropy drops below the goal, then bisect, stopping a
+    row once |log2(perplexity) - log2(target)| < CALIBRATION_REFINE. A
+    row still open after CALIBRATION_MAX_ITER steps takes its best beta,
+    with one CalibrationWarning (in row order) unless that beta is within
+    CALIBRATION_TOL.
+    """
+    goal = np.log2(target_perplexity)
+    m = S.shape[0]
+    out = np.empty(m)
+    live = np.arange(m)
+    beta = np.ones(m)
+    beta_lo, beta_hi = np.zeros(m), np.full(m, np.inf)
+    best_beta, best_err = beta.copy(), np.full(m, np.inf)
+    for _ in range(CALIBRATION_MAX_ITER):
+        h_bits, _ = _entropy_bits(S, beta)
+        err = h_bits - goal
+        abs_err = np.abs(err)
+        better = abs_err < best_err
+        best_err[better], best_beta[better] = abs_err[better], beta[better]
+        done = abs_err < CALIBRATION_REFINE
+        out[live[done]] = beta[done]
+        # entropy too high -> kernel too wide -> raise beta
+        high = err > 0
+        beta_lo = np.where(high, beta, beta_lo)
+        beta_hi = np.where(high, beta_hi, beta)
+        beta = np.where(high & (beta_hi == np.inf), beta * 2.0, 0.5 * (beta_lo + beta_hi))
+        if done.any():
+            open_rows = ~done
+            live, S, beta, beta_lo, beta_hi, best_beta, best_err = (
+                a[open_rows] for a in (live, S, beta, beta_lo, beta_hi, best_beta, best_err)
+            )
+            if not live.size:
+                return out
+
+    out[live] = best_beta
+    for err in best_err[best_err >= CALIBRATION_TOL]:
+        warnings.warn(
+            f"perplexity {target_perplexity} unreachable after "
+            f"{CALIBRATION_MAX_ITER} iterations (residual {err:.3g} in log2); "
+            "returning best sigma",
+            CalibrationWarning,
+        )
+    return out
 
 
 def row_affinities(sq_distances_row, sigma: float) -> np.ndarray:
@@ -96,8 +151,8 @@ def row_affinities(sq_distances_row, sigma: float) -> np.ndarray:
     given bandwidth (diagonal entry already excluded from the row)."""
     row = np.asarray(sq_distances_row, dtype=np.float64)
     beta = 0.5 / (sigma * sigma)
-    _, p = _row_entropy_bits(row, beta)
-    return p
+    _, p = _entropy_bits((row - row.min())[None, :], np.array([beta]))
+    return p[0]
 
 
 def calibrate_sigma(sq_distances_row, target_perplexity: float) -> float:
@@ -107,7 +162,8 @@ def calibrate_sigma(sq_distances_row, target_perplexity: float) -> float:
     |log2(achieved perplexity) - log2(target)| < 1e-5, at most 200
     iterations. If the target is unreachable (e.g. all neighbors
     equidistant), the best sigma found is returned under a
-    CalibrationWarning.
+    CalibrationWarning. `joint_affinities` runs the same search on all
+    rows at once.
     """
     row = np.asarray(sq_distances_row, dtype=np.float64)
     if row.ndim != 1 or row.size < 2 or not np.all(np.isfinite(row)):
@@ -119,35 +175,8 @@ def calibrate_sigma(sq_distances_row, target_perplexity: float) -> float:
         )
     if target_perplexity <= 1.0:
         raise ConfigError("target perplexity must exceed 1")
-
-    goal = np.log2(target_perplexity)
-    beta = 1.0
-    beta_lo, beta_hi = 0.0, np.inf
-    best_beta, best_err = beta, np.inf
-    for _ in range(CALIBRATION_MAX_ITER):
-        h_bits, _ = _row_entropy_bits(row, beta)
-        err = h_bits - goal
-        if abs(err) < best_err:
-            best_err, best_beta = abs(err), beta
-        if abs(err) < CALIBRATION_REFINE:
-            return float(np.sqrt(0.5 / beta))
-        if err > 0:
-            # entropy too high -> kernel too wide -> raise beta
-            beta_lo = beta
-            beta = beta * 2.0 if beta_hi == np.inf else 0.5 * (beta_lo + beta_hi)
-        else:
-            beta_hi = beta
-            beta = 0.5 * (beta_lo + beta_hi)
-
-    if best_err < CALIBRATION_TOL:
-        return float(np.sqrt(0.5 / best_beta))
-    warnings.warn(
-        f"perplexity {target_perplexity} unreachable after "
-        f"{CALIBRATION_MAX_ITER} iterations (residual {best_err:.3g} in log2); "
-        "returning best sigma",
-        CalibrationWarning,
-    )
-    return float(np.sqrt(0.5 / best_beta))
+    beta = _calibrated_betas((row - row.min())[None, :], target_perplexity)[0]
+    return float(np.sqrt(0.5 / beta))
 
 
 def _pairwise_sq_dists(X: np.ndarray, out=None, scratch=None) -> np.ndarray:
@@ -163,6 +192,13 @@ def _pairwise_sq_dists(X: np.ndarray, out=None, scratch=None) -> np.ndarray:
     np.maximum(d2, 0.0, out=d2)
     np.fill_diagonal(d2, 0.0)
     return d2
+
+
+def _off_diagonal(A: np.ndarray) -> np.ndarray:
+    """View of the n(n-1) off-diagonal entries of a C-contiguous n x n
+    array, in row-major order, shaped (n-1, n)."""
+    n = A.shape[0]
+    return A.ravel()[1:].reshape(n - 1, n + 1)[:, :n]
 
 
 def joint_affinities(X, perplexity: float) -> AffinityMatrix:
@@ -189,8 +225,7 @@ def joint_affinities(X, perplexity: float) -> AffinityMatrix:
         perplexity = limit
 
     d2 = _pairwise_sq_dists(X)
-    off_diag = d2 + np.diag(np.full(n, np.inf))
-    if np.any(off_diag == 0.0):
+    if np.any(_off_diagonal(d2) == 0.0):
         warnings.warn(
             "duplicate points detected; applying 1e-10 jitter", UserWarning
         )
@@ -198,16 +233,23 @@ def joint_affinities(X, perplexity: float) -> AffinityMatrix:
         X = X + jitter_rng.normal(0.0, DUPLICATE_JITTER, size=X.shape)
         d2 = _pairwise_sq_dists(X)
 
-    cond = np.zeros((n, n), dtype=np.float64)
-    sigmas = np.zeros(n, dtype=np.float64)
-    idx = np.arange(n)
-    for i in range(n):
-        row = d2[i, idx != i]
-        sigma = calibrate_sigma(row, perplexity)
-        sigmas[i] = sigma
-        cond[i, idx != i] = row_affinities(row, sigma)
+    # row i holds d2[i, j != i]; each block of rows is replaced in place
+    # by its conditional probabilities once calibrated
+    rows = _off_diagonal(d2).reshape(n, n - 1)
+    if not np.all(np.isfinite(rows)):
+        raise ConfigError("distance row needs >= 2 finite entries")
+    sigmas = np.empty(n, dtype=np.float64)
+    for start in range(0, n, _CALIBRATION_BLOCK):
+        block = rows[start : start + _CALIBRATION_BLOCK]
+        S = block - block.min(axis=1, keepdims=True)
+        sigma = np.sqrt(0.5 / _calibrated_betas(S, perplexity))
+        sigmas[start : start + _CALIBRATION_BLOCK] = sigma
+        block[...] = _entropy_bits(S, 0.5 / (sigma * sigma))[1]
 
-    P = (cond + cond.T) / (2.0 * n)
+    cond = d2  # the distances are spent: reuse the buffer, diagonal already 0
+    _off_diagonal(cond)[...] = rows.reshape(n - 1, n)
+    P = np.add(cond, cond.T)
+    np.divide(P, 2.0 * n, out=P)
     return AffinityMatrix(P, sigmas)
 
 
@@ -226,11 +268,11 @@ def _student_q(Y: np.ndarray, w=None, Q=None, scratch=None):
     return w, Q
 
 
-def _kl_from_q(P_pos, mask, Q, terms) -> float:
+def _kl_from_q(P_pos, mask, Q) -> float:
     """KL(P || Q) summed over the entries where P > 0, in row-major order.
 
-    `P_pos` is P[mask]; `terms` is a 1-D buffer of the same length."""
-    np.compress(mask.ravel(), Q.ravel(), out=terms)
+    `P_pos` is P[mask]."""
+    terms = Q[mask]
     np.divide(P_pos, terms, out=terms)
     np.log(terms, out=terms)
     np.multiply(P_pos, terms, out=terms)
@@ -260,8 +302,7 @@ def kl_divergence(P, Y) -> float:
     Y = np.asarray(Y, dtype=np.float64)
     _, Q = _student_q(Y)
     mask = P > 0.0
-    P_pos = P[mask]
-    return _kl_from_q(P_pos, mask, Q, np.empty_like(P_pos))
+    return _kl_from_q(P[mask], mask, Q)
 
 
 def kl_gradient(P, Y) -> np.ndarray:
@@ -302,8 +343,6 @@ def run_tsne(X, cfg: TsneConfig):
     kl_trace = np.zeros(cfg.iterations, dtype=np.float64)
 
     w, Q, coeff = (np.empty((n, n), dtype=np.float64) for _ in range(3))
-    # coeff is free once the gradient is taken, so it also holds the KL terms
-    kl_terms = coeff.ravel()[: P_pos.size]
     _student_q(Y, w, Q, coeff)
     for it in range(cfg.iterations):
         exaggeration = cfg.early_exaggeration if it < cfg.exaggeration_until else 1.0
@@ -314,7 +353,7 @@ def run_tsne(X, cfg: TsneConfig):
         velocity = momentum * velocity - cfg.learning_rate * grad
         Y = Y + velocity
         _student_q(Y, w, Q, coeff)
-        kl_trace[it] = _kl_from_q(P_pos, mask, Q, kl_terms)
+        kl_trace[it] = _kl_from_q(P_pos, mask, Q)
 
     return Y, kl_trace
 

@@ -2,21 +2,29 @@
 
 import math
 import struct
+import warnings
 from typing import NamedTuple
 
 import numpy as np
 
 from verifake.config import child_seed
+from verifake.dataset_io import _U32_MAX, _record_faults
 from verifake.embeddings import (
     IDENTITY_SWAP_METHODS,
     EXPRESSION_SWAP_METHODS,
+    METHOD_BY_NAME,
     METHOD_NAMES,
+    MIN_DIM,
+    EmbeddingDataset,
     Method,
+    first_fault,
     l2_normalize,
 )
 from verifake.errors import (
+    CalibrationWarning,
     ConfigError,
     EmptyGallery,
+    FormatError,
     InsufficientEnrollment,
     NormalizationError,
     SimulationError,
@@ -25,7 +33,18 @@ from verifake.errors import (
 from verifake.losses import ARCCOS_EPS, TripletConfig, _unit_rows
 from verifake.protocol import AGGREGATIONS, Gallery, ScoreRecord
 from verifake.synthetic import SwapSpec
-from verifake.tsne import joint_affinities, kl_divergence, kl_gradient
+from verifake.tsne import (
+    CALIBRATION_MAX_ITER,
+    CALIBRATION_REFINE,
+    CALIBRATION_TOL,
+    DUPLICATE_JITTER,
+    AffinityMatrix,
+    _pairwise_sq_dists,
+    _student_q,
+    joint_affinities,
+    kl_divergence,
+    kl_gradient,
+)
 
 
 def rel_err(analytic, numeric) -> float:
@@ -90,6 +109,123 @@ def reference_tsne(X, cfg):
         Y = Y + velocity
         kl_trace[it] = kl_divergence(P, Y)
     return Y, kl_trace
+
+
+def reference_row_entropy_bits(sq_row: np.ndarray, beta: float):
+    shifted = sq_row - sq_row.min()
+    w = np.exp(-beta * shifted)
+    sum_w = w.sum()
+    p = w / sum_w
+    # H = ln(sum_w) + beta * E[d^2], then converted from nats to bits
+    h_nats = np.log(sum_w) + beta * float(np.dot(sq_row - sq_row.min(), p))
+    return h_nats / np.log(2.0), p
+
+
+def reference_row_affinities(sq_distances_row, sigma: float) -> np.ndarray:
+    row = np.asarray(sq_distances_row, dtype=np.float64)
+    beta = 0.5 / (sigma * sigma)
+    _, p = reference_row_entropy_bits(row, beta)
+    return p
+
+
+def reference_calibrate_sigma(sq_distances_row, target_perplexity: float) -> float:
+    """The one-row bisection `joint_affinities` used to run per row."""
+    row = np.asarray(sq_distances_row, dtype=np.float64)
+    if row.ndim != 1 or row.size < 2 or not np.all(np.isfinite(row)):
+        raise ConfigError("distance row needs >= 2 finite entries")
+    if target_perplexity >= row.size:
+        raise ConfigError(
+            f"target perplexity {target_perplexity} must be below "
+            f"the row length {row.size}"
+        )
+    if target_perplexity <= 1.0:
+        raise ConfigError("target perplexity must exceed 1")
+
+    goal = np.log2(target_perplexity)
+    beta = 1.0
+    beta_lo, beta_hi = 0.0, np.inf
+    best_beta, best_err = beta, np.inf
+    for _ in range(CALIBRATION_MAX_ITER):
+        h_bits, _ = reference_row_entropy_bits(row, beta)
+        err = h_bits - goal
+        if abs(err) < best_err:
+            best_err, best_beta = abs(err), beta
+        if abs(err) < CALIBRATION_REFINE:
+            return float(np.sqrt(0.5 / beta))
+        if err > 0:
+            # entropy too high -> kernel too wide -> raise beta
+            beta_lo = beta
+            beta = beta * 2.0 if beta_hi == np.inf else 0.5 * (beta_lo + beta_hi)
+        else:
+            beta_hi = beta
+            beta = 0.5 * (beta_lo + beta_hi)
+
+    if best_err < CALIBRATION_TOL:
+        return float(np.sqrt(0.5 / best_beta))
+    warnings.warn(
+        f"perplexity {target_perplexity} unreachable after "
+        f"{CALIBRATION_MAX_ITER} iterations (residual {best_err:.3g} in log2); "
+        "returning best sigma",
+        CalibrationWarning,
+    )
+    return float(np.sqrt(0.5 / best_beta))
+
+
+def reference_joint_affinities(X, perplexity: float) -> AffinityMatrix:
+    """The per-row calibration loop `joint_affinities` must match bit for
+    bit, warnings included."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] < 4:
+        raise ConfigError("joint_affinities needs at least 4 points")
+    n = X.shape[0]
+    if perplexity <= 1.0:
+        raise ConfigError("perplexity must exceed 1", field="perplexity")
+
+    # clamp floor keeps the target valid (> 1) for the smallest inputs
+    limit = max((n - 1) / 3.0, 1.5)
+    if perplexity > limit:
+        warnings.warn(
+            f"perplexity {perplexity} too large for n={n}; clamped to {limit}",
+            UserWarning,
+        )
+        perplexity = limit
+
+    d2 = _pairwise_sq_dists(X)
+    off_diag = d2 + np.diag(np.full(n, np.inf))
+    if np.any(off_diag == 0.0):
+        warnings.warn(
+            "duplicate points detected; applying 1e-10 jitter", UserWarning
+        )
+        jitter_rng = np.random.default_rng(0)
+        X = X + jitter_rng.normal(0.0, DUPLICATE_JITTER, size=X.shape)
+        d2 = _pairwise_sq_dists(X)
+
+    cond = np.zeros((n, n), dtype=np.float64)
+    sigmas = np.zeros(n, dtype=np.float64)
+    idx = np.arange(n)
+    for i in range(n):
+        row = d2[i, idx != i]
+        sigma = reference_calibrate_sigma(row, perplexity)
+        sigmas[i] = sigma
+        cond[i, idx != i] = reference_row_affinities(row, sigma)
+
+    P = (cond + cond.T) / (2.0 * n)
+    return AffinityMatrix(P, sigmas)
+
+
+def reference_kl_divergence(P, Y) -> float:
+    """KL(P || Q(Y)) with the KL terms gathered by np.compress."""
+    P = np.asarray(P, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.float64)
+    _, Q = _student_q(Y)
+    mask = P > 0.0
+    P_pos = P[mask]
+    terms = np.empty_like(P_pos)
+    np.compress(mask.ravel(), Q.ravel(), out=terms)
+    np.divide(P_pos, terms, out=terms)
+    np.log(terms, out=terms)
+    np.multiply(P_pos, terms, out=terms)
+    return float(np.sum(terms))
 
 
 def reference_triplet_loss(anchor, positive, negative, cfg: TripletConfig):
@@ -207,6 +343,77 @@ def reference_write_csv(path, dim, records) -> None:
                 f"{'fake' if rec.fake else 'real'},"
                 f"{METHOD_NAMES[rec.method]},{values}\n"
             )
+
+
+def reference_read_csv(path) -> EmbeddingDataset:
+    """The whole-text CSV reader: `fh.read().splitlines()`, then one
+    preallocated array per column."""
+    with open(path, "r", encoding="ascii") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise FormatError("empty file", offset=1)
+
+    cols = lines[0].split(",")
+    if cols[:4] != ["subject", "host", "realness", "method"]:
+        raise FormatError(f"bad header {lines[0]!r}", offset=1)
+    dim = len(cols) - 4
+    if dim < MIN_DIM:
+        raise FormatError(f"dim {dim} below minimum {MIN_DIM}", offset=1)
+    if cols[4:] != [f"v{i}" for i in range(dim)]:
+        raise FormatError("value columns must be v0..v{d-1}", offset=1)
+
+    n = len(lines) - 1
+    vectors = np.empty((n, dim))
+    ids = np.empty((n, 2), dtype=np.uint32)
+    fake = np.empty(n, dtype=bool)
+    method = np.empty(n, dtype=np.uint8)
+    linenos = []
+
+    def checked_columns():
+        # the rows read so far; the earliest label or vector fault raises
+        k = len(linenos)
+        with np.errstate(over="ignore"):  # out-of-range values become inf: a fault
+            columns = (vectors[:k].astype(np.float32), ids[:k, 0], ids[:k, 1], fake[:k], method[:k])
+        faults = _record_faults(*columns)
+        hit = first_fault([mask for mask, _ in faults])
+        if hit is not None:
+            i, j = hit
+            raise FormatError(faults[j][1](i), offset=linenos[i])
+        return columns
+
+    try:
+        for lineno, line in enumerate(lines[1:], start=2):
+            if not line:
+                continue
+            fields = line.split(",")
+            if len(fields) != 4 + dim:
+                raise FormatError(
+                    f"expected {4 + dim} fields, got {len(fields)}", offset=lineno
+                )
+            try:
+                subject, host = int(fields[0]), int(fields[1])
+            except ValueError:
+                raise FormatError("non-integer subject/host id", offset=lineno) from None
+            if not (0 <= subject <= _U32_MAX and 0 <= host <= _U32_MAX):
+                raise FormatError("subject/host id outside the u32 range", offset=lineno)
+            if fields[2] not in ("real", "fake"):
+                raise FormatError(f"invalid realness {fields[2]!r}", offset=lineno)
+            if fields[3] not in METHOD_BY_NAME:
+                raise FormatError(f"unknown method {fields[3]!r}", offset=lineno)
+            k = len(linenos)
+            try:
+                vectors[k] = list(map(float, fields[4:]))
+            except ValueError:
+                raise FormatError("non-numeric vector component", offset=lineno) from None
+            ids[k] = subject, host
+            fake[k] = fields[2] == "fake"
+            method[k] = METHOD_BY_NAME[fields[3]]
+            linenos.append(lineno)
+    except FormatError:
+        checked_columns()  # a fault on an earlier line is reported first
+        raise
+    del lines  # free the text before the checks allocate
+    return EmbeddingDataset(*checked_columns())
 
 
 def _reference_noise(gen, sigma, dim):

@@ -206,6 +206,33 @@ def test_tsne_command(cfg_path, run_dir, tmp_path, capsys):
     assert (out / "kl_trace.csv").is_file()
 
 
+BAD_TSNE = [("max_points", "3"), ("perplexity", "1"), ("iterations", "0"), ("learning_rate", "0")]
+
+
+def _with_tsne_setting(key, value, enabled="true"):
+    kept = [line for line in CLI_CFG.split("\n") if not line.startswith(f"tsne.{key} ")]
+    return "\n".join(kept) + f"tsne.{key} = {value}\ntsne.enabled = {enabled}\n"
+
+
+@pytest.mark.parametrize("key, value", BAD_TSNE)
+def test_bad_tsne_setting_exits_2_before_any_stage(tmp_path, capsys, key, value):
+    cfg = tmp_path / "bad_tsne.cfg"
+    cfg.write_text(_with_tsne_setting(key, value))
+    out = tmp_path / "bad_tsne_out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert f"field 'tsne.{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_disabled_tsne_skips_its_checks(tmp_path):
+    cfg = tmp_path / "no_tsne.cfg"
+    cfg.write_text(_with_tsne_setting("max_points", "3", enabled="false"))
+    out = tmp_path / "no_tsne_out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert (out / "report.json").is_file()
+    assert not (out / "tsne.csv").exists()
+
+
 def test_report_command_roundtrip(run_dir, tmp_path, capsys):
     out = tmp_path / "rep_out"
     code = main(["report", str(run_dir / "scores.csv"), "--out", str(out)])

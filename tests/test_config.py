@@ -15,6 +15,7 @@ from verifake.config import (
 from verifake.embeddings import Method
 from verifake.errors import ConfigError
 from verifake.losses import margin_preset
+from verifake.tsne import TsneConfig
 
 SAMPLE = """
 # demo pipeline
@@ -199,3 +200,27 @@ def test_format_versions_frozen():
 def test_swap_settings_defaults():
     s = SwapSettings(Method.FACESWAP)
     assert (s.alpha, s.sigma, s.per_subject) == (0.8, 0.05, 40)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("max_points", "3"), ("perplexity", "1"), ("iterations", "0"), ("learning_rate", "-1")],
+)
+def test_tsne_settings_checked_at_parse_under_their_key(key, value):
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"tsne.{key} = {value}\n")
+    assert err.value.field == f"tsne.{key}"
+    assert f"field 'tsne.{key}'" in str(err.value)
+    # a disabled t-SNE stage is not checked at parse; its settings are
+    # still checked under their key when the stage is built
+    cfg = parse_config(f"tsne.{key} = {value}\ntsne.enabled = false\n")
+    with pytest.raises(ConfigError) as err:
+        cfg.tsne_config()
+    assert err.value.field == f"tsne.{key}"
+
+
+def test_tsne_config_built_from_the_run_settings():
+    cfg = parse_config("run.seed = 9\ntsne.perplexity = 12\ntsne.iterations = 7\n")
+    assert cfg.tsne_config() == TsneConfig(
+        perplexity=12.0, iterations=7, learning_rate=200.0, seed=child_seed(9, "tsne")
+    )

@@ -5,8 +5,9 @@ import struct
 import numpy as np
 import pytest
 
-from helpers import records_of, reference_write_csv, reference_write_emb1
+from helpers import records_of, reference_read_csv, reference_write_csv, reference_write_emb1
 
+import verifake.dataset_io as dataset_io_module
 from verifake.config import PipelineConfig, SwapSettings
 from verifake.dataset_io import (
     MAGIC,
@@ -270,6 +271,44 @@ def test_csv_ids_must_fit_u32(tmp_path):
         with pytest.raises(FormatError, match="u32") as err:
             read_csv(path)
         assert err.value.offset == 3
+
+
+LINE_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\r", "\r\n", "\n\n"]
+
+
+def _csv_outcome(reader, path):
+    try:
+        ds = reader(path)
+    except FormatError as exc:
+        return str(exc), exc.offset
+    return [ds.vectors.tobytes()] + [col.tolist() for col in (ds.subject, ds.host, ds.fake, ds.method)]
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS)
+def test_csv_line_breaks_match_whole_text_reader(tmp_path, monkeypatch, brk):
+    monkeypatch.setattr(dataset_io_module, "_CSV_BLOCK_ROWS", 2)  # rows cross blocks
+    rng = np.random.default_rng(7)
+    rows = [f"{s},{s},real,none," + ",".join(map(repr, unit(rng, 2).astype(np.float32).tolist())) for s in range(5)]
+    bad_label = "1,2,real,none,1.0,0.0"
+    path = tmp_path / "b.csv"
+    texts = [
+        CSV_HEADER + brk.join(rows) + brk,  # every row ends in the break
+        CSV_HEADER + rows[0] + brk + rows[1] + "\n" + "1,1,real,none,1.0\n",  # field count
+        CSV_HEADER + "\n".join(rows[:3]) + brk + bad_label + "\n" + rows[4] + "\n",  # label
+        CSV_HEADER + rows[0] + "\n" + rows[1][:9] + brk + rows[1][9:] + "\n",  # break inside a row
+        CSV_HEADER.replace(",v0", brk + "v0"),  # break inside the header
+        brk + CSV_HEADER + rows[0],
+    ]
+    for text in texts:
+        path.write_bytes(text.encode("ascii"))
+        assert _csv_outcome(read_csv, path) == _csv_outcome(reference_read_csv, path), repr(text)
+
+    path.write_bytes((CSV_HEADER + brk.join(rows) + brk).encode("ascii"))
+    assert len(read_csv(path)) == 5
+    path.write_bytes((CSV_HEADER + rows[0] + brk + rows[1] + "\nx\n").encode("ascii"))
+    with pytest.raises(FormatError) as err:
+        read_csv(path)
+    assert err.value.offset == 4 + (brk == "\n\n")  # "\r\n" is one line break
 
 
 def test_csv_earliest_bad_line_reported_first(tmp_path):

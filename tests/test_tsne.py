@@ -4,7 +4,16 @@ import warnings
 
 import numpy as np
 import pytest
-from helpers import fd_grad, reference_tsne, rel_err
+from helpers import (
+    fd_grad,
+    reference_calibrate_sigma,
+    reference_joint_affinities,
+    reference_kl_divergence,
+    reference_row_affinities,
+    reference_row_entropy_bits,
+    reference_tsne,
+    rel_err,
+)
 
 import verifake.tsne as tsne_module
 from verifake.embeddings import EmbeddingDataset, Method
@@ -31,6 +40,38 @@ def three_clusters(seed=5, per=8, spread=0.05):
         pts.append(ctr + g.normal(0, spread, size=(per, 3)))
         labs += [c] * per
     return np.vstack(pts), np.array(labs)
+
+
+def separated_clusters():
+    """Two tight clusters 100 apart: the Gaussian affinities between them
+    underflow, so P has exact zeros off the diagonal."""
+    g = np.random.default_rng(21)
+    return np.vstack([g.normal(0, 0.05, size=(10, 3)), 100.0 + g.normal(0, 0.05, size=(10, 3))])
+
+
+def clustered(seed, n, k, d=8, spread=0.3):
+    g = np.random.default_rng(seed)
+    centers = g.normal(0.0, 3.0, size=(k, d))
+    return centers[g.integers(0, k, n)] + g.normal(0.0, spread, size=(n, d))
+
+
+def duplicated_points():
+    X = np.random.default_rng(3).normal(size=(30, 4))
+    X[17] = X[2]
+    return X
+
+
+def hub_points():
+    """Two hubs with 12 and 9 equidistant nearest neighbors: their rows
+    cannot reach perplexity 3 (each with its own residual), every other
+    row can."""
+    big = np.vstack([np.zeros(12), np.eye(12)])
+    small = np.vstack([np.zeros(12), np.eye(12)[:9]]) + 10.0
+    return np.vstack([big, small])
+
+
+def simplex_points():
+    return np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
 
 
 # ------------------------------------------------------------ calibration
@@ -90,16 +131,8 @@ def test_joint_affinities_invariants():
 
 def test_simplex_gives_uniform_affinities():
     # all pairwise distances equal, so symmetry forces p_ij = 1/12
-    X = np.array(
-        [
-            [1.0, 1.0, 1.0],
-            [1.0, -1.0, -1.0],
-            [-1.0, 1.0, -1.0],
-            [-1.0, -1.0, 1.0],
-        ]
-    )
     with pytest.warns(UserWarning):
-        aff = joint_affinities(X, 2.0)
+        aff = joint_affinities(simplex_points(), 2.0)
     off = aff.P[~np.eye(4, dtype=bool)]
     assert np.abs(off - 1.0 / 12.0).max() < 1e-12
     assert np.all(np.diag(aff.P) == 0.0)
@@ -126,6 +159,102 @@ def test_affinities_need_four_points():
         joint_affinities(np.zeros((3, 2)), 1.5)
 
 
+def test_affinities_reject_non_finite_points():
+    X = np.random.default_rng(8).normal(size=(9, 3))
+    X[5, 1] = np.nan
+    with pytest.raises(ConfigError, match="finite"):
+        joint_affinities(X, 2.0)
+
+
+AFFINITY_CASES = {
+    # more rows than one calibration block
+    "clusters_300": (lambda: clustered(1, 300, 6), 30.0),
+    "clusters_37": (lambda: clustered(2, 37, 3), 5.0),
+    "clamped": (lambda: np.random.default_rng(2).normal(size=(7, 3)), 30.0),
+    "duplicates": (duplicated_points, 4.0),
+    "exact_zero_P": (separated_clusters, 3),
+    "unreachable_rows": (hub_points, 3.0),
+    "all_rows_unreachable": (simplex_points, 2.0),
+}
+
+
+def _recorded(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(*args)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+@pytest.mark.parametrize("case", list(AFFINITY_CASES))
+def test_joint_affinities_match_per_row_reference_bitwise(case):
+    make_input, perplexity = AFFINITY_CASES[case]
+    X = make_input()
+    aff, caught = _recorded(joint_affinities, X, perplexity)
+    ref, ref_caught = _recorded(reference_joint_affinities, X, perplexity)
+    assert aff.P.tobytes() == ref.P.tobytes()
+    assert aff.sigmas.tobytes() == ref.sigmas.tobytes()
+    assert caught == ref_caught
+
+
+def test_reference_cases_exercise_their_edge():
+    _, caught = _recorded(joint_affinities, hub_points(), 3.0)
+    assert [c for c, _ in caught] == [CalibrationWarning, CalibrationWarning]
+    assert caught[0][1] != caught[1][1]
+    _, caught = _recorded(joint_affinities, simplex_points(), 2.0)
+    assert [c for c, _ in caught] == [UserWarning] + [CalibrationWarning] * 4
+    _, caught = _recorded(joint_affinities, duplicated_points(), 4.0)
+    assert "jitter" in caught[0][1]
+    P = joint_affinities(separated_clusters(), 3).P
+    assert np.any(P[~np.eye(len(P), dtype=bool)] == 0.0)
+
+
+def test_joint_affinities_make_no_per_row_calls(monkeypatch):
+    def per_row(*args, **kwargs):
+        raise AssertionError("per-row call")
+
+    X = clustered(4, 60, 3)
+    expected = joint_affinities(X, 10.0)
+    monkeypatch.setattr(tsne_module, "calibrate_sigma", per_row)
+    monkeypatch.setattr(tsne_module, "row_affinities", per_row)
+    aff = joint_affinities(X, 10.0)
+    assert aff.P.tobytes() == expected.P.tobytes()
+    run_tsne(X, TsneConfig(perplexity=10, iterations=3))
+
+
+def test_one_row_calls_match_the_batched_rows():
+    X = clustered(5, 150, 4)
+    aff = joint_affinities(X, 20.0)
+    d2 = tsne_module._pairwise_sq_dists(X)
+    for i in range(len(X)):
+        row = np.delete(d2[i], i)
+        sigma = calibrate_sigma(row, 20.0)
+        assert sigma == aff.sigmas[i]
+        assert sigma == reference_calibrate_sigma(row, 20.0)
+        assert row_affinities(row, sigma).tobytes() == reference_row_affinities(row, sigma).tobytes()
+
+
+def test_entropy_kernel_matches_one_row_reference_bitwise():
+    # the bisection only compares the entropy, so pin it directly: every
+    # row of a block gets the exp, sum and dot it would get alone
+    X = clustered(6, 90, 4)
+    d2 = tsne_module._pairwise_sq_dists(X)
+    rows = np.array([np.delete(d2[i], i) for i in range(len(X))])
+    betas = np.random.default_rng(6).uniform(0.01, 20.0, size=len(X))
+    h_bits, p = tsne_module._entropy_bits(rows - rows.min(axis=1, keepdims=True), betas)
+    for i in range(len(X)):
+        ref_h, ref_p = reference_row_entropy_bits(rows[i], float(betas[i]))
+        assert h_bits[i] == ref_h
+        assert p[i].tobytes() == ref_p.tobytes()
+
+
+def test_one_row_calibration_warns_like_the_reference():
+    row = np.array([1.0, 1.0])
+    sigma, caught = _recorded(calibrate_sigma, row, 1.9)
+    ref_sigma, ref_caught = _recorded(reference_calibrate_sigma, row, 1.9)
+    assert sigma == ref_sigma
+    assert caught == ref_caught and len(caught) == 1
+
+
 # --------------------------------------------------------------- KL / opt
 
 
@@ -135,6 +264,17 @@ def test_two_point_kl_is_zero():
     for seed in (0, 1, 2):
         Y = np.random.default_rng(seed).normal(size=(2, 2))
         assert kl_divergence(P, Y) == 0.0
+
+
+@pytest.mark.parametrize("case", ["clusters_37", "exact_zero_P", "duplicates"])
+def test_kl_divergence_matches_compress_reference_bitwise(case):
+    make_input, perplexity = AFFINITY_CASES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        P = joint_affinities(make_input(), perplexity).P
+    for seed in range(3):
+        Y = np.random.default_rng(seed).normal(size=(len(P), 2))
+        assert kl_divergence(P, Y) == reference_kl_divergence(P, Y)
 
 
 def test_kl_nonnegative():
@@ -194,13 +334,6 @@ def test_run_tsne_trace_decreases_and_separates_clusters():
             d = float(np.linalg.norm(Y[i] - Y[j]))
             (within if labs[i] == labs[j] else between).append(d)
     assert np.mean(within) < np.mean(between)
-
-
-def separated_clusters():
-    """Two tight clusters 100 apart: the Gaussian affinities between them
-    underflow, so P has exact zeros off the diagonal."""
-    g = np.random.default_rng(21)
-    return np.vstack([g.normal(0, 0.05, size=(10, 3)), 100.0 + g.normal(0, 0.05, size=(10, 3))])
 
 
 @pytest.mark.parametrize("iterations", [3, 7, 15])
