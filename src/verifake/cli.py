@@ -102,13 +102,19 @@ def cmd_eval(args) -> int:
         aggregation=cfg.aggregation,
         probe_cap=cfg.probe_cap,
     )
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(report.to_json(), encoding="utf-8")
-    (out / "report.txt").write_text(report.format_table(), encoding="utf-8")
+    out = _write_report(cfg.out_dir, report)
     (out / "scores.csv").write_text(scores_to_csv(scores), encoding="utf-8")
     print(report.format_table(), end="")
     return EXIT_OK
+
+
+def _write_report(out_dir, report) -> Path:
+    """Write report.json and report.txt under out_dir; returns its Path."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "report.json").write_text(report.to_json(), encoding="utf-8")
+    (out / "report.txt").write_text(report.format_table(), encoding="utf-8")
+    return out
 
 
 def cmd_tsne(args) -> int:
@@ -135,14 +141,15 @@ def cmd_run(args) -> int:
 
 
 def cmd_report(args) -> int:
-    text = Path(args.scores).read_text(encoding="utf-8")
-    records = scores_from_csv(text)
-    report = build_report(records)
+    data = Path(args.scores).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"undecodable byte {data[exc.start]:#04x}", line=line) from None
+    report = build_report(scores_from_csv(text))
     if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "report.json").write_text(report.to_json(), encoding="utf-8")
-        (out / "report.txt").write_text(report.format_table(), encoding="utf-8")
+        _write_report(args.out, report)
     print(report.format_table(), end="")
     return EXIT_OK
 

@@ -24,6 +24,7 @@ from .embeddings import METHOD_BY_NAME, Method
 from .errors import ConfigError
 from .losses import LOSS_NAMES, MarginConfig, TripletConfig, margin_preset
 from .protocol import AGGREGATIONS
+from .synthetic import SyntheticSpec
 from .tsne import TsneConfig
 
 _LINE = re.compile(r"^([A-Za-z0-9_.]+)\.([A-Za-z0-9_]+)\s*=\s*(.*\S)\s*$")
@@ -104,10 +105,9 @@ class PipelineConfig:
                 field="protocol.aggregation",
             )
         if not self.swaps:
-            self.swaps = [
-                SwapSettings(Method.FACESWAP, alpha=0.8, sigma=0.05, per_subject=40),
-                SwapSettings(Method.NEURALTEXTURES, sigma=0.05, per_subject=40),
-            ]
+            self.swaps = [SwapSettings(Method.FACESWAP), SwapSettings(Method.NEURALTEXTURES)]
+        for part in ("train", "eval"):
+            self.synthetic_spec(part)  # fail before any stage runs
         if self.tsne_enabled:
             self.tsne_config()  # fail before any stage runs
 
@@ -117,6 +117,21 @@ class PipelineConfig:
         if self.margin is not None:
             return self.margin
         return margin_preset(self.loss_name)
+
+    def synthetic_spec(self, part: str) -> SyntheticSpec:
+        """Generator spec of the 'train' or 'eval' identities; a bad value
+        names its synth.* field."""
+        try:
+            return SyntheticSpec(
+                self.train_identities if part == "train" else self.eval_identities,
+                self.samples_per_identity,
+                self.raw_dim,
+                self.concentration,
+                child_seed(self.seed, f"synth:{part}"),
+            )
+        except ConfigError as exc:
+            key = f"{part}_identities" if exc.field == "num_identities" else exc.field
+            raise ConfigError(exc.reason, field=f"synth.{key}") from None
 
     def tsne_config(self) -> TsneConfig:
         """The t-SNE optimizer settings; a bad value names its tsne.* field."""
@@ -265,17 +280,10 @@ def parse_config(text: str) -> PipelineConfig:
         )
     triplet = TripletConfig(triplet_margin) if triplet_margin is not None else TripletConfig()
 
-    swaps = []
-    for method_name in sorted(swap_raw, key=lambda nm: METHOD_BY_NAME[nm]):
-        fields = swap_raw[method_name]
-        swaps.append(
-            SwapSettings(
-                METHOD_BY_NAME[method_name],
-                alpha=fields.get("alpha", 0.8),
-                sigma=fields.get("sigma", 0.05),
-                per_subject=fields.get("per_subject", 40),
-            )
-        )
+    swaps = [
+        SwapSettings(METHOD_BY_NAME[name], **swap_raw[name])
+        for name in sorted(swap_raw, key=METHOD_BY_NAME.get)
+    ]
 
     return PipelineConfig(
         margin=margin, triplet=triplet, swaps=swaps, raw_text=text, **values

@@ -165,7 +165,8 @@ def read_csv(path) -> EmbeddingDataset:
     str.splitlines(), which yields exactly the lines of the whole text
     (\\v, \\f and \\x1c-\\x1e end a line too), and parsed rows are kept
     in float32 blocks of _CSV_BLOCK_ROWS."""
-    with open(path, "r", encoding="ascii") as fh:
+    # a byte above 0x7f decodes to a lone surrogate and is reported at its line
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         lines = (line for physical in fh for line in physical.splitlines())
         header = next(lines, None)
         if header is None:
@@ -209,6 +210,9 @@ def read_csv(path) -> EmbeddingDataset:
             for lineno, line in enumerate(lines, start=2):
                 if not line:
                     continue
+                if not line.isascii():
+                    byte = next(b for b in line.encode("ascii", "surrogateescape") if b > 0x7F)
+                    raise FormatError(f"non-ASCII byte {byte:#04x}", offset=lineno)
                 fields = line.split(",")
                 if len(fields) != 4 + dim:
                     raise FormatError(

@@ -14,11 +14,11 @@ segment where FAR crosses FRR = 1 - GAR and interpolating linearly.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .embeddings import METHOD_NAMES, Method, method_group
+from .embeddings import METHOD_NAMES, method_group, row_groups
 from .errors import EmptyScores, RangeError
 
 HISTOGRAM_BINS = 50
@@ -38,6 +38,25 @@ class RocCurve:
 
     def points(self):
         return list(zip(self.far.tolist(), self.gar.tolist()))
+
+    def auc(self) -> float:
+        """Trapezoidal area under the curve."""
+        far, gar = self.far, self.gar
+        # numpy 2's trapezoid expression, written out for numpy < 2.0
+        return float((np.diff(far) * (gar[1:] + gar[:-1]) / 2.0).sum())
+
+    def eer(self) -> float:
+        """FAR where the polyline crosses FAR = FRR = 1 - GAR, linearly
+        interpolated within the bracketing segment."""
+        # h = FAR + GAR - 1 runs monotonically from -1 to +1 along the curve
+        h = self.far + self.gar - 1.0
+        k = int(np.searchsorted(h, 0.0, side="left"))
+        if k == 0:
+            return float(self.far[0])
+        if h[k] == 0.0:
+            return float(self.far[k])
+        t = (0.0 - h[k - 1]) / (h[k] - h[k - 1])
+        return float(self.far[k - 1] + t * (self.far[k] - self.far[k - 1]))
 
 
 def _as_scores(scores, what):
@@ -72,26 +91,14 @@ def auc(genuine, imposter) -> float:
     Equals the probability that a random genuine score exceeds a random
     imposter score, ties counted 1/2.
     """
-    curve = roc_curve(genuine, imposter)
-    far, gar = curve.far, curve.gar
-    # numpy 2's trapezoid expression, written out for numpy < 2.0
-    return float((np.diff(far) * (gar[1:] + gar[:-1]) / 2.0).sum())
+    return roc_curve(genuine, imposter).auc()
 
 
 def eer(genuine, imposter) -> float:
     """Equal error rate: FAR at the point of the ROC polyline where
     FAR = FRR = 1 - GAR, linearly interpolated within the bracketing
     segment."""
-    curve = roc_curve(genuine, imposter)
-    # h = FAR + GAR - 1 runs monotonically from -1 to +1 along the curve
-    h = curve.far + curve.gar - 1.0
-    k = int(np.searchsorted(h, 0.0, side="left"))
-    if k == 0:
-        return float(curve.far[0])
-    if h[k] == 0.0:
-        return float(curve.far[k])
-    t = (0.0 - h[k - 1]) / (h[k] - h[k - 1])
-    return float(curve.far[k - 1] + t * (curve.far[k] - curve.far[k - 1]))
+    return roc_curve(genuine, imposter).eer()
 
 
 def histogram(scores, bins: int = HISTOGRAM_BINS) -> np.ndarray:
@@ -123,14 +130,15 @@ class ReportRow:
 
 @dataclass
 class EvalReport:
-    """Per-method AUC/EER table plus score histograms and metadata."""
+    """Per-method AUC/EER table plus score histograms and metadata;
+    `curves` holds each method's ROC, which the JSON leaves out."""
 
     rows: list = field(default_factory=list)
     histograms: dict = field(default_factory=dict)
     counts: dict = field(default_factory=dict)
-    warnings: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
     histogram_bins: int = HISTOGRAM_BINS
+    curves: dict = field(default_factory=dict, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -138,18 +146,8 @@ class EvalReport:
             "histogram_bins": self.histogram_bins,
             "histograms": {k: [int(c) for c in v] for k, v in self.histograms.items()},
             "metadata": self.metadata,
-            "rows": [
-                {
-                    "auc": row.auc,
-                    "eer_percent": row.eer_percent,
-                    "group": row.group,
-                    "method": row.method,
-                    "n_genuine": row.n_genuine,
-                    "n_imposter": row.n_imposter,
-                }
-                for row in self.rows
-            ],
-            "warnings": self.warnings,
+            "rows": [asdict(row) for row in self.rows],
+            "warnings": [],
         }
 
     def to_json(self) -> str:
@@ -170,50 +168,40 @@ class EvalReport:
                         f"{row.method:<16} {row.group:<16} "
                         f"{row.auc:>7.3f} {row.eer_percent:>7.2f}%"
                     )
-        for warning in self.warnings:
-            lines.append(f"# warning: {warning}")
         return "\n".join(lines) + "\n"
 
 
-def build_report(records, metadata: dict | None = None) -> EvalReport:
-    """Aggregate ScoreRecords into a per-method AUC/EER report.
+def build_report(scores, metadata: dict | None = None) -> EvalReport:
+    """Aggregate a ScoreSet into a per-method AUC/EER report.
 
     Every method's metrics pit all genuine scores against that method's
-    imposter scores. Methods without imposter records are skipped with a
-    warning entry; rows are ordered by method code.
+    imposter scores and are read off one ROC curve per method; rows are
+    ordered by method code.
     """
-    genuine = [r.score for r in records if r.kind == "genuine"]
-    if not genuine:
+    genuine = scores.score[scores.genuine]
+    if not genuine.size:
         raise EmptyScores("report requires at least one genuine record")
-
-    by_method: dict[Method, list] = {}
-    for r in records:
-        if r.kind == "imposter":
-            by_method.setdefault(r.method, []).append(r.score)
+    imposter = scores.score[~scores.genuine]
 
     report = EvalReport(metadata=dict(metadata or {}))
     report.counts = {
-        "genuine": len(genuine),
-        "imposter": sum(len(v) for v in by_method.values()),
-        "total": len(records),
+        "genuine": genuine.size,
+        "imposter": imposter.size,
+        "total": len(scores),
     }
     report.histograms["genuine"] = histogram(genuine)
-
-    for method in sorted(by_method):
-        scores = by_method[method]
-        name = METHOD_NAMES[method]
-        if not scores:
-            report.warnings.append(f"method {name} has no imposter scores; skipped")
-            continue
-        report.histograms[name] = histogram(scores)
+    for method, pos in row_groups(scores.method[~scores.genuine]):
+        name, values = METHOD_NAMES[method], imposter[pos]
+        curve = report.curves[name] = roc_curve(genuine, values)
+        report.histograms[name] = histogram(values)
         report.rows.append(
             ReportRow(
                 method=name,
                 group=method_group(method),
-                auc=round(auc(genuine, scores), 4),
-                eer_percent=round(100.0 * eer(genuine, scores), 2),
-                n_genuine=len(genuine),
-                n_imposter=len(scores),
+                auc=round(curve.auc(), 4),
+                eer_percent=round(100.0 * curve.eer(), 2),
+                n_genuine=genuine.size,
+                n_imposter=len(pos),
             )
         )
     return report

@@ -34,10 +34,10 @@ from .metrics import (
     EvalReport,
     build_report,
     histograms_to_csv,
-    roc_curve,
     roc_to_csv,
 )
 from .protocol import (
+    ScoreSet,
     assert_subject_disjoint,
     build_gallery,
     run_protocol,
@@ -46,7 +46,6 @@ from .protocol import (
 from .synthetic import (
     RawDataset,
     SwapSpec,
-    SyntheticSpec,
     draws_noise,
     expression_swap_rows,
     generate_identities,
@@ -63,7 +62,7 @@ class RunResult:
 
     out_dir: Path
     report: EvalReport
-    scores: list
+    scores: ScoreSet
     dataset: EmbeddingDataset
     curve: np.ndarray
     artifacts: dict = field(default_factory=dict)
@@ -87,25 +86,14 @@ def _run_stage(stage, fn, *args, **kwargs):
         raise StageFailure(stage, exc) from exc
 
 
-def _synthetic_spec(cfg: PipelineConfig, part: str) -> SyntheticSpec:
-    """Generator spec of the 'train' or 'eval' identities."""
-    return SyntheticSpec(
-        cfg.train_identities if part == "train" else cfg.eval_identities,
-        cfg.samples_per_identity,
-        cfg.raw_dim,
-        cfg.concentration,
-        child_seed(cfg.seed, f"synth:{part}"),
-    )
-
-
 def synth_stage(cfg: PipelineConfig):
     """Generate disjoint training and evaluation identity clusters.
 
     Evaluation labels are offset by the training identity count so the
     two id ranges never collide.
     """
-    train_raw = generate_identities(_synthetic_spec(cfg, "train"))
-    eval_raw = generate_identities(_synthetic_spec(cfg, "eval"))
+    train_raw = generate_identities(cfg.synthetic_spec("train"))
+    eval_raw = generate_identities(cfg.synthetic_spec("eval"))
     eval_raw = RawDataset(
         eval_raw.features, eval_raw.labels + cfg.train_identities, eval_raw.means
     )
@@ -251,17 +239,6 @@ def _write_text(out_dir: Path, name: str, text: str, artifacts: dict) -> None:
     artifacts[name] = path
 
 
-def _roc_csv_from_scores(scores) -> str:
-    genuine = [r.score for r in scores if r.kind == "genuine"]
-    curves = {}
-    for method in sorted({r.method for r in scores if r.kind == "imposter"}):
-        imposter = [
-            r.score for r in scores if r.kind == "imposter" and r.method == method
-        ]
-        curves[METHOD_NAMES[method]] = roc_curve(genuine, imposter)
-    return roc_to_csv(curves)
-
-
 def write_manifest(cfg: PipelineConfig, out_dir: Path, artifacts: dict) -> Path:
     manifest = {
         "artifacts": sorted(artifacts),
@@ -299,7 +276,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None) -> RunResult:
     report = _run_stage("report", report_stage, cfg, scores)
     _write_text(out, "report.json", report.to_json(), artifacts)
     _write_text(out, "report.txt", report.format_table(), artifacts)
-    _write_text(out, "roc.csv", _roc_csv_from_scores(scores), artifacts)
+    _write_text(out, "roc.csv", roc_to_csv(report.curves), artifacts)
     _write_text(out, "histograms.csv", histograms_to_csv(report), artifacts)
 
     if cfg.tsne_enabled:
@@ -332,7 +309,7 @@ def synth_embedding_dataset(cfg: PipelineConfig) -> EmbeddingDataset:
     """Training-free dataset: the synthetic clusters are used directly
     as embeddings (they already live on the unit sphere) and the
     configured simulators supply the fakes."""
-    raw = generate_identities(_synthetic_spec(cfg, "eval"))
+    raw = generate_identities(cfg.synthetic_spec("eval"))
     real_ds = EmbeddingDataset.reals(raw.labels, raw.features)
     return real_ds.concat(simulate_fakes(real_ds, cfg.swaps, cfg.seed))
 

@@ -12,7 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import METHOD_BY_NAME, METHOD_NAMES, EmbeddingDataset, Method, row_groups
+from .embeddings import (
+    METHOD_BY_NAME,
+    METHOD_NAMES,
+    EmbeddingDataset,
+    Method,
+    first_fault,
+    row_groups,
+)
 from .errors import (
     ConfigError,
     EmptyGallery,
@@ -42,22 +49,60 @@ class Gallery:
         return self.entries[subject]
 
 
-@dataclass(frozen=True)
-class ScoreRecord:
-    """One probe's match score against its host subject's gallery."""
+# the fields of a scores.csv row, one ScoreSet column each
+_ROW = np.dtype([("score", "f8"), ("genuine", "?"), ("method", "u1"), ("subject", "u4")])
 
-    score: float
-    kind: str
-    method: Method
-    subject: int
+
+@dataclass(eq=False)
+class ScoreSet:
+    """Probe scores stored as columns that mirror the `scores.csv` row;
+    row i of every column is score i.
+
+    score: (n,) float64 cosine in [-1, 1]; genuine: (n,) bool, False for an
+    imposter; method: (n,) uint8 wire code (see Method), NONE exactly on
+    the genuine rows; subject: (n,) uint32 host subject.
+    """
+
+    score: np.ndarray
+    genuine: np.ndarray
+    method: np.ndarray
+    subject: np.ndarray
 
     def __post_init__(self):
-        if self.kind not in ("genuine", "imposter"):
-            raise ConfigError(f"bad score kind {self.kind!r}")
-        if self.kind == "genuine" and self.method != Method.NONE:
-            raise ConfigError("genuine records must carry method 'none'")
-        if not -1.0 <= self.score <= 1.0:
-            raise ConfigError(f"cosine score {self.score} outside [-1, 1]")
+        for name in _ROW.names:
+            setattr(self, name, np.ascontiguousarray(getattr(self, name), dtype=_ROW[name]))
+        if self.score.ndim != 1 or any(c.shape != self.score.shape for c in self._columns()):
+            raise ConfigError("score columns must be 1-D and of one length")
+        fault = _first_score_fault(self.score, self.genuine, self.method)
+        if fault is not None:
+            raise ConfigError(f"row {fault[0]}: {fault[1]}")
+
+    def __len__(self):
+        return len(self.score)
+
+    def _columns(self):
+        return tuple(getattr(self, name) for name in _ROW.names)
+
+    def __eq__(self, other):
+        """Bitwise equality of every column."""
+        if not isinstance(other, ScoreSet):
+            return NotImplemented
+        return all(a.tobytes() == b.tobytes() for a, b in zip(self._columns(), other._columns()))
+
+
+def _first_score_fault(score, genuine, method):
+    """(row, message) of the earliest row that breaks a score rule, or None."""
+    faults = [
+        (method > max(Method), lambda i: f"unknown method code {method[i]}"),
+        (genuine != (method == Method.NONE), lambda i: (
+            "genuine scores must carry method 'none'" if genuine[i]
+            else "imposter scores must carry a manipulation method"
+        )),
+        (~((score >= -1.0) & (score <= 1.0)),  # NaN fails both
+         lambda i: f"cosine score {float(score[i])!r} outside [-1, 1]"),
+    ]
+    hit = first_fault([mask for mask, _ in faults])
+    return None if hit is None else (hit[0], faults[hit[1]][1](hit[0]))
 
 
 def build_gallery(
@@ -124,11 +169,11 @@ def match_probe(probe, subject_gallery, aggregation: str = "mean") -> float:
     return float(_score(templates, vec[None], aggregation)[0])
 
 
-def run_protocol(gallery: Gallery, probes: EmbeddingDataset, aggregation: str = "mean") -> list:
+def run_protocol(gallery: Gallery, probes: EmbeddingDataset, aggregation: str = "mean") -> ScoreSet:
     """Score every probe against its host subject's gallery.
 
-    Output order equals input order and every probe produces exactly one
-    ScoreRecord.
+    Score i belongs to probe i: real probes are genuine, fakes imposters
+    carrying their method, and the subject is the probe's host.
     """
     if aggregation not in AGGREGATIONS:
         raise ConfigError(f"aggregation must be one of {AGGREGATIONS}")
@@ -140,13 +185,7 @@ def run_protocol(gallery: Gallery, probes: EmbeddingDataset, aggregation: str = 
     for host, pos in row_groups(probes.host):
         vectors = probes.vectors[pos].astype(np.float64)
         scores[pos] = _score(gallery.entries[host], vectors, aggregation)
-    methods = tuple(Method)  # by wire code; real records carry NONE
-    return [
-        ScoreRecord(score, "imposter" if fake else "genuine", methods[code], host)
-        for score, fake, code, host in zip(
-            scores.tolist(), probes.fake.tolist(), probes.method.tolist(), probes.host.tolist()
-        )
-    ]
+    return ScoreSet(scores, ~probes.fake, probes.method, probes.host)
 
 
 def assert_subject_disjoint(training_ids, evaluation_ids) -> None:
@@ -156,41 +195,63 @@ def assert_subject_disjoint(training_ids, evaluation_ids) -> None:
         raise SubjectOverlap(sorted(overlap))
 
 
-def scores_to_csv(records) -> str:
-    """Serialize ScoreRecords as `score,kind,method,subject` CSV."""
-    lines = ["score,kind,method,subject"]
-    for r in records:
-        lines.append(f"{float(r.score)!r},{r.kind},{METHOD_NAMES[r.method]},{r.subject}")
+_HEADER = "score,kind,method,subject"
+_KINDS = {"genuine": True, "imposter": False}
+
+
+def scores_to_csv(scores: ScoreSet) -> str:
+    """Serialize a ScoreSet as `score,kind,method,subject` CSV; each score
+    is written as its repr, so it reads back bit-exactly."""
+    rows = zip(*(column.tolist() for column in scores._columns()))
+    lines = [_HEADER] + [
+        f"{score!r},{'genuine' if genuine else 'imposter'},{METHOD_NAMES[method]},{subject}"
+        for score, genuine, method, subject in rows
+    ]
     return "\n".join(lines) + "\n"
 
 
-def scores_from_csv(text: str) -> list:
-    """Parse the CSV written by scores_to_csv."""
+def scores_from_csv(text: str) -> ScoreSet:
+    """Parse the CSV written by scores_to_csv; a ConfigError names the
+    earliest line at fault."""
     lines = text.strip().split("\n")
-    if not lines or lines[0] != "score,kind,method,subject":
+    if lines[0] != _HEADER:
         raise ConfigError("bad score CSV header", line=1)
-    records = []
-    for ln, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise ConfigError(f"expected 4 fields, got {len(parts)}", line=ln)
-        score, kind, method_name, subject = parts
-        if method_name not in METHOD_BY_NAME:
-            raise ConfigError(f"unknown method {method_name!r}", line=ln)
-        try:
-            records.append(
-                ScoreRecord(
-                    float(score), kind, METHOD_BY_NAME[method_name], int(subject)
-                )
-            )
-        except (ValueError, ConfigError) as exc:
-            raise ConfigError(str(exc), line=ln) from None
-    return records
+    rows = []
+
+    def checked_rows():
+        # the rows read so far, row i from line i + 2
+        table = np.array(rows, dtype=_ROW)
+        fault = _first_score_fault(table["score"], table["genuine"], table["method"])
+        if fault is not None:
+            raise ConfigError(fault[1], line=fault[0] + 2)
+        return ScoreSet(*(table[name] for name in _ROW.names))
+
+    try:
+        for ln, line in enumerate(lines[1:], start=2):
+            parts = line.split(",")
+            if len(parts) != 4:
+                raise ConfigError(f"expected 4 fields, got {len(parts)}", line=ln)
+            score, kind, method_name, subject = parts
+            if kind not in _KINDS:
+                raise ConfigError(f"bad score kind {kind!r}", line=ln)
+            if method_name not in METHOD_BY_NAME:
+                raise ConfigError(f"unknown method {method_name!r}", line=ln)
+            try:
+                row = (float(score), _KINDS[kind], METHOD_BY_NAME[method_name], int(subject))
+            except ValueError as exc:
+                raise ConfigError(str(exc), line=ln) from None
+            if not 0 <= row[3] < 2**32:
+                raise ConfigError("subject id outside the u32 range", line=ln)
+            rows.append(row)
+    except ConfigError:
+        checked_rows()  # a fault on an earlier line is reported first
+        raise
+    return checked_rows()
 
 
 __all__ = [
     "Gallery",
-    "ScoreRecord",
+    "ScoreSet",
     "build_gallery",
     "match_probe",
     "run_protocol",

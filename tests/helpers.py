@@ -31,7 +31,7 @@ from verifake.errors import (
     UnknownSubject,
 )
 from verifake.losses import ARCCOS_EPS, TripletConfig, _unit_rows
-from verifake.protocol import AGGREGATIONS, Gallery, ScoreRecord
+from verifake.protocol import AGGREGATIONS, Gallery, ScoreSet
 from verifake.synthetic import SwapSpec
 from verifake.tsne import (
     CALIBRATION_MAX_ITER,
@@ -560,9 +560,39 @@ def reference_match_probe(probe, subject_gallery, aggregation="mean") -> float:
     return float(min(1.0, max(-1.0, value)))
 
 
+class ScoreRow(NamedTuple):
+    """One probe score, laid out as the old per-record score type."""
+
+    score: float
+    kind: str  # "genuine" or "imposter"
+    method: Method
+    subject: int
+
+
+def score_rows(scores: ScoreSet) -> list:
+    """The ScoreSet's rows as ScoreRows, in order."""
+    return [
+        ScoreRow(score, "genuine" if genuine else "imposter", Method(method), subject)
+        for score, genuine, method, subject in zip(
+            scores.score.tolist(), scores.genuine.tolist(),
+            scores.method.tolist(), scores.subject.tolist(),
+        )
+    ]
+
+
+def score_set(rows) -> ScoreSet:
+    """The ScoreSet holding ScoreRows `rows`, in order."""
+    return ScoreSet(
+        [r.score for r in rows],
+        [r.kind == "genuine" for r in rows],
+        [r.method for r in rows],
+        [r.subject for r in rows],
+    )
+
+
 def reference_run_protocol(gallery, probes, aggregation="mean") -> list:
     """`protocol.run_protocol` as it was: one `match_probe` per probe
-    Record."""
+    Record, giving one ScoreRow per probe."""
     records = []
     for rec in probes:
         host = rec.host_subject_id
@@ -572,7 +602,7 @@ def reference_run_protocol(gallery, probes, aggregation="mean") -> list:
             rec.vector.astype(np.float64), gallery.entries[host], aggregation
         )
         if rec.fake:
-            records.append(ScoreRecord(score, "imposter", rec.method, host))
+            records.append(ScoreRow(score, "imposter", rec.method, host))
         else:
-            records.append(ScoreRecord(score, "genuine", Method.NONE, host))
+            records.append(ScoreRow(score, "genuine", Method.NONE, host))
     return records

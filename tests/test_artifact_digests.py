@@ -1,0 +1,95 @@
+"""Artifact bytes pinned by sha256.
+
+Runs `demo.cfg` and then every subcommand that writes files, and compares
+the sha256 of each file written against the digests of the initial import
+(commit 4314888). Reruns are byte-identical on one machine; a BLAS kernel
+with another FMA order may change the bytes on another, so a mismatch names
+the numpy version and the BLAS core it ran on.
+"""
+
+import ctypes
+import hashlib
+from pathlib import Path
+
+import numpy as np
+
+from verifake.cli import EXIT_OK, main
+
+DEMO = Path(__file__).resolve().parents[1] / "demo.cfg"
+
+COMMANDS = [
+    ["run", "--config", str(DEMO), "--out", "run"],
+    ["eval", "run/embeddings.emb1", "--config", str(DEMO), "--out", "eval-emb1"],
+    ["synth", "--config", str(DEMO), "--format", "emb1", "--out", "synth-emb1"],
+    ["synth", "--config", str(DEMO), "--format", "csv", "--out", "synth-csv"],
+    ["eval", "synth-csv/synth.csv", "--config", str(DEMO), "--out", "eval-csv"],
+    ["tsne", "run/embeddings.emb1", "--config", str(DEMO), "--out", "tsne"],
+    ["report", "run/scores.csv", "--out", "report"],
+]
+
+DIGESTS = {
+    "eval-csv/report.json": "cf46b791574daf4e48830a2bcd5cba78d35fc652b6f5e001197fba2ddf03a908",
+    "eval-csv/report.txt": "e0e653c838e1a574ebe7067958f6cd8779c03e6268d91f9b6962faa0db3a7b5f",
+    "eval-csv/scores.csv": "db352fa39e97477890989312c83f353ab495762dbff5cf2aa21e3c2d5be76d98",
+    "eval-emb1/report.json": "06ed500be8f106d950f621cc437141204170c7f7cb7ad0160000cd060b94e742",
+    "eval-emb1/report.txt": "eb7663777a19ca8febe646e50cc8c38c16697c139295f1d03573382fe08a6404",
+    "eval-emb1/scores.csv": "0cf9f2f4a85066a47ed5b48787a946cbb4d781ee3bd0ca4dd6da7bdcef022fae",
+    "report/report.json": "129f66141215c45efb8f41122e37936a707b993040670735101b5628654121b6",
+    "report/report.txt": "0c1ff3ad4c16805caf263c16a0cd6cd616f38f5bdbdb235e6db5f3db8d36d8f4",
+    "run/embeddings.emb1": "15c7ab8274e1b8ba6e5da14df528b9333eab9e8fcca8a1308153ebac1af142a1",
+    "run/histograms.csv": "6bf98fa3aae38d4cc03bfdf5eb83eeba7acafee2d652df144550b675daa37cb3",
+    "run/kl_trace.csv": "e6ff54817ee930968946c2e4f6bd21e25be113936d390dff45a3cad1ddb730eb",
+    "run/manifest.json": "75a0a9e32cfd4c0095df33fe21a162c6267645ec53cc2aa70b3af7a7c430cc39",
+    "run/report.json": "3dfda45a4856b2462448613f115e481c56949ffab4ea1a9595271937768d346d",
+    "run/report.txt": "cf6b53eb9fd5b626ffce71502254ba3ebc6a20de157bb0477ffc6705d5839594",
+    "run/roc.csv": "ac81cc6a1f0663bdd3fde0c8022d9ae2c67dcf1b87d86e4763e9a0841f635461",
+    "run/scores.csv": "0cf9f2f4a85066a47ed5b48787a946cbb4d781ee3bd0ca4dd6da7bdcef022fae",
+    "run/train_curve.csv": "ecb77fa3b0b7092e98a3debbe7fbdf60766bed717cc25e7bd37f3f6ce1df3dac",
+    "run/tsne.csv": "66322b9ce7b7f069a5b193588f26484ed35c5325a624f293cb3eaba836536625",
+    "synth-csv/synth.csv": "2e0487f3fd861e54c1f063d5f1600aa0cb8fef3ae274e0fda1c4325ebb4fbbae",
+    "synth-emb1/synth.emb1": "e8a4132cad3603d8f25416e89d1db7eb815e1445b2003cdd6ac9ade5832d8cec",
+    "tsne/kl_trace.csv": "e6ff54817ee930968946c2e4f6bd21e25be113936d390dff45a3cad1ddb730eb",
+    "tsne/tsne.csv": "66322b9ce7b7f069a5b193588f26484ed35c5325a624f293cb3eaba836536625",
+}
+
+
+def blas_core() -> str:
+    """The BLAS build numpy links and, for OpenBLAS, the core kernel it
+    picked at run time."""
+    try:  # mode= needs numpy >= 1.26
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        build = f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError):
+        build = "unknown BLAS"
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        libs = []
+    for lib_path in libs:
+        lib = ctypes.CDLL(lib_path)
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_char_p
+                return f"{build}, core {fn().decode()}"
+    return build
+
+
+def test_artifact_bytes_match_pinned_digests(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for argv in COMMANDS:
+        assert main(argv) == EXIT_OK, argv
+    capsys.readouterr()
+
+    written = {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.rglob("*")
+        if path.is_file()
+    }
+    assert sorted(written) == sorted(DIGESTS)
+    changed = sorted(name for name in DIGESTS if written[name] != DIGESTS[name])
+    assert not changed, (
+        f"artifact bytes changed: {', '.join(changed)} "
+        f"(numpy {np.__version__}, {blas_core()})"
+    )

@@ -248,6 +248,16 @@ def test_report_bad_csv_exits_2(tmp_path, capsys):
     bad = tmp_path / "scores.csv"
     bad.write_text("score,kind,method,subject\n0.5,maybe,none,0\n")
     assert main(["report", str(bad)]) == EXIT_CONFIG
+    # an imposter row without a manipulation method, and an undecodable
+    # byte, are config errors that name their line
+    rows = "score,kind,method,subject\n0.9,genuine,none,1\n0.1,imposter,FaceSwap,1\n"
+    capsys.readouterr()
+    bad.write_text(rows + "0.2,imposter,none,1\n")
+    assert main(["report", str(bad)]) == EXIT_CONFIG
+    assert "line 4" in capsys.readouterr().err
+    bad.write_bytes(rows.encode() + b"0.2\xff,imposter,FaceSwap,1\n")
+    assert main(["report", str(bad)]) == EXIT_CONFIG
+    assert "line 4" in capsys.readouterr().err
 
 
 def test_loss_choices_are_the_loss_names():

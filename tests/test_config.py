@@ -118,6 +118,10 @@ def test_bad_value_mentions_field():
         parse_config("tsne.enabled = maybe\n")
     with pytest.raises(ConfigError, match="train.lr_marks"):
         parse_config("train.lr_marks = 5\n")
+    # the generator's own field names appear in no config file
+    for part in ("train", "eval"):
+        with pytest.raises(ConfigError, match=f"field 'synth.{part}_identities'"):
+            parse_config(f"synth.{part}_identities = 1\n")
 
 
 def test_unknown_loss_rejected():

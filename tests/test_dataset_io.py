@@ -321,6 +321,19 @@ def test_csv_earliest_bad_line_reported_first(tmp_path):
     assert err.value.offset == 2
 
 
+def test_csv_undecodable_byte_names_its_line(tmp_path):
+    # lines count as the reader counts them: the blank line 3 and the
+    # "\r" break both end a line
+    path = tmp_path / "n.csv"
+    path.write_bytes(
+        CSV_HEADER.encode() + b"0,0,real,none,1.0,0.0\n\n1,1,real,none,1.0,0.0\r"
+        b"2,2,real,none,1.0,0.\xe90\n"
+    )
+    with pytest.raises(FormatError, match="non-ASCII byte 0xe9") as err:
+        read_csv(path)
+    assert err.value.offset == 5
+
+
 def test_sniffing_dispatch(tmp_path):
     ds = sample_dataset(dim=3, seed=9)
     b = tmp_path / "a.emb1"

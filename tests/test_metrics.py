@@ -4,7 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from helpers import ScoreRow, score_set
 
+import verifake.metrics as metrics_module
 from verifake.embeddings import Method
 from verifake.errors import EmptyScores, RangeError
 from verifake.metrics import (
@@ -17,7 +19,6 @@ from verifake.metrics import (
     roc_curve,
     roc_to_csv,
 )
-from verifake.protocol import ScoreRecord
 
 THIRD = 1.0 / 3.0
 
@@ -187,18 +188,18 @@ def test_histogram_rejects_out_of_range():
 
 
 def genuine_records(scores):
-    return [ScoreRecord(s, "genuine", Method.NONE, 0) for s in scores]
+    return [ScoreRow(s, "genuine", Method.NONE, 0) for s in scores]
 
 
 def imposter_records(scores, method):
-    return [ScoreRecord(s, "imposter", method, 0) for s in scores]
+    return [ScoreRow(s, "imposter", method, 0) for s in scores]
 
 
 def test_single_method_report_has_one_row():
     records = genuine_records([0.9, 0.8, 0.7]) + imposter_records(
         [0.2, 0.1], Method.FACESWAP
     )
-    report = build_report(records)
+    report = build_report(score_set(records))
     assert len(report.rows) == 1
     row = report.rows[0]
     assert row.method == "FaceSwap"
@@ -214,21 +215,21 @@ def test_report_counts_sum_to_input():
         + imposter_records([0.3], Method.FACESWAP)
         + imposter_records([0.4, 0.5], Method.NEURALTEXTURES)
     )
-    report = build_report(records)
+    report = build_report(score_set(records))
     assert report.counts == {"genuine": 2, "imposter": 3, "total": 5}
     assert {r.method for r in report.rows} == {"FaceSwap", "NeuralTextures"}
 
 
 def test_report_requires_genuine_scores():
     with pytest.raises(EmptyScores):
-        build_report(imposter_records([0.3], Method.FACESWAP))
+        build_report(score_set(imposter_records([0.3], Method.FACESWAP)))
 
 
 def test_report_rounding_and_table_format():
     # auc lands on 4/7 = 0.571428..., checking dict (4 dp) vs table (3 dp)
     genuine = genuine_records([0.9, 0.85, 0.8, 0.75, 0.7, 0.65, 0.6])
     imposter = imposter_records([0.72], Method.DEEPFAKES)
-    report = build_report(genuine + imposter)
+    report = build_report(score_set(genuine + imposter))
     assert report.rows[0].auc == round(4 / 7, 4) == 0.5714
     table = report.format_table()
     assert "0.571" in table
@@ -243,7 +244,7 @@ def test_table_lists_identity_swaps_first():
         + imposter_records([0.1], Method.FACE2FACE)  # expression, code 2
         + imposter_records([0.2], Method.DEEPFAKES)  # identity, code 5
     )
-    table = build_report(records).format_table()
+    table = build_report(score_set(records)).format_table()
     assert table.index("Deepfakes") < table.index("Face2Face")
 
 
@@ -253,7 +254,7 @@ def test_report_rows_sorted_by_method_code():
         + imposter_records([0.2], Method.DEEPFAKES)
         + imposter_records([0.3], Method.FACESWAP)
     )
-    report = build_report(records)
+    report = build_report(score_set(records))
     assert [r.method for r in report.rows] == ["FaceSwap", "Deepfakes"]
 
 
@@ -261,20 +262,46 @@ def test_report_json_roundtrip():
     records = genuine_records([0.9, 0.8]) + imposter_records(
         [0.1, 0.2], Method.FACESHIFTER
     )
-    report = build_report(records, metadata={"loss": "cosface", "seed": 7})
+    report = build_report(score_set(records), metadata={"loss": "cosface", "seed": 7})
     text = report.to_json()
     assert text.endswith("\n")
     assert json.loads(text) == report.to_dict()
     # deterministic serialization
-    again = build_report(records, metadata={"seed": 7, "loss": "cosface"})
+    again = build_report(score_set(records), metadata={"seed": 7, "loss": "cosface"})
     assert again.to_json() == text
+
+
+def test_report_builds_one_roc_per_method(monkeypatch):
+    calls = []
+
+    def counted(genuine, imposter):
+        calls.append(len(imposter))
+        return roc_curve(genuine, imposter)
+
+    monkeypatch.setattr(metrics_module, "roc_curve", counted)
+    genuine = [0.9, 0.8, 0.7, 0.4]
+    records = (
+        genuine_records(genuine)
+        + imposter_records([0.75, 0.1], Method.FACESWAP)
+        + imposter_records([0.85, 0.3, 0.2], Method.FACE2FACE)
+    )
+    report = build_report(score_set(records))
+    assert calls == [2, 3]
+    # the rows and the ROC artifact read the same curves as the wrappers
+    assert list(report.curves) == ["FaceSwap", "Face2Face"]
+    for row, imposter in zip(report.rows, ([0.75, 0.1], [0.85, 0.3, 0.2])):
+        assert row.auc == round(auc(genuine, imposter), 4)
+        assert row.eer_percent == round(100.0 * eer(genuine, imposter), 2)
+    monkeypatch.undo()
+    expected = {"FaceSwap": roc_curve(genuine, [0.75, 0.1]), "Face2Face": roc_curve(genuine, [0.85, 0.3, 0.2])}
+    assert roc_to_csv(report.curves) == roc_to_csv(expected)
 
 
 def test_report_histograms_cover_each_series():
     records = genuine_records([0.9, 0.8]) + imposter_records(
         [0.1], Method.FACESWAP
     )
-    report = build_report(records)
+    report = build_report(score_set(records))
     assert set(report.histograms) == {"genuine", "FaceSwap"}
     assert report.histograms["genuine"].sum() == 2
     assert report.histograms["FaceSwap"].sum() == 1
@@ -299,7 +326,7 @@ def test_roc_csv_shape():
 
 def test_histograms_csv_shape():
     records = genuine_records([0.5, 0.6]) + imposter_records([0.1], Method.FACESWAP)
-    report = build_report(records)
+    report = build_report(score_set(records))
     lines = histograms_to_csv(report).strip().split("\n")
     assert lines[0] == "series,bin_lo,bin_hi,count"
     assert len(lines) == 1 + 2 * HISTOGRAM_BINS

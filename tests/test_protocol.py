@@ -1,4 +1,4 @@
-"""Gallery enrollment, probe matching, and score records."""
+"""Gallery enrollment, probe matching, and score sets."""
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from helpers import (
     records_of,
     reference_build_gallery,
     reference_run_protocol,
+    score_rows,
 )
 
 from verifake.embeddings import EmbeddingDataset, Method, l2_normalize
@@ -20,7 +21,7 @@ from verifake.errors import (
 )
 from verifake.metrics import eer, roc_curve
 from verifake.protocol import (
-    ScoreRecord,
+    ScoreSet,
     assert_subject_disjoint,
     build_gallery,
     match_probe,
@@ -159,9 +160,9 @@ def test_match_probe_bad_aggregation():
 def test_all_real_probes_are_genuine():
     ds = toy_dataset(subjects=2, per_subject=8)
     gallery, probes = build_gallery(ds, g=5, seed=0)
-    records = run_protocol(gallery, probes)
-    assert len(records) == len(probes)
-    assert all(r.kind == "genuine" and r.method == Method.NONE for r in records)
+    scores = run_protocol(gallery, probes)
+    assert len(scores) == len(probes)
+    assert scores.genuine.all() and (scores.method == Method.NONE).all()
 
 
 def test_conservation_and_order():
@@ -169,10 +170,10 @@ def test_conservation_and_order():
     rng = np.random.default_rng(6)
     ds = ds.concat(fakes_of(1, 0, Method.FACESWAP, unit_rows(rng, 4, 4)))
     gallery, probes = build_gallery(ds, g=5, seed=0)
-    records = run_protocol(gallery, probes)
-    assert len(records) == len(probes)
+    scores = run_protocol(gallery, probes)
+    assert len(scores) == len(probes)
     # output order and method multiset follow the probe list exactly
-    for fake, method, host, score in zip(probes.fake, probes.method, probes.host, records):
+    for fake, method, host, score in zip(probes.fake, probes.method, probes.host, score_rows(scores)):
         assert score.kind == ("imposter" if fake else "genuine")
         expect = method if fake else Method.NONE
         assert score.method == expect
@@ -207,9 +208,9 @@ def test_identity_swaps_score_below_genuine():
         ds = ds.concat(fakes_of(donor, host, Method.FACESWAP, [fake]))
     gallery, probes = build_gallery(ds, g=10, seed=0)
     scored = run_protocol(gallery, probes)
-    genuine = [r.score for r in scored if r.kind == "genuine"]
-    imposter = [r.score for r in scored if r.kind == "imposter"]
-    assert imposter and genuine
+    genuine = scored.score[scored.genuine]
+    imposter = scored.score[~scored.genuine]
+    assert imposter.size and genuine.size
     assert np.mean(imposter) < np.mean(genuine)
 
 
@@ -219,8 +220,8 @@ def test_monotone_transform_keeps_roc():
     ds = ds.concat(fakes_of(2, 0, Method.DEEPFAKES, unit_rows(rng, 8, 4)))
     gallery, probes = build_gallery(ds, g=6, seed=0)
     scored = run_protocol(gallery, probes)
-    genuine = np.array([r.score for r in scored if r.kind == "genuine"])
-    imposter = np.array([r.score for r in scored if r.kind == "imposter"])
+    genuine = scored.score[scored.genuine]
+    imposter = scored.score[~scored.genuine]
 
     base = roc_curve(genuine, imposter)
     bent = roc_curve(genuine ** 3, imposter ** 3)  # strictly increasing on [-1, 1]
@@ -260,7 +261,7 @@ def test_protocol_matches_per_record_reference_bitwise(seed, g, aggregation):
     assert counts == [13, 6, 9, 12]  # host 0 capped, the others uneven
     scores = run_protocol(gallery, probes, aggregation)
     expected = reference_run_protocol(ref_gallery, ref_probes, aggregation)
-    assert [(repr(r.score), r.kind, r.method, r.subject) for r in scores] == [
+    assert [(repr(r.score), r.kind, r.method, r.subject) for r in score_rows(scores)] == [
         (repr(r.score), r.kind, r.method, r.subject) for r in expected
     ]
 
@@ -286,27 +287,43 @@ def test_empty_side_is_disjoint():
 
 
 def test_score_record_validation():
-    with pytest.raises(ConfigError):
-        ScoreRecord(0.5, "bogus", Method.NONE, 1)
-    with pytest.raises(ConfigError):
-        ScoreRecord(0.5, "genuine", Method.FACESWAP, 1)
-    with pytest.raises(ConfigError):
-        ScoreRecord(1.5, "genuine", Method.NONE, 1)
+    # row 0 is good; row 1 breaks one rule per case, and the error names it
+    cases = [
+        ((0.5, True, Method.FACESWAP), "genuine scores must carry method 'none'"),
+        ((0.5, False, Method.NONE), "imposter scores must carry a manipulation method"),
+        ((1.5, True, Method.NONE), "cosine score 1.5 outside"),
+        ((float("nan"), True, Method.NONE), "cosine score nan outside"),
+        ((0.5, False, 7), "unknown method code 7"),
+    ]
+    for (score, genuine, method), message in cases:
+        with pytest.raises(ConfigError, match=f"row 1: {message}"):
+            ScoreSet([0.2, score], [True, genuine], [Method.NONE, method], [1, 1])
+    with pytest.raises(ConfigError, match="one length"):
+        ScoreSet([0.2, 0.3], [True], [Method.NONE], [1])
 
 
 def test_scores_csv_roundtrip():
-    records = [
-        ScoreRecord(0.875, "genuine", Method.NONE, 0),
-        ScoreRecord(-0.25, "imposter", Method.FACESWAP, 1),
-        ScoreRecord(0.1234567890123, "imposter", Method.NEURALTEXTURES, 2),
+    scores = ScoreSet(
+        [0.875, -0.25, 0.1234567890123],
+        [True, False, False],
+        [Method.NONE, Method.FACESWAP, Method.NEURALTEXTURES],
+        [0, 1, 2],
+    )
+    text = scores_to_csv(scores)
+    assert text.splitlines() == [
+        "score,kind,method,subject",
+        "0.875,genuine,none,0",
+        "-0.25,imposter,FaceSwap,1",
+        "0.1234567890123,imposter,NeuralTextures,2",
     ]
-    text = scores_to_csv(records)
-    assert text.splitlines()[0] == "score,kind,method,subject"
-    assert scores_from_csv(text) == records
+    assert scores_from_csv(text) == scores
+    assert scores != ScoreSet(
+        [0.875, -0.25, 0.1234567890124], scores.genuine, scores.method, scores.subject
+    )
 
 
 def test_scores_csv_errors_carry_line_numbers():
-    good = scores_to_csv([ScoreRecord(0.5, "genuine", Method.NONE, 0)])
+    good = scores_to_csv(ScoreSet([0.5], [True], [Method.NONE], [0]))
     with pytest.raises(ConfigError, match="line 2"):
         scores_from_csv(good.replace("genuine", "maybe"))
     with pytest.raises(ConfigError, match="line 2"):
@@ -315,3 +332,11 @@ def test_scores_csv_errors_carry_line_numbers():
         scores_from_csv(good.replace("none", "wig"))
     with pytest.raises(ConfigError, match="line 1"):
         scores_from_csv("wrong,header,row,here\n")
+    with pytest.raises(ConfigError, match="u32.*line 2"):
+        scores_from_csv(good.replace(",0\n", ",-1\n"))
+    with pytest.raises(ConfigError, match="manipulation method: line 3"):
+        scores_from_csv(good + "0.2,imposter,none,1\n")
+    # a rule broken on line 3 is found after the loop, a parse error on
+    # line 4 inside it; line 3 is still the one reported
+    with pytest.raises(ConfigError, match="outside.*line 3"):
+        scores_from_csv(good + "1.5,genuine,none,1\n0.1,imposter,FaceSwap\n")
