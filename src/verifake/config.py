@@ -18,13 +18,14 @@ splitting scheme: the child seed for a named stage is the low 64 bits
 
 import hashlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .embeddings import METHOD_BY_NAME, Method
+from .embeddings import METHOD_BY_NAME, METHOD_NAMES, Method
 from .errors import ConfigError
 from .losses import LOSS_NAMES, MarginConfig, TripletConfig, margin_preset
-from .protocol import AGGREGATIONS
-from .synthetic import SyntheticSpec
+from .protocol import AGGREGATIONS, DEFAULT_GALLERY_SIZE, DEFAULT_PROBE_CAP
+from .synthetic import SwapSpec, SyntheticSpec
+from .trainer import DEFAULT_EMBED_DIM, DEFAULT_HIDDEN, TrainConfig
 from .tsne import TsneConfig
 
 _LINE = re.compile(r"^([A-Za-z0-9_.]+)\.([A-Za-z0-9_]+)\s*=\s*(.*\S)\s*$")
@@ -38,14 +39,36 @@ def child_seed(seed: int, stage: str) -> int:
     return int.from_bytes(digest[-8:], "big")
 
 
+def _keyed(section: str, renamed: dict, build, *args, **kwargs):
+    """build(*args, **kwargs), re-raising its ConfigError under the config
+    key `section.<field>`; `renamed` maps a field to its key where the two
+    differ."""
+    try:
+        return build(*args, **kwargs)
+    except ConfigError as exc:
+        key = renamed.get(exc.field, exc.field)
+        raise ConfigError(exc.reason, field=f"{section}.{key}") from None
+
+
 @dataclass(frozen=True)
 class SwapSettings:
-    """Simulator parameters for one manipulation method."""
+    """Simulator parameters for one manipulation method; a bad value names
+    its swap.<Method>.* field."""
 
     method: Method
-    alpha: float = 0.8
-    sigma: float = 0.05
+    alpha: float = SwapSpec.alpha
+    sigma: float = SwapSpec.noise_sigma
     per_subject: int = 40
+
+    def __post_init__(self):
+        section = f"swap.{METHOD_NAMES[self.method]}"
+        if self.per_subject < 1:
+            raise ConfigError("per_subject must be >= 1", field=f"{section}.per_subject")
+        _keyed(section, {"noise_sigma": "sigma"}, self.spec)
+
+    def spec(self) -> SwapSpec:
+        """The simulator's blend weight and noise level."""
+        return SwapSpec(alpha=self.alpha, noise_sigma=self.sigma)
 
 
 @dataclass
@@ -65,25 +88,26 @@ class PipelineConfig:
     raw_dim: int = 32
     concentration: float = 8.0
 
-    batch_size: int = 64
-    epochs: int = 25
-    lr: float = 0.1
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
-    lr_marks: tuple | None = None
-    embed_dim: int = 64
-    hidden_dims: tuple = (128, 128)
+    # the defaults below live with the code that uses them
+    batch_size: int = TrainConfig.batch_size
+    epochs: int = TrainConfig.epochs
+    lr: float = TrainConfig.lr
+    momentum: float = TrainConfig.momentum
+    weight_decay: float = TrainConfig.weight_decay
+    lr_marks: tuple | None = TrainConfig.lr_marks
+    embed_dim: int = DEFAULT_EMBED_DIM
+    hidden_dims: tuple = DEFAULT_HIDDEN
 
     swaps: list = field(default_factory=list)
 
-    gallery_size: int = 20
-    probe_cap: int = 1000
+    gallery_size: int = DEFAULT_GALLERY_SIZE
+    probe_cap: int = DEFAULT_PROBE_CAP
     aggregation: str = "mean"
 
     tsne_enabled: bool = True
-    tsne_perplexity: float = 30.0
-    tsne_iterations: int = 1000
-    tsne_learning_rate: float = 200.0
+    tsne_perplexity: float = TsneConfig.perplexity
+    tsne_iterations: int = TsneConfig.iterations
+    tsne_learning_rate: float = TsneConfig.learning_rate
     tsne_max_points: int = 500
 
     raw_text: str = ""
@@ -106,10 +130,15 @@ class PipelineConfig:
             )
         if not self.swaps:
             self.swaps = [SwapSettings(Method.FACESWAP), SwapSettings(Method.NEURALTEXTURES)]
+        # fail before any stage runs
         for part in ("train", "eval"):
-            self.synthetic_spec(part)  # fail before any stage runs
+            self.synthetic_spec(part)
+        self.train_config()
+        for key in ("gallery_size", "probe_cap"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1", field=f"protocol.{key}")
         if self.tsne_enabled:
-            self.tsne_config()  # fail before any stage runs
+            self.tsne_config()
 
     def resolved_margin(self) -> MarginConfig | None:
         if self.loss_name in ("softmax", "triplet"):
@@ -121,17 +150,31 @@ class PipelineConfig:
     def synthetic_spec(self, part: str) -> SyntheticSpec:
         """Generator spec of the 'train' or 'eval' identities; a bad value
         names its synth.* field."""
-        try:
-            return SyntheticSpec(
-                self.train_identities if part == "train" else self.eval_identities,
-                self.samples_per_identity,
-                self.raw_dim,
-                self.concentration,
-                child_seed(self.seed, f"synth:{part}"),
-            )
-        except ConfigError as exc:
-            key = f"{part}_identities" if exc.field == "num_identities" else exc.field
-            raise ConfigError(exc.reason, field=f"synth.{key}") from None
+        return _keyed(
+            "synth",
+            {"num_identities": f"{part}_identities"},
+            SyntheticSpec,
+            self.train_identities if part == "train" else self.eval_identities,
+            self.samples_per_identity,
+            self.raw_dim,
+            self.concentration,
+            child_seed(self.seed, f"synth:{part}"),
+        )
+
+    def train_config(self) -> TrainConfig:
+        """The SGD recipe; a bad value names its train.* field."""
+        return _keyed(
+            "train",
+            {},
+            TrainConfig,
+            batch_size=self.batch_size,
+            epochs=self.epochs,
+            lr=self.lr,
+            momentum=self.momentum,
+            weight_decay=self.weight_decay,
+            lr_marks=self.lr_marks,
+            seed=child_seed(self.seed, "train"),
+        )
 
     def tsne_config(self) -> TsneConfig:
         """The t-SNE optimizer settings; a bad value names its tsne.* field."""
@@ -140,15 +183,15 @@ class PipelineConfig:
                 "max_points must be >= 4 (t-SNE needs at least 4 points)",
                 field="tsne.max_points",
             )
-        try:
-            return TsneConfig(
-                perplexity=self.tsne_perplexity,
-                iterations=self.tsne_iterations,
-                learning_rate=self.tsne_learning_rate,
-                seed=child_seed(self.seed, "tsne"),
-            )
-        except ConfigError as exc:
-            raise ConfigError(exc.reason, field=f"tsne.{exc.field}") from None
+        return _keyed(
+            "tsne",
+            {},
+            TsneConfig,
+            perplexity=self.tsne_perplexity,
+            iterations=self.tsne_iterations,
+            learning_rate=self.tsne_learning_rate,
+            seed=child_seed(self.seed, "tsne"),
+        )
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.raw_text.encode("utf-8")).hexdigest()
@@ -258,12 +301,10 @@ def parse_config(text: str) -> PipelineConfig:
                 values[attr] = parser(raw)
             else:
                 raise ConfigError(f"unknown key {full}", line=ln, field=full)
-        except ConfigError:
-            raise
         except ValueError as exc:
             raise ConfigError(f"bad value for {full}: {exc}", line=ln, field=full)
 
-    loss_name = values.get("loss_name", "cosface")
+    loss_name = values.get("loss_name", PipelineConfig.loss_name)
     margin = None
     if margin_overrides:
         if loss_name in ("softmax", "triplet"):
@@ -271,13 +312,7 @@ def parse_config(text: str) -> PipelineConfig:
                 "loss.m1/m2/m3/scale only apply to margin losses",
                 field="loss",
             )
-        base = margin_preset(loss_name)
-        margin = MarginConfig(
-            m1=margin_overrides.get("m1", base.m1),
-            m2=margin_overrides.get("m2", base.m2),
-            m3=margin_overrides.get("m3", base.m3),
-            s=margin_overrides.get("s", base.s),
-        )
+        margin = replace(margin_preset(loss_name), **margin_overrides)
     triplet = TripletConfig(triplet_margin) if triplet_margin is not None else TripletConfig()
 
     swaps = [

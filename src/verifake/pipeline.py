@@ -13,7 +13,7 @@ artifact byte for byte.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +37,7 @@ from .metrics import (
     roc_to_csv,
 )
 from .protocol import (
+    DEFAULT_PROBE_CAP,
     ScoreSet,
     assert_subject_disjoint,
     build_gallery,
@@ -45,14 +46,13 @@ from .protocol import (
 )
 from .synthetic import (
     RawDataset,
-    SwapSpec,
     draws_noise,
     expression_swap_rows,
     generate_identities,
     identity_swap_rows,
     swap_noise,
 )
-from .trainer import TrainConfig, extract_embeddings, train_embedder
+from .trainer import extract_embeddings, train_embedder
 from .tsne import kl_trace_to_csv, layout_to_csv, run_tsne
 
 
@@ -104,19 +104,10 @@ def synth_stage(cfg: PipelineConfig):
 
 
 def train_stage(cfg: PipelineConfig, train_raw: RawDataset):
-    train_cfg = TrainConfig(
-        batch_size=cfg.batch_size,
-        epochs=cfg.epochs,
-        lr=cfg.lr,
-        momentum=cfg.momentum,
-        weight_decay=cfg.weight_decay,
-        lr_marks=cfg.lr_marks,
-        seed=child_seed(cfg.seed, "train"),
-    )
     return train_embedder(
         train_raw,
         cfg.loss_name,
-        train_cfg,
+        cfg.train_config(),
         embed_dim=cfg.embed_dim,
         hidden_dims=cfg.hidden_dims,
         margin=cfg.resolved_margin(),
@@ -151,7 +142,7 @@ def simulate_fakes(real_ds: EmbeddingDataset, swaps, seed: int) -> EmbeddingData
             raise ConfigError("identity swaps need at least 2 subjects")
         if not identity_swap and method not in EXPRESSION_SWAP_METHODS:
             raise ConfigError(f"{method!r} is not a manipulation method")
-        spec = SwapSpec(alpha=settings.alpha, noise_sigma=settings.sigma)
+        spec = settings.spec()
         noisy = draws_noise(spec, identity_swap)
 
         k = n_subjects * settings.per_subject
@@ -194,27 +185,6 @@ def embed_stage(cfg: PipelineConfig, network, eval_raw: RawDataset) -> Embedding
     return real_ds.concat(simulate_fakes(real_ds, cfg.swaps, cfg.seed))
 
 
-def protocol_stage(cfg: PipelineConfig, dataset: EmbeddingDataset):
-    gallery, probes = build_gallery(
-        dataset,
-        g=cfg.gallery_size,
-        seed=child_seed(cfg.seed, "gallery"),
-        probe_cap=cfg.probe_cap,
-    )
-    scores = run_protocol(gallery, probes, cfg.aggregation)
-    return gallery, probes, scores
-
-
-def report_stage(cfg: PipelineConfig, scores) -> EvalReport:
-    metadata = {
-        "aggregation": cfg.aggregation,
-        "gallery_size": cfg.gallery_size,
-        "loss": cfg.loss_name,
-        "seed": cfg.seed,
-    }
-    return build_report(scores, metadata)
-
-
 def tsne_stage(cfg: PipelineConfig, dataset: EmbeddingDataset):
     """Seeded subsample (if needed) plus the 2-D layout and KL trace."""
     tsne_cfg = cfg.tsne_config()
@@ -233,10 +203,18 @@ def curve_to_csv(curve) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_text(out_dir: Path, name: str, text: str, artifacts: dict) -> None:
+def _write_text(out_dir: Path, name: str, text: str, artifacts: dict) -> Path:
     path = out_dir / name
     path.write_text(text, encoding="utf-8", newline="")
     artifacts[name] = path
+    return path
+
+
+def _write_dataset(out_dir: Path, stem: str, dataset, fmt: str, artifacts: dict) -> Path:
+    path = out_dir / f"{stem}.{fmt}"
+    write_dataset(path, dataset, fmt=fmt)
+    artifacts[path.name] = path
+    return path
 
 
 def write_manifest(cfg: PipelineConfig, out_dir: Path, artifacts: dict) -> Path:
@@ -255,37 +233,87 @@ def write_manifest(cfg: PipelineConfig, out_dir: Path, artifacts: dict) -> Path:
     return path
 
 
-def run_pipeline(cfg: PipelineConfig, out_dir=None) -> RunResult:
-    """Execute every stage and write all artifacts under out_dir."""
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
+def execute(cfg: PipelineConfig, command, *inputs):
+    """The runner of `run` and of every subcommand that writes files: returns
+    `command(cfg, out, artifacts, *inputs)`, which runs its stages through
+    _run_stage and records each file it writes under `out` in `artifacts`.
+    manifest.json is written last, so a directory without one holds an
+    incomplete run."""
+    out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     artifacts: dict = {}
+    result = command(cfg, out, artifacts, *inputs)
+    write_manifest(cfg, out, artifacts)
+    return result
 
+
+def synth_command(cfg: PipelineConfig, out: Path, artifacts: dict):
+    """`verifake synth`: the training-free dataset -> (dataset, its path)."""
+    dataset = _run_stage("synth", synth_embedding_dataset, cfg)
+    return dataset, _write_dataset(out, "synth", dataset, cfg.file_format, artifacts)
+
+
+def train_command(cfg: PipelineConfig, out: Path, artifacts: dict):
+    """`verifake train`: synth, train and embed -> (dataset, loss curve,
+    embeddings path)."""
     train_raw, eval_raw = _run_stage("synth", synth_stage, cfg)
     network, curve = _run_stage("train", train_stage, cfg, train_raw)
     _write_text(out, "train_curve.csv", curve_to_csv(curve), artifacts)
-
     dataset = _run_stage("embed", embed_stage, cfg, network, eval_raw)
-    emb_name = "embeddings.emb1" if cfg.file_format == "emb1" else "embeddings.csv"
-    write_dataset(out / emb_name, dataset, fmt=cfg.file_format)
-    artifacts[emb_name] = out / emb_name
+    path = _write_dataset(out, "embeddings", dataset, cfg.file_format, artifacts)
+    return dataset, curve, path
 
-    _, _, scores = _run_stage("protocol", protocol_stage, cfg, dataset)
+
+def eval_command(cfg: PipelineConfig, out: Path, artifacts: dict, dataset, metadata=None):
+    """`verifake eval`: protocol and report -> (report, scores). `run`
+    shares the gallery seed, so evaluating the embeddings a run wrote
+    reproduces that run's report."""
+    report, scores = evaluate_dataset(
+        dataset, cfg.gallery_size, child_seed(cfg.seed, "gallery"),
+        cfg.aggregation, cfg.probe_cap, metadata,
+    )
     _write_text(out, "scores.csv", scores_to_csv(scores), artifacts)
-
-    report = _run_stage("report", report_stage, cfg, scores)
     _write_text(out, "report.json", report.to_json(), artifacts)
     _write_text(out, "report.txt", report.format_table(), artifacts)
+    return report, scores
+
+
+def tsne_command(cfg: PipelineConfig, out: Path, artifacts: dict, dataset):
+    """`verifake tsne` -> (embedded points, KL trace, layout path)."""
+    points, Y, trace = _run_stage("tsne", tsne_stage, cfg, dataset)
+    path = _write_text(out, "tsne.csv", layout_to_csv(Y, points), artifacts)
+    _write_text(out, "kl_trace.csv", kl_trace_to_csv(trace), artifacts)
+    return points, trace, path
+
+
+def report_command(cfg: PipelineConfig, out: Path, artifacts: dict, scores: ScoreSet):
+    """`verifake report --out`: the report of a ScoreSet."""
+    report = _run_stage("report", build_report, scores)
+    _write_text(out, "report.json", report.to_json(), artifacts)
+    _write_text(out, "report.txt", report.format_table(), artifacts)
+    return report
+
+
+def _run_command(cfg: PipelineConfig, out: Path, artifacts: dict) -> RunResult:
+    """`verifake run`: the train, eval and tsne commands in one directory."""
+    dataset, curve, _ = train_command(cfg, out, artifacts)
+    report, scores = eval_command(
+        cfg, out, artifacts, dataset, metadata={"loss": cfg.loss_name, "seed": cfg.seed}
+    )
+    # run-only artifacts; roc.csv has a row per distinct score
     _write_text(out, "roc.csv", roc_to_csv(report.curves), artifacts)
     _write_text(out, "histograms.csv", histograms_to_csv(report), artifacts)
-
     if cfg.tsne_enabled:
-        points, Y, trace = _run_stage("tsne", tsne_stage, cfg, dataset)
-        _write_text(out, "tsne.csv", layout_to_csv(Y, points), artifacts)
-        _write_text(out, "kl_trace.csv", kl_trace_to_csv(trace), artifacts)
-
-    write_manifest(cfg, out, artifacts)
+        tsne_command(cfg, out, artifacts, dataset)
     return RunResult(out, report, scores, dataset, curve, artifacts)
+
+
+def run_pipeline(cfg: PipelineConfig, out_dir=None) -> RunResult:
+    """Execute every stage and write all artifacts under out_dir (by
+    default cfg.out_dir)."""
+    if out_dir is not None:
+        cfg = replace(cfg, out_dir=out_dir)
+    return execute(cfg, _run_command)
 
 
 def evaluate_dataset(
@@ -293,16 +321,18 @@ def evaluate_dataset(
     g: int,
     seed: int,
     aggregation: str = "mean",
-    probe_cap: int = 1000,
+    probe_cap: int = DEFAULT_PROBE_CAP,
     metadata: dict | None = None,
 ):
-    """Protocol + report for an externally supplied embedding dataset
-    (no training stage)."""
-    gallery, probes = build_gallery(dataset, g=g, seed=seed, probe_cap=probe_cap)
-    scores = run_protocol(gallery, probes, aggregation)
+    """The protocol and report stages on an embedding dataset -> (report,
+    scores). The report's metadata is the aggregation, the gallery size and
+    the gallery seed, updated by `metadata`."""
+    scores = _run_stage("protocol", lambda: run_protocol(
+        *build_gallery(dataset, g=g, seed=seed, probe_cap=probe_cap), aggregation
+    ))
     meta = {"aggregation": aggregation, "gallery_size": g, "seed": seed}
     meta.update(metadata or {})
-    return build_report(scores, meta), scores
+    return _run_stage("report", build_report, scores, meta), scores
 
 
 def synth_embedding_dataset(cfg: PipelineConfig) -> EmbeddingDataset:
@@ -317,6 +347,12 @@ def synth_embedding_dataset(cfg: PipelineConfig) -> EmbeddingDataset:
 __all__ = [
     "RunResult",
     "StageFailure",
+    "execute",
+    "synth_command",
+    "train_command",
+    "eval_command",
+    "tsne_command",
+    "report_command",
     "run_pipeline",
     "evaluate_dataset",
     "synth_embedding_dataset",
@@ -324,8 +360,6 @@ __all__ = [
     "synth_stage",
     "train_stage",
     "embed_stage",
-    "protocol_stage",
-    "report_stage",
     "tsne_stage",
     "curve_to_csv",
     "write_manifest",

@@ -9,6 +9,7 @@ score: the mean (or max) of its g gallery cosines.
 """
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -212,22 +213,24 @@ def scores_to_csv(scores: ScoreSet) -> str:
 
 def scores_from_csv(text: str) -> ScoreSet:
     """Parse the CSV written by scores_to_csv; a ConfigError names the
-    earliest line at fault."""
-    lines = text.strip().split("\n")
+    earliest line at fault, counted in `text` as given."""
+    body = text.lstrip()
+    header_line = text.count("\n", 0, len(text) - len(body)) + 1
+    lines = body.rstrip().split("\n")
     if lines[0] != _HEADER:
-        raise ConfigError("bad score CSV header", line=1)
+        raise ConfigError("bad score CSV header", line=header_line)
     rows = []
 
     def checked_rows():
-        # the rows read so far, row i from line i + 2
+        # the rows read so far, row i from the i-th line after the header
         table = np.array(rows, dtype=_ROW)
         fault = _first_score_fault(table["score"], table["genuine"], table["method"])
         if fault is not None:
-            raise ConfigError(fault[1], line=fault[0] + 2)
+            raise ConfigError(fault[1], line=header_line + 1 + fault[0])
         return ScoreSet(*(table[name] for name in _ROW.names))
 
     try:
-        for ln, line in enumerate(lines[1:], start=2):
+        for ln, line in enumerate(lines[1:], start=header_line + 1):
             parts = line.split(",")
             if len(parts) != 4:
                 raise ConfigError(f"expected 4 fields, got {len(parts)}", line=ln)
@@ -249,6 +252,17 @@ def scores_from_csv(text: str) -> ScoreSet:
     return checked_rows()
 
 
+def read_scores(path) -> ScoreSet:
+    """Read a scores.csv file; a byte that is not UTF-8 fails at its line."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"undecodable byte {data[exc.start]:#04x}", line=line) from None
+    return scores_from_csv(text)
+
+
 __all__ = [
     "Gallery",
     "ScoreSet",
@@ -258,6 +272,7 @@ __all__ = [
     "assert_subject_disjoint",
     "scores_to_csv",
     "scores_from_csv",
+    "read_scores",
     "DEFAULT_GALLERY_SIZE",
     "DEFAULT_PROBE_CAP",
     "AGGREGATIONS",

@@ -18,9 +18,6 @@ from .embeddings import (
 )
 from .errors import ConfigError, DegenerateVector, SimulationError
 
-DEFAULT_ALPHA = 0.8
-DEFAULT_NOISE_SIGMA = 0.05
-
 
 @dataclass(frozen=True)
 class SyntheticSpec:
@@ -49,9 +46,8 @@ class SyntheticSpec:
 class SwapSpec:
     """Blend weight and noise level of the identity-swap simulator."""
 
-    alpha: float = DEFAULT_ALPHA
-    noise_sigma: float = DEFAULT_NOISE_SIGMA
-    seed: int = 0
+    alpha: float = 0.8
+    noise_sigma: float = 0.05
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
@@ -106,12 +102,6 @@ def generate_identities(spec: SyntheticSpec) -> RawDataset:
     features = samples.reshape(k * s, d)
     labels = np.repeat(np.arange(k, dtype=np.int64), s)
     return RawDataset(features, labels, means)
-
-
-def _resolve_rng(seed, rng):
-    if rng is not None:
-        return rng
-    return np.random.default_rng(seed)
 
 
 def swap_noise(gen: np.random.Generator, sigma: float, dim: int) -> np.ndarray:
@@ -176,14 +166,13 @@ def simulate_identity_swap(
     host_id: int,
     spec: SwapSpec,
     method: Method = Method.FACESWAP,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Blend a donor embedding onto a host and return the fake vector
     (unit-norm float64): it carries the donor's identity features but is
-    matched against the HOST gallery. One row of `identity_swap_rows`.
-
-    Pass a shared rng to draw many distinct fakes; otherwise spec.seed
-    is used.
+    matched against the HOST gallery. One row of `identity_swap_rows`;
+    its noise is drawn from `rng`.
     """
     if donor_id == host_id:
         raise SimulationError("identity swap needs distinct donor and host")
@@ -193,19 +182,20 @@ def simulate_identity_swap(
     host = np.array(host_sample, dtype=np.float64)
     noise = None
     if draws_noise(spec, True):
-        noise = swap_noise(_resolve_rng(spec.seed, rng), spec.noise_sigma, donor.shape[0])
+        noise = swap_noise(rng, spec.noise_sigma, donor.shape[0])
     return identity_swap_rows(donor[None], host[None], spec, noise)[0]
 
 
 def simulate_expression_swap(
     host_sample,
     noise_sigma: float,
-    seed: int = 0,
     method: Method = Method.NEURALTEXTURES,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Perturb a host embedding in place, keeping its identity, and return
-    the fake vector (unit-norm float64). One row of `expression_swap_rows`.
+    the fake vector (unit-norm float64). One row of `expression_swap_rows`;
+    its noise is drawn from `rng`.
 
     Models manipulations that reanimate expression while leaving the
     identity features intact, so scores against the host gallery stay
@@ -217,7 +207,7 @@ def simulate_expression_swap(
     host = np.array(host_sample, dtype=np.float64)
     noise = None
     if draws_noise(spec, False):
-        noise = swap_noise(_resolve_rng(seed, rng), noise_sigma, host.shape[0])
+        noise = swap_noise(rng, noise_sigma, host.shape[0])
     return expression_swap_rows(host[None], spec, noise)[0]
 
 
@@ -232,6 +222,4 @@ __all__ = [
     "expression_swap_rows",
     "draws_noise",
     "swap_noise",
-    "DEFAULT_ALPHA",
-    "DEFAULT_NOISE_SIGMA",
 ]

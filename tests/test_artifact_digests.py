@@ -2,7 +2,8 @@
 
 Runs `demo.cfg` and then every subcommand that writes files, and compares
 the sha256 of each file written against the digests of the initial import
-(commit 4314888). Reruns are byte-identical on one machine; a BLAS kernel
+(commit 4314888). The subcommands' own `manifest.json` files came later,
+when every subcommand began to end with one. Reruns are byte-identical on one machine; a BLAS kernel
 with another FMA order may change the bytes on another, so a mismatch names
 the numpy version and the BLAS core it ran on.
 """
@@ -28,12 +29,15 @@ COMMANDS = [
 ]
 
 DIGESTS = {
+    "eval-csv/manifest.json": "a7a4b50ba9f84ef5e17b82653672eae81550372baf86dea72ef44e7308e38034",
     "eval-csv/report.json": "cf46b791574daf4e48830a2bcd5cba78d35fc652b6f5e001197fba2ddf03a908",
     "eval-csv/report.txt": "e0e653c838e1a574ebe7067958f6cd8779c03e6268d91f9b6962faa0db3a7b5f",
     "eval-csv/scores.csv": "db352fa39e97477890989312c83f353ab495762dbff5cf2aa21e3c2d5be76d98",
+    "eval-emb1/manifest.json": "a7a4b50ba9f84ef5e17b82653672eae81550372baf86dea72ef44e7308e38034",
     "eval-emb1/report.json": "06ed500be8f106d950f621cc437141204170c7f7cb7ad0160000cd060b94e742",
     "eval-emb1/report.txt": "eb7663777a19ca8febe646e50cc8c38c16697c139295f1d03573382fe08a6404",
     "eval-emb1/scores.csv": "0cf9f2f4a85066a47ed5b48787a946cbb4d781ee3bd0ca4dd6da7bdcef022fae",
+    "report/manifest.json": "346084b1c57a37cfc09eac9628b2a87853f87d87398944433ed10049934d074f",
     "report/report.json": "129f66141215c45efb8f41122e37936a707b993040670735101b5628654121b6",
     "report/report.txt": "0c1ff3ad4c16805caf263c16a0cd6cd616f38f5bdbdb235e6db5f3db8d36d8f4",
     "run/embeddings.emb1": "15c7ab8274e1b8ba6e5da14df528b9333eab9e8fcca8a1308153ebac1af142a1",
@@ -46,9 +50,12 @@ DIGESTS = {
     "run/scores.csv": "0cf9f2f4a85066a47ed5b48787a946cbb4d781ee3bd0ca4dd6da7bdcef022fae",
     "run/train_curve.csv": "ecb77fa3b0b7092e98a3debbe7fbdf60766bed717cc25e7bd37f3f6ce1df3dac",
     "run/tsne.csv": "66322b9ce7b7f069a5b193588f26484ed35c5325a624f293cb3eaba836536625",
+    "synth-csv/manifest.json": "c2c76b7a3b1a422e9530ca09b43534d0b3063772721aab41fad3cd63a09d4312",
     "synth-csv/synth.csv": "2e0487f3fd861e54c1f063d5f1600aa0cb8fef3ae274e0fda1c4325ebb4fbbae",
+    "synth-emb1/manifest.json": "75127cdeced431c99b4e5157bd28035ffb2717d5ba1ddc7216cd06383cb50521",
     "synth-emb1/synth.emb1": "e8a4132cad3603d8f25416e89d1db7eb815e1445b2003cdd6ac9ade5832d8cec",
     "tsne/kl_trace.csv": "e6ff54817ee930968946c2e4f6bd21e25be113936d390dff45a3cad1ddb730eb",
+    "tsne/manifest.json": "ba3e237e6dbe4e5f678a4a08442f69d0672920d10cb9f3bcfcc1fa3d888eb980",
     "tsne/tsne.csv": "66322b9ce7b7f069a5b193588f26484ed35c5325a624f293cb3eaba836536625",
 }
 

@@ -183,8 +183,9 @@ def test_diverged_training_exits_1(tmp_path, capsys):
         assert "stage 'train' failed: softmax training, epoch 1" in err
         assert "non-finite" in err
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_FAILURE
-    assert "softmax training, epoch 1" in capsys.readouterr().err
+    assert "stage 'train' failed: softmax training, epoch 1" in capsys.readouterr().err
     assert not (out / "train_curve.csv").exists()
+    assert not (out / "manifest.json").exists()
 
 
 def test_tsne_command(cfg_path, run_dir, tmp_path, capsys):
@@ -209,9 +210,13 @@ def test_tsne_command(cfg_path, run_dir, tmp_path, capsys):
 BAD_TSNE = [("max_points", "3"), ("perplexity", "1"), ("iterations", "0"), ("learning_rate", "0")]
 
 
+def _with_setting(key, value):
+    kept = [line for line in CLI_CFG.split("\n") if not line.startswith(f"{key} ")]
+    return "\n".join(kept) + f"{key} = {value}\n"
+
+
 def _with_tsne_setting(key, value, enabled="true"):
-    kept = [line for line in CLI_CFG.split("\n") if not line.startswith(f"tsne.{key} ")]
-    return "\n".join(kept) + f"tsne.{key} = {value}\ntsne.enabled = {enabled}\n"
+    return _with_setting(f"tsne.{key}", value) + f"tsne.enabled = {enabled}\n"
 
 
 @pytest.mark.parametrize("key, value", BAD_TSNE)
@@ -222,6 +227,35 @@ def test_bad_tsne_setting_exits_2_before_any_stage(tmp_path, capsys, key, value)
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
     assert f"field 'tsne.{key}'" in capsys.readouterr().err
     assert not out.exists()
+
+
+BAD_STAGE_SETTINGS = [
+    ("train.momentum", "1.0"),
+    ("protocol.gallery_size", "0"),
+    ("protocol.probe_cap", "0"),
+    ("swap.Deepfakes.alpha", "1.5"),
+    ("swap.Face2Face.sigma", "-0.1"),
+    ("swap.Deepfakes.per_subject", "-1"),
+    ("swap.Deepfakes.per_subject", "0"),
+]
+
+
+@pytest.mark.parametrize("key, value", BAD_STAGE_SETTINGS)
+def test_bad_stage_setting_exits_2_before_any_stage(tmp_path, capsys, key, value):
+    cfg = tmp_path / "bad_stage.cfg"
+    cfg.write_text(_with_setting(key, value))
+    out = tmp_path / "bad_stage_out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert f"field '{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_failed_subcommand_leaves_no_manifest(run_dir, tmp_path, capsys):
+    out = tmp_path / "failed_eval"
+    argv = ["eval", str(run_dir / "embeddings.emb1"), "--gallery-size", "100", "--out", str(out)]
+    assert main(argv) == EXIT_FAILURE
+    assert "stage 'protocol' failed" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
 
 
 def test_disabled_tsne_skips_its_checks(tmp_path):

@@ -15,6 +15,7 @@ from verifake.config import (
 from verifake.embeddings import Method
 from verifake.errors import ConfigError
 from verifake.losses import margin_preset
+from verifake.trainer import TrainConfig
 from verifake.tsne import TsneConfig
 
 SAMPLE = """
@@ -221,6 +222,11 @@ def test_tsne_settings_checked_at_parse_under_their_key(key, value):
     with pytest.raises(ConfigError) as err:
         cfg.tsne_config()
     assert err.value.field == f"tsne.{key}"
+
+
+def test_train_config_built_from_the_run_settings():
+    cfg = parse_config("run.seed = 9\ntrain.epochs = 3\ntrain.lr_marks = 4, 8\n")
+    assert cfg.train_config() == TrainConfig(epochs=3, lr_marks=(4, 8), seed=child_seed(9, "train"))
 
 
 def test_tsne_config_built_from_the_run_settings():

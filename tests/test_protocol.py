@@ -193,7 +193,7 @@ def test_identity_swaps_score_below_genuine():
     # host gallery than the host's own real probes
     raw = generate_identities(SyntheticSpec(4, 30, 16, concentration=12.0, seed=11))
     ds = EmbeddingDataset.reals(raw.labels, raw.features)
-    swap = SwapSpec(alpha=0.8, noise_sigma=0.05, seed=13)
+    swap = SwapSpec(alpha=0.8, noise_sigma=0.05)
     rng = np.random.default_rng(13)
     for k in range(40):
         donor, host = k % 4, (k + 1) % 4
@@ -340,3 +340,8 @@ def test_scores_csv_errors_carry_line_numbers():
     # line 4 inside it; line 3 is still the one reported
     with pytest.raises(ConfigError, match="outside.*line 3"):
         scores_from_csv(good + "1.5,genuine,none,1\n0.1,imposter,FaceSwap\n")
+    # lines are counted in the file as given, leading blank lines included
+    with pytest.raises(ConfigError, match="line 5"):
+        scores_from_csv("\n\n" + good + "0.1,maybe,FaceSwap,1\n")
+    with pytest.raises(ConfigError, match="outside.*line 4"):
+        scores_from_csv("\n\n" + good.replace("0.5", "1.5"))

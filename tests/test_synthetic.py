@@ -76,8 +76,8 @@ def test_identity_swap_degenerate_blends_exact():
     rng = np.random.default_rng(5)
     donor = l2_normalize(rng.normal(size=16))
     host = l2_normalize(rng.normal(size=16))
-    pure_donor = simulate_identity_swap(donor, 0, host, 1, SwapSpec(1.0, 0.0))
-    pure_host = simulate_identity_swap(donor, 0, host, 1, SwapSpec(0.0, 0.0))
+    pure_donor = simulate_identity_swap(donor, 0, host, 1, SwapSpec(1.0, 0.0), rng=rng)
+    pure_host = simulate_identity_swap(donor, 0, host, 1, SwapSpec(0.0, 0.0), rng=rng)
     assert pure_donor.tobytes() == donor.tobytes()
     assert pure_host.tobytes() == host.tobytes()
     assert pure_donor is not donor  # a copy, not the caller's array
@@ -89,7 +89,9 @@ def test_identity_swap_labeling():
     host = l2_normalize(rng.normal(size=8))
     # the labels (donor 4 as subject, host 9) are the caller's; the
     # simulator returns the fake's unit vector
-    fake = simulate_identity_swap(donor, 4, host, 9, SwapSpec(0.8, 0.05, seed=1))
+    fake = simulate_identity_swap(
+        donor, 4, host, 9, SwapSpec(0.8, 0.05), rng=np.random.default_rng(1)
+    )
     assert fake.shape == (8,) and fake.dtype == np.float64
     assert abs(np.linalg.norm(fake) - 1.0) < 1e-12
 
@@ -98,7 +100,7 @@ def test_identity_swap_same_identity_rejected():
     v = np.zeros(4)
     v[0] = 1.0
     with pytest.raises(SimulationError):
-        simulate_identity_swap(v, 3, v, 3, SwapSpec())
+        simulate_identity_swap(v, 3, v, 3, SwapSpec(), rng=np.random.default_rng(0))
 
 
 def test_identity_swap_method_must_be_identity_group():
@@ -106,8 +108,8 @@ def test_identity_swap_method_must_be_identity_group():
     donor = l2_normalize(rng.normal(size=8))
     host = l2_normalize(rng.normal(size=8))
     with pytest.raises(ConfigError):
-        simulate_identity_swap(donor, 0, host, 1, SwapSpec(), method=Method.FACE2FACE)
-    fake = simulate_identity_swap(donor, 0, host, 1, SwapSpec(), method=Method.DEEPFAKES)
+        simulate_identity_swap(donor, 0, host, 1, SwapSpec(), Method.FACE2FACE, rng=rng)
+    fake = simulate_identity_swap(donor, 0, host, 1, SwapSpec(), Method.DEEPFAKES, rng=np.random.default_rng(0))
     assert fake.shape == (8,)
 
 
@@ -117,7 +119,7 @@ def test_identity_swap_lands_nearer_donor_center():
     donor_sample = raw.features_of(0)[0]
     host_sample = raw.features_of(1)[0]
     fake = simulate_identity_swap(
-        donor_sample, 0, host_sample, 1, SwapSpec(0.8, 0.05, seed=7)
+        donor_sample, 0, host_sample, 1, SwapSpec(0.8, 0.05), rng=np.random.default_rng(7)
     )
     assert float(fake @ raw.means[0]) > float(fake @ raw.means[1])
 
@@ -125,7 +127,7 @@ def test_identity_swap_lands_nearer_donor_center():
 def test_expression_swap_sigma_zero_exact():
     rng = np.random.default_rng(8)
     host = l2_normalize(rng.normal(size=8))
-    fake = simulate_expression_swap(host, 0.0)
+    fake = simulate_expression_swap(host, 0.0, rng=rng)
     assert fake.tobytes() == host.tobytes()
     assert fake is not host
 
@@ -133,7 +135,7 @@ def test_expression_swap_sigma_zero_exact():
 def test_expression_swap_stays_near_host():
     # derived: sigma 0.05 at d=64 keeps cosine above 0.99 on seed 7
     host = l2_normalize(np.random.default_rng(3).normal(size=64))
-    fake = simulate_expression_swap(host, 0.05, seed=7)
+    fake = simulate_expression_swap(host, 0.05, rng=np.random.default_rng(7))
     assert float(fake @ host) > 0.99
 
 
@@ -149,11 +151,12 @@ def test_expression_swap_mean_direction():
 
 def test_expression_swap_method_must_be_expression_group():
     host = l2_normalize(np.random.default_rng(9).normal(size=8))
+    rng = np.random.default_rng(0)
     with pytest.raises(ConfigError):
-        simulate_expression_swap(host, 0.05, method=Method.FACESWAP)
+        simulate_expression_swap(host, 0.05, Method.FACESWAP, rng=rng)
     with pytest.raises(ConfigError, match="noise_sigma"):
-        simulate_expression_swap(host, -0.05)
-    fake = simulate_expression_swap(host, 0.05, method=Method.FACE2FACE)
+        simulate_expression_swap(host, -0.05, rng=rng)
+    fake = simulate_expression_swap(host, 0.05, Method.FACE2FACE, rng=rng)
     assert fake.shape == (8,)
 
 
@@ -161,11 +164,12 @@ def test_simulators_deterministic_for_seed():
     rng = np.random.default_rng(10)
     donor = l2_normalize(rng.normal(size=8))
     host = l2_normalize(rng.normal(size=8))
-    a = simulate_identity_swap(donor, 0, host, 1, SwapSpec(0.8, 0.05, seed=3))
-    b = simulate_identity_swap(donor, 0, host, 1, SwapSpec(0.8, 0.05, seed=3))
+    spec = SwapSpec(0.8, 0.05)
+    a = simulate_identity_swap(donor, 0, host, 1, spec, rng=np.random.default_rng(3))
+    b = simulate_identity_swap(donor, 0, host, 1, spec, rng=np.random.default_rng(3))
     assert a.tobytes() == b.tobytes()
-    c = simulate_expression_swap(host, 0.05, seed=3)
-    d = simulate_expression_swap(host, 0.05, seed=3)
+    c = simulate_expression_swap(host, 0.05, rng=np.random.default_rng(3))
+    d = simulate_expression_swap(host, 0.05, rng=np.random.default_rng(3))
     assert c.tobytes() == d.tobytes()
 
 
