@@ -20,7 +20,7 @@ import hashlib
 import re
 from dataclasses import dataclass, field, replace
 
-from .embeddings import METHOD_BY_NAME, METHOD_NAMES, Method
+from .embeddings import METHOD_BY_NAME, METHOD_NAMES, MIN_DIM, Method
 from .errors import ConfigError
 from .losses import LOSS_NAMES, MarginConfig, TripletConfig, margin_preset
 from .protocol import AGGREGATIONS, DEFAULT_GALLERY_SIZE, DEFAULT_PROBE_CAP
@@ -134,6 +134,10 @@ class PipelineConfig:
         for part in ("train", "eval"):
             self.synthetic_spec(part)
         self.train_config()
+        if self.embed_dim < MIN_DIM:
+            raise ConfigError(f"embed_dim must be >= {MIN_DIM}", field="train.embed_dim")
+        if any(width < 1 for width in self.hidden_dims):
+            raise ConfigError("every hidden width must be >= 1", field="train.hidden")
         for key in ("gallery_size", "probe_cap"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1", field=f"protocol.{key}")
@@ -333,13 +337,3 @@ def load_config(path) -> PipelineConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     return parse_config(text)
-
-
-__all__ = [
-    "PipelineConfig",
-    "SwapSettings",
-    "parse_config",
-    "load_config",
-    "child_seed",
-    "FORMAT_VERSIONS",
-]

@@ -67,19 +67,6 @@ def l2_normalize(v) -> np.ndarray:
     return v / norm
 
 
-def cosine_similarity(u, v) -> float:
-    """Cosine similarity of two unit-norm vectors, clamped to [-1, 1].
-
-    The computation is order-symmetric: cosine_similarity(u, v) and
-    cosine_similarity(v, u) are bitwise equal.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise DimensionMismatch(f"shapes {u.shape} and {v.shape} differ")
-    return float(min(1.0, max(-1.0, float(np.dot(u, v)))))
-
-
 @dataclass(eq=False)
 class EmbeddingDataset:
     """Embedding records stored as columns that mirror the EMB1 record;

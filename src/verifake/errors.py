@@ -55,10 +55,6 @@ class ConfigError(VerifakeError):
         self.field = field
 
 
-class SimulationError(VerifakeError):
-    """Invalid inputs to a deepfake simulator."""
-
-
 class InsufficientEnrollment(VerifakeError):
     """One or more subjects have fewer real records than the gallery size.
 
@@ -72,10 +68,6 @@ class InsufficientEnrollment(VerifakeError):
         )
         self.subjects = subjects
         self.required = required
-
-
-class EmptyGallery(VerifakeError):
-    """Probe matched against a gallery with no entries."""
 
 
 class UnknownSubject(VerifakeError):

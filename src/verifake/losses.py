@@ -114,10 +114,6 @@ class ClassHead:
     def num_classes(self) -> int:
         return self.W.shape[1]
 
-    @property
-    def dim(self) -> int:
-        return self.W.shape[0]
-
     @staticmethod
     def initialized(dim: int, num_classes: int, rng: np.random.Generator) -> "ClassHead":
         """Random head with unit-norm columns and zero bias."""

@@ -36,9 +36,6 @@ class RocCurve:
     far: np.ndarray
     gar: np.ndarray
 
-    def points(self):
-        return list(zip(self.far.tolist(), self.gar.tolist()))
-
     def auc(self) -> float:
         """Trapezoidal area under the curve."""
         far, gar = self.far, self.gar
@@ -226,18 +223,3 @@ def histograms_to_csv(report: EvalReport) -> str:
         for lo, hi, c in zip(edges[:-1], edges[1:], counts):
             lines.append(f"{name},{float(lo)!r},{float(hi)!r},{int(c)}")
     return "\n".join(lines) + "\n"
-
-
-__all__ = [
-    "RocCurve",
-    "EvalReport",
-    "ReportRow",
-    "roc_curve",
-    "auc",
-    "eer",
-    "histogram",
-    "build_report",
-    "roc_to_csv",
-    "histograms_to_csv",
-    "HISTOGRAM_BINS",
-]

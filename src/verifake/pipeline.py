@@ -342,25 +342,3 @@ def synth_embedding_dataset(cfg: PipelineConfig) -> EmbeddingDataset:
     raw = generate_identities(cfg.synthetic_spec("eval"))
     real_ds = EmbeddingDataset.reals(raw.labels, raw.features)
     return real_ds.concat(simulate_fakes(real_ds, cfg.swaps, cfg.seed))
-
-
-__all__ = [
-    "RunResult",
-    "StageFailure",
-    "execute",
-    "synth_command",
-    "train_command",
-    "eval_command",
-    "tsne_command",
-    "report_command",
-    "run_pipeline",
-    "evaluate_dataset",
-    "synth_embedding_dataset",
-    "simulate_fakes",
-    "synth_stage",
-    "train_stage",
-    "embed_stage",
-    "tsne_stage",
-    "curve_to_csv",
-    "write_manifest",
-]

@@ -21,13 +21,7 @@ from .embeddings import (
     first_fault,
     row_groups,
 )
-from .errors import (
-    ConfigError,
-    EmptyGallery,
-    InsufficientEnrollment,
-    SubjectOverlap,
-    UnknownSubject,
-)
+from .errors import ConfigError, InsufficientEnrollment, SubjectOverlap, UnknownSubject
 
 DEFAULT_GALLERY_SIZE = 20
 DEFAULT_PROBE_CAP = 1000
@@ -40,14 +34,6 @@ class Gallery:
 
     size: int
     entries: dict
-
-    def subjects(self) -> set:
-        return set(self.entries)
-
-    def templates(self, subject: int) -> np.ndarray:
-        if subject not in self.entries:
-            raise UnknownSubject(f"subject {subject} is not enrolled")
-        return self.entries[subject]
 
 
 # the fields of a scores.csv row, one ScoreSet column each
@@ -148,28 +134,6 @@ def build_gallery(
     return Gallery(g, entries), dataset.take(probe_rows[keep])
 
 
-def _score(templates: np.ndarray, probes: np.ndarray, aggregation: str) -> np.ndarray:
-    # one gemv per probe row, the same BLAS call as `templates @ probe`, so
-    # each score is bitwise what scoring that probe alone gives
-    cosines = np.matmul(templates[None], probes[:, :, None])[:, :, 0]
-    values = cosines.mean(axis=1) if aggregation == "mean" else cosines.max(axis=1)
-    return np.clip(values, -1.0, 1.0)
-
-
-def match_probe(probe, subject_gallery, aggregation: str = "mean") -> float:
-    """Aggregate the cosine similarities of one probe against a
-    subject's gallery templates."""
-    if aggregation not in AGGREGATIONS:
-        raise ConfigError(f"aggregation must be one of {AGGREGATIONS}")
-    templates = np.asarray(subject_gallery, dtype=np.float64)
-    if templates.size == 0:
-        raise EmptyGallery("cannot match against an empty gallery")
-    if templates.ndim != 2:
-        raise EmptyGallery(f"gallery must be a (g, dim) matrix, got {templates.shape}")
-    vec = np.asarray(probe, dtype=np.float64)
-    return float(_score(templates, vec[None], aggregation)[0])
-
-
 def run_protocol(gallery: Gallery, probes: EmbeddingDataset, aggregation: str = "mean") -> ScoreSet:
     """Score every probe against its host subject's gallery.
 
@@ -185,7 +149,11 @@ def run_protocol(gallery: Gallery, probes: EmbeddingDataset, aggregation: str = 
     scores = np.empty(len(probes))
     for host, pos in row_groups(probes.host):
         vectors = probes.vectors[pos].astype(np.float64)
-        scores[pos] = _score(gallery.entries[host], vectors, aggregation)
+        # one gemv per probe row, the same BLAS call as `templates @ probe`,
+        # so each score is bitwise what scoring that probe alone gives
+        cosines = np.matmul(gallery.entries[host][None], vectors[:, :, None])[:, :, 0]
+        values = cosines.mean(axis=1) if aggregation == "mean" else cosines.max(axis=1)
+        scores[pos] = np.clip(values, -1.0, 1.0)
     return ScoreSet(scores, ~probes.fake, probes.method, probes.host)
 
 
@@ -261,19 +229,3 @@ def read_scores(path) -> ScoreSet:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ConfigError(f"undecodable byte {data[exc.start]:#04x}", line=line) from None
     return scores_from_csv(text)
-
-
-__all__ = [
-    "Gallery",
-    "ScoreSet",
-    "build_gallery",
-    "match_probe",
-    "run_protocol",
-    "assert_subject_disjoint",
-    "scores_to_csv",
-    "scores_from_csv",
-    "read_scores",
-    "DEFAULT_GALLERY_SIZE",
-    "DEFAULT_PROBE_CAP",
-    "AGGREGATIONS",
-]

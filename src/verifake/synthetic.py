@@ -11,12 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import (
-    IDENTITY_SWAP_METHODS,
-    EXPRESSION_SWAP_METHODS,
-    Method,
-)
-from .errors import ConfigError, DegenerateVector, SimulationError
+from .errors import ConfigError, DegenerateVector
 
 
 @dataclass(frozen=True)
@@ -70,17 +65,6 @@ class RawDataset:
 
     def __len__(self):
         return self.features.shape[0]
-
-    @property
-    def num_identities(self) -> int:
-        return self.means.shape[0]
-
-    @property
-    def raw_dim(self) -> int:
-        return self.features.shape[1]
-
-    def features_of(self, label: int) -> np.ndarray:
-        return self.features[self.labels == label]
 
 
 def generate_identities(spec: SyntheticSpec) -> RawDataset:
@@ -157,69 +141,3 @@ def expression_swap_rows(host, spec: SwapSpec, noise) -> np.ndarray:
     if not draws_noise(spec, False):
         return host
     return _normalize_rows(host + noise)
-
-
-def simulate_identity_swap(
-    donor_sample,
-    donor_id: int,
-    host_sample,
-    host_id: int,
-    spec: SwapSpec,
-    method: Method = Method.FACESWAP,
-    *,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Blend a donor embedding onto a host and return the fake vector
-    (unit-norm float64): it carries the donor's identity features but is
-    matched against the HOST gallery. One row of `identity_swap_rows`;
-    its noise is drawn from `rng`.
-    """
-    if donor_id == host_id:
-        raise SimulationError("identity swap needs distinct donor and host")
-    if Method(method) not in IDENTITY_SWAP_METHODS:
-        raise ConfigError(f"{method!r} is not an identity-swap method")
-    donor = np.array(donor_sample, dtype=np.float64)
-    host = np.array(host_sample, dtype=np.float64)
-    noise = None
-    if draws_noise(spec, True):
-        noise = swap_noise(rng, spec.noise_sigma, donor.shape[0])
-    return identity_swap_rows(donor[None], host[None], spec, noise)[0]
-
-
-def simulate_expression_swap(
-    host_sample,
-    noise_sigma: float,
-    method: Method = Method.NEURALTEXTURES,
-    *,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Perturb a host embedding in place, keeping its identity, and return
-    the fake vector (unit-norm float64). One row of `expression_swap_rows`;
-    its noise is drawn from `rng`.
-
-    Models manipulations that reanimate expression while leaving the
-    identity features intact, so scores against the host gallery stay
-    close to genuine.
-    """
-    spec = SwapSpec(noise_sigma=noise_sigma)
-    if Method(method) not in EXPRESSION_SWAP_METHODS:
-        raise ConfigError(f"{method!r} is not an expression-swap method")
-    host = np.array(host_sample, dtype=np.float64)
-    noise = None
-    if draws_noise(spec, False):
-        noise = swap_noise(rng, noise_sigma, host.shape[0])
-    return expression_swap_rows(host[None], spec, noise)[0]
-
-
-__all__ = [
-    "SyntheticSpec",
-    "SwapSpec",
-    "RawDataset",
-    "generate_identities",
-    "simulate_identity_swap",
-    "simulate_expression_swap",
-    "identity_swap_rows",
-    "expression_swap_rows",
-    "draws_noise",
-    "swap_noise",
-]

@@ -82,18 +82,8 @@ class EmbedderNetwork:
                 raise DimensionMismatch("layer shapes are inconsistent")
 
     @property
-    def layer_dims(self) -> tuple:
-        return tuple(W.shape[0] for W in self.weights) + (
-            self.weights[-1].shape[1],
-        )
-
-    @property
     def raw_dim(self) -> int:
         return self.weights[0].shape[0]
-
-    @property
-    def embed_dim(self) -> int:
-        return self.weights[-1].shape[1]
 
     @staticmethod
     def initialized(layer_dims, rng: np.random.Generator) -> "EmbedderNetwork":
@@ -345,14 +335,3 @@ def extract_embeddings(network: EmbedderNetwork, features, labels) -> EmbeddingD
             f"network expects raw dim {network.raw_dim}, got {features.shape[1]}"
         )
     return EmbeddingDataset.reals(labels, network.embed(features))
-
-
-__all__ = [
-    "TrainConfig",
-    "EmbedderNetwork",
-    "train_embedder",
-    "extract_embeddings",
-    "DEFAULT_EMBED_DIM",
-    "DEFAULT_HIDDEN",
-    "LR_MARK_FRACTIONS",
-]

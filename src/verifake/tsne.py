@@ -46,11 +46,8 @@ class TsneConfig:
     momentum_switch: int = 250
     init_std: float = 1e-4
     seed: int = 0
-    output_dim: int = 2
 
     def __post_init__(self):
-        if self.output_dim != 2:
-            raise ConfigError("output_dim is fixed at 2", field="output_dim")
         if self.perplexity <= 1.0:
             raise ConfigError("perplexity must exceed 1", field="perplexity")
         if self.iterations < 1:
@@ -338,7 +335,7 @@ def run_tsne(X, cfg: TsneConfig):
     P_pos = P[mask]
 
     rng = np.random.default_rng(cfg.seed)
-    Y = rng.normal(0.0, cfg.init_std, size=(n, cfg.output_dim))
+    Y = rng.normal(0.0, cfg.init_std, size=(n, 2))
     velocity = np.zeros_like(Y)
     kl_trace = np.zeros(cfg.iterations, dtype=np.float64)
 
@@ -381,18 +378,3 @@ def kl_trace_to_csv(kl_trace) -> str:
     for k, value in enumerate(np.asarray(kl_trace, dtype=np.float64), start=1):
         lines.append(f"{k},{float(value)!r}")
     return "\n".join(lines) + "\n"
-
-
-__all__ = [
-    "TsneConfig",
-    "AffinityMatrix",
-    "calibrate_sigma",
-    "row_affinities",
-    "joint_affinities",
-    "kl_divergence",
-    "kl_gradient",
-    "run_tsne",
-    "layout_to_csv",
-    "kl_trace_to_csv",
-    "MACHINE_EPSILON",
-]

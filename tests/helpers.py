@@ -23,11 +23,9 @@ from verifake.embeddings import (
 from verifake.errors import (
     CalibrationWarning,
     ConfigError,
-    EmptyGallery,
     FormatError,
     InsufficientEnrollment,
     NormalizationError,
-    SimulationError,
     UnknownSubject,
 )
 from verifake.losses import ARCCOS_EPS, TripletConfig, _unit_rows
@@ -98,7 +96,7 @@ def reference_tsne(X, cfg):
     X = np.asarray(X, dtype=np.float64)
     P = joint_affinities(X, cfg.perplexity).P
     rng = np.random.default_rng(cfg.seed)
-    Y = rng.normal(0.0, cfg.init_std, size=(X.shape[0], cfg.output_dim))
+    Y = rng.normal(0.0, cfg.init_std, size=(X.shape[0], 2))
     velocity = np.zeros_like(Y)
     kl_trace = np.zeros(cfg.iterations, dtype=np.float64)
     for it in range(cfg.iterations):
@@ -421,8 +419,7 @@ def _reference_noise(gen, sigma, dim):
 
 
 def reference_identity_swap(donor_sample, donor_id, host_sample, host_id, spec, method, rng):
-    if donor_id == host_id:
-        raise SimulationError("identity swap needs distinct donor and host")
+    assert donor_id != host_id, "identity swap needs distinct donor and host"
     if Method(method) not in IDENTITY_SWAP_METHODS:
         raise ConfigError(f"{method!r} is not an identity-swap method")
     donor = np.asarray(donor_sample, dtype=np.float64)
@@ -549,10 +546,8 @@ def reference_match_probe(probe, subject_gallery, aggregation="mean") -> float:
     if aggregation not in AGGREGATIONS:
         raise ConfigError(f"aggregation must be one of {AGGREGATIONS}")
     templates = np.asarray(subject_gallery, dtype=np.float64)
-    if templates.size == 0:
-        raise EmptyGallery("cannot match against an empty gallery")
-    if templates.ndim != 2:
-        raise EmptyGallery(f"gallery must be a (g, dim) matrix, got {templates.shape}")
+    assert templates.size != 0, "cannot match against an empty gallery"
+    assert templates.ndim == 2, f"gallery must be a (g, dim) matrix, got {templates.shape}"
 
     vec = np.asarray(probe, dtype=np.float64)
     cosines = templates @ vec

@@ -231,6 +231,9 @@ def test_bad_tsne_setting_exits_2_before_any_stage(tmp_path, capsys, key, value)
 
 BAD_STAGE_SETTINGS = [
     ("train.momentum", "1.0"),
+    ("train.embed_dim", "0"),
+    ("train.embed_dim", "1"),
+    ("train.hidden", "128, 0"),
     ("protocol.gallery_size", "0"),
     ("protocol.probe_cap", "0"),
     ("swap.Deepfakes.alpha", "1.5"),

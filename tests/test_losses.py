@@ -407,7 +407,7 @@ def test_class_head_initialized_unit_columns():
     norms = np.linalg.norm(head.W, axis=0)
     assert np.abs(norms - 1.0).max() < 1e-12
     assert np.all(head.b == 0.0)
-    assert head.num_classes == 5 and head.dim == 16
+    assert head.num_classes == 5 and head.W.shape == (16, 5)
 
 
 def test_class_head_shape_validation():

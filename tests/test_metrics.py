@@ -48,17 +48,17 @@ def test_roc_endpoints_and_monotonicity():
 
 def test_roc_perfect_separation_contains_corner():
     curve = roc_curve([0.9, 0.8], [0.1, 0.2])
-    assert (0.0, 1.0) in curve.points()
+    assert (0.0, 1.0) in zip(curve.far.tolist(), curve.gar.tolist())
 
 
 def test_roc_indistinguishable_two_points():
     curve = roc_curve([0.5], [0.5])
-    assert curve.points() == [(0.0, 0.0), (1.0, 1.0)]
+    assert list(zip(curve.far.tolist(), curve.gar.tolist())) == [(0.0, 0.0), (1.0, 1.0)]
 
 
 def test_roc_three_vs_three_operating_point():
     curve = roc_curve([0.9, 0.8, 0.3], [0.7, 0.2, 0.1])
-    assert (THIRD, 2 * THIRD) in curve.points()
+    assert (THIRD, 2 * THIRD) in zip(curve.far.tolist(), curve.gar.tolist())
 
 
 def test_roc_rejects_empty():

@@ -12,19 +12,13 @@ from helpers import (
 )
 
 from verifake.embeddings import EmbeddingDataset, Method, l2_normalize
-from verifake.errors import (
-    ConfigError,
-    EmptyGallery,
-    InsufficientEnrollment,
-    SubjectOverlap,
-    UnknownSubject,
-)
+from verifake.errors import ConfigError, InsufficientEnrollment, SubjectOverlap, UnknownSubject
 from verifake.metrics import eer, roc_curve
 from verifake.protocol import (
+    Gallery,
     ScoreSet,
     assert_subject_disjoint,
     build_gallery,
-    match_probe,
     run_protocol,
     scores_from_csv,
     scores_to_csv,
@@ -33,7 +27,8 @@ from verifake.synthetic import (
     SwapSpec,
     SyntheticSpec,
     generate_identities,
-    simulate_identity_swap,
+    identity_swap_rows,
+    swap_noise,
 )
 
 
@@ -58,7 +53,7 @@ def fakes_of(subject, host, method, vectors):
 def test_gallery_exhaustion_leaves_no_real_probes():
     ds = toy_dataset(subjects=2, per_subject=5)
     gallery, probes = build_gallery(ds, g=5, seed=0)
-    assert gallery.subjects() == {0, 1}
+    assert gallery.entries.keys() == {0, 1}
     assert probes.fake.all()
     assert len(probes) == 0
 
@@ -67,13 +62,13 @@ def test_gallery_probe_partition():
     ds = toy_dataset(subjects=3, per_subject=8)
     gallery, probes = build_gallery(ds, g=5, seed=1)
     for s in range(3):
-        assert gallery.templates(s).shape == (5, 4)
+        assert gallery.entries[s].shape == (5, 4)
     # every record is either enrolled or a probe, never both
     probe_keys = [row.tobytes() for row in probes.vectors]
     enrolled_keys = [
         row.astype(np.float32).tobytes()
         for s in range(3)
-        for row in gallery.templates(s)
+        for row in gallery.entries[s]
     ]
     all_keys = [row.tobytes() for row in ds.vectors]
     assert sorted(probe_keys + enrolled_keys) == sorted(all_keys)
@@ -99,8 +94,8 @@ def test_gallery_deterministic():
     ds = toy_dataset(subjects=3, per_subject=9, seed=3)
     g1, p1 = build_gallery(ds, g=4, seed=9)
     g2, p2 = build_gallery(ds, g=4, seed=9)
-    for s in g1.subjects():
-        assert np.array_equal(g1.templates(s), g2.templates(s))
+    for s in g1.entries:
+        assert np.array_equal(g1.entries[s], g2.entries[s])
     assert p1 == p2
 
 
@@ -122,36 +117,45 @@ def test_gallery_size_validated():
         build_gallery(ds, g=3, probe_cap=0)
 
 
-# ------------------------------------------------------------ match_probe
+# ---------------------------------------------------------- probe matching
+
+
+def match_one(probe, templates, aggregation="mean"):
+    """run_protocol's score for one probe against a hand-built gallery."""
+    gallery = Gallery(len(templates), {0: np.array(templates, dtype=np.float64)})
+    probes = EmbeddingDataset.reals([0], [probe])
+    return float(run_protocol(gallery, probes, aggregation).score[0])
+
+
+def test_match_probe_identity_orthogonal_antipodal():
+    e0 = np.array([1.0, 0.0])
+    assert match_one(e0, [e0]) == 1.0
+    assert match_one(e0, [[0.0, 1.0]]) == 0.0
+    assert match_one(e0, [[-1.0, 0.0]]) == -1.0
 
 
 def test_match_probe_mean_of_hit_and_orthogonal():
     e0 = np.array([1.0, 0.0, 0.0])
     e1 = np.array([0.0, 1.0, 0.0])
-    assert match_probe(e0, [e0, e1], "mean") == pytest.approx(0.5, abs=1e-12)
+    assert match_one(e0, [e0, e1], "mean") == pytest.approx(0.5, abs=1e-12)
 
 
 def test_match_probe_max_of_hit_and_orthogonal():
     e0 = np.array([1.0, 0.0, 0.0])
     e1 = np.array([0.0, 1.0, 0.0])
-    assert match_probe(e0, [e0, e1], "max") == pytest.approx(1.0, abs=1e-12)
+    assert match_one(e0, [e0, e1], "max") == pytest.approx(1.0, abs=1e-12)
 
 
 def test_match_probe_degenerate_gallery():
-    v = l2_normalize(np.array([3.0, 4.0]))
+    v = l2_normalize(np.array([1.0, 1.0, 1.0, 1.0]))  # exact in the float32 probe
     for agg in ("mean", "max"):
-        assert match_probe(v, [v, v, v], agg) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_match_probe_empty_gallery():
-    with pytest.raises(EmptyGallery):
-        match_probe(np.array([1.0, 0.0]), np.zeros((0, 2)))
+        assert match_one(v, [v, v, v], agg) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_match_probe_bad_aggregation():
     v = np.array([1.0, 0.0])
     with pytest.raises(ConfigError):
-        match_probe(v, [v], "median")
+        match_one(v, [v], "median")
 
 
 # ----------------------------------------------------------- run_protocol
@@ -195,17 +199,17 @@ def test_identity_swaps_score_below_genuine():
     ds = EmbeddingDataset.reals(raw.labels, raw.features)
     swap = SwapSpec(alpha=0.8, noise_sigma=0.05)
     rng = np.random.default_rng(13)
-    for k in range(40):
-        donor, host = k % 4, (k + 1) % 4
-        fake = simulate_identity_swap(
-            raw.features_of(donor)[k % 5],
-            donor,
-            raw.features_of(host)[k % 5],
-            host,
-            swap,
-            rng=rng,
-        )
-        ds = ds.concat(fakes_of(donor, host, Method.FACESWAP, [fake]))
+    donors = np.arange(40) % 4
+    hosts = (donors + 1) % 4
+    pick = np.arange(40) % 5
+    noise = np.stack([swap_noise(rng, swap.noise_sigma, 16) for _ in range(40)])
+    fakes = identity_swap_rows(
+        np.stack([raw.features[raw.labels == d][k] for d, k in zip(donors, pick)]),
+        np.stack([raw.features[raw.labels == h][k] for h, k in zip(hosts, pick)]),
+        swap,
+        noise,
+    )
+    ds = ds.concat(EmbeddingDataset(fakes, donors, hosts, [True] * 40, [Method.FACESWAP] * 40))
     gallery, probes = build_gallery(ds, g=10, seed=0)
     scored = run_protocol(gallery, probes)
     genuine = scored.score[scored.genuine]

@@ -50,8 +50,8 @@ def test_train_config_validation():
 
 def test_network_init_shapes():
     net = EmbedderNetwork.initialized((16, 128, 128, 64), np.random.default_rng(0))
-    assert net.layer_dims == (16, 128, 128, 64)
-    assert net.raw_dim == 16 and net.embed_dim == 64
+    assert [W.shape for W in net.weights] == [(16, 128), (128, 128), (128, 64)]
+    assert net.raw_dim == 16
     for b in net.biases:
         assert np.all(b == 0.0)
 
@@ -95,7 +95,7 @@ def test_lr_zero_is_a_no_op():
     raw = small_dataset(seed=1)
     net, curve = train_embedder(raw, "cosface", quick_cfg(lr=0.0), embed_dim=8)
     fresh = EmbedderNetwork.initialized(
-        (raw.raw_dim, 128, 128, 8), np.random.default_rng(0)
+        (raw.features.shape[1], 128, 128, 8), np.random.default_rng(0)
     )
     for trained, init in zip(net.weights, fresh.weights):
         assert np.array_equal(trained, init)
@@ -130,7 +130,7 @@ def test_all_losses_train():
     for loss in ("softmax", "arcface", "cosface", "sphereface", "combined", "triplet"):
         net, curve = train_embedder(raw, loss, quick_cfg(epochs=2), embed_dim=8)
         assert np.all(np.isfinite(curve))
-        assert net.embed_dim == 8
+        assert net.weights[-1].shape[1] == 8
 
 
 def test_margin_head_stays_unit_norm_under_momentum():

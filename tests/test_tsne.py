@@ -383,8 +383,6 @@ def test_run_tsne_needs_four_points():
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        TsneConfig(output_dim=3)
-    with pytest.raises(ConfigError):
         TsneConfig(perplexity=1.0)
     with pytest.raises(ConfigError):
         TsneConfig(iterations=0)
