@@ -137,7 +137,8 @@ class EmbedderNetwork:
             dpre = dh * (1.0 - acts[k + 1] ** 2)
             grads_W[k] = acts[k].T @ dpre
             grads_b[k] = dpre.sum(axis=0)
-            dh = dpre @ self.weights[k].T
+            if k > 0:  # the gradient w.r.t. the raw input is never used
+                dh = dpre @ self.weights[k].T
         return grads_W, grads_b
 
     def embed_one(self, x) -> np.ndarray:

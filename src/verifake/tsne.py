@@ -184,7 +184,10 @@ def _pairwise_sq_dists(X: np.ndarray, out=None, scratch=None) -> np.ndarray:
     sq = np.sum(X * X, axis=1)
     scratch = np.matmul(X, X.T, out=scratch)
     np.multiply(2.0, scratch, out=scratch)
-    d2 = np.add(sq[:, None], sq[None, :], out=out)
+    d2 = np.empty_like(scratch) if out is None else out
+    # sq_j + sq_i in place: addition commutes, so this equals sq_i + sq_j
+    d2[...] = sq
+    np.add(d2, sq[:, None], out=d2)
     np.subtract(d2, scratch, out=d2)
     np.maximum(d2, 0.0, out=d2)
     np.fill_diagonal(d2, 0.0)
@@ -265,15 +268,29 @@ def _student_q(Y: np.ndarray, w=None, Q=None, scratch=None):
     return w, Q
 
 
-def _kl_from_q(P_pos, mask, Q) -> float:
-    """KL(P || Q) summed over the entries where P > 0, in row-major order.
+def _kl_from_q(P, Q, out, positive=None) -> float:
+    """KL(P || Q) over the off-diagonal entries, summed in row-major order.
 
-    `P_pos` is P[mask]."""
-    terms = Q[mask]
-    np.divide(P_pos, terms, out=terms)
-    np.log(terms, out=terms)
-    np.multiply(P_pos, terms, out=terms)
-    return float(np.sum(terms))
+    The terms of all n(n-1) off-diagonal entries go to the front of the
+    n x n buffer `out`. When P has off-diagonal zeros, `positive` is the
+    mask `_off_diagonal(P) > 0` and only the terms it selects are summed."""
+    n = P.shape[0]
+    flat = out.ravel()[: n * (n - 1)]
+    terms = flat.reshape(n - 1, n)
+    P_off = _off_diagonal(P)
+    # a P = 0 term is 0 * log(0) = nan; `positive` keeps it out of the sum
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(P_off, _off_diagonal(Q), out=terms)
+        np.log(terms, out=terms)
+        np.multiply(P_off, terms, out=terms)
+    return float(np.sum(flat if positive is None else terms[positive]))
+
+
+def _positive_mask(P):
+    """`_off_diagonal(P) > 0`, or None when that holds everywhere (the usual
+    case: joint affinities are zero only on the diagonal)."""
+    positive = _off_diagonal(P) > 0.0
+    return None if positive.all() else positive
 
 
 def _gradient_from_q(P, w, Q, Y, coeff, exaggeration=1.0) -> np.ndarray:
@@ -293,13 +310,13 @@ def kl_divergence(P, Y) -> float:
     """KL(P || Q(Y)) where Q is the Student-t kernel of the layout.
 
     Defined for any n >= 2; with n = 2 both distributions are forced to
-    (1/2, 1/2) and the divergence is exactly zero.
+    (1/2, 1/2) and the divergence is exactly zero. The sum runs over the
+    pairs i != j with p_ij > 0; the diagonal of P is not read.
     """
     P = np.asarray(P, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
-    _, Q = _student_q(Y)
-    mask = P > 0.0
-    return _kl_from_q(P[mask], mask, Q)
+    w, Q = _student_q(Y)
+    return _kl_from_q(P, Q, w, _positive_mask(P))
 
 
 def kl_gradient(P, Y) -> np.ndarray:
@@ -322,7 +339,9 @@ def run_tsne(X, cfg: TsneConfig):
 
     Each iteration builds the Student-t kernel once: the (w, Q) that
     gives the KL after step k is the one the gradient of step k+1 needs.
-    All n x n work runs in three buffers allocated up front.
+    All n x n work runs in three buffers allocated up front: w, Q and a
+    scratch that holds the Gram matrix, then the KL terms, then the
+    gradient coefficients.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 4:
@@ -331,8 +350,7 @@ def run_tsne(X, cfg: TsneConfig):
 
     affinity = joint_affinities(X, cfg.perplexity)
     P = affinity.P
-    mask = P > 0.0
-    P_pos = P[mask]
+    positive = _positive_mask(P)
 
     rng = np.random.default_rng(cfg.seed)
     Y = rng.normal(0.0, cfg.init_std, size=(n, 2))
@@ -350,7 +368,7 @@ def run_tsne(X, cfg: TsneConfig):
         velocity = momentum * velocity - cfg.learning_rate * grad
         Y = Y + velocity
         _student_q(Y, w, Q, coeff)
-        kl_trace[it] = _kl_from_q(P_pos, mask, Q)
+        kl_trace[it] = _kl_from_q(P, Q, coeff, positive)
 
     return Y, kl_trace
 

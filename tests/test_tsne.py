@@ -1,5 +1,6 @@
 """Perplexity calibration, joint affinities, and the t-SNE optimizer."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -374,6 +375,41 @@ def test_run_tsne_builds_one_kernel_per_iteration(monkeypatch):
     X, _ = three_clusters(per=5)
     run_tsne(X, TsneConfig(perplexity=3, iterations=12, seed=1))
     assert len(calls) == 12 + 1
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_tsne_working_set_is_four_n_by_n_arrays():
+    # P > 0 off the diagonal, as on real embeddings: the loop holds P, w, Q
+    # and one scratch, and the KL gathers nothing
+    X = clustered(7, 300, 5, spread=1.0)
+    n = len(X)
+    P = joint_affinities(X, 10.0).P
+    assert np.all(P[~np.eye(n, dtype=bool)] > 0.0)
+    Y = np.random.default_rng(7).normal(size=(n, 2))
+    n_by_n = 8 * n * n
+    assert _traced_peak(run_tsne, X, TsneConfig(perplexity=10, iterations=5)) <= 4.5 * n_by_n
+    # w and Q, with the KL terms written into w
+    assert _traced_peak(kl_divergence, P, Y) <= 2.5 * n_by_n
+
+
+def test_zero_affinities_are_dropped_without_warnings():
+    X = separated_clusters()
+    P = joint_affinities(X, 3).P
+    Y = np.random.default_rng(0).normal(size=(len(X), 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        kl = kl_divergence(P, Y)
+        _, trace = run_tsne(X, TsneConfig(perplexity=3, iterations=5))
+    assert np.isfinite(kl)
+    assert np.all(np.isfinite(trace))
 
 
 def test_run_tsne_needs_four_points():
