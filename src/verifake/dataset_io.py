@@ -79,7 +79,7 @@ def write_emb1(path, dataset: EmbeddingDataset) -> None:
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(np.array([len(dataset), dataset.dim], dtype="<u4").tobytes())
-        fh.write(rows.tobytes())
+        fh.write(memoryview(rows).cast("B"))  # the array's own buffer, not a copy
 
 
 def read_emb1(path) -> EmbeddingDataset:

@@ -127,16 +127,6 @@ class EmbeddingDataset:
             self.fake[index], self.method[index],
         )
 
-    def concat(self, *others: "EmbeddingDataset") -> "EmbeddingDataset":
-        """This dataset's records followed by those of each of `others`."""
-        for other in others:
-            if other.dim != self.dim:
-                raise DimensionMismatch(f"dims {self.dim} and {other.dim} differ")
-        return EmbeddingDataset(*(
-            np.concatenate(columns)
-            for columns in zip(self._columns(), *(o._columns() for o in others))
-        ))
-
     def _columns(self):
         return self.vectors, self.subject, self.host, self.fake, self.method
 

@@ -115,74 +115,83 @@ def train_stage(cfg: PipelineConfig, train_raw: RawDataset):
     )
 
 
-def simulate_fakes(real_ds: EmbeddingDataset, swaps, seed: int) -> EmbeddingDataset:
-    """Apply every configured simulator to the real records.
+_FAKE_BLOCK = 256  # fakes simulated together; temporaries are O(block x dim)
+
+
+def simulate_fakes(real_subject, real_vectors, swaps, seed: int) -> EmbeddingDataset:
+    """The real records (`real_subject` ids and their `real_vectors`)
+    followed by the fakes of every configured simulator, in columns
+    allocated once.
 
     For identity swaps the donor is a seeded pick among the OTHER
     subjects; the host record and donor record are seeded picks among
     each subject's real embeddings. Each fake draws from its method's
     stream in a fixed order (host record, donor subject until it differs
     from the host, donor record, noise), so the fakes do not depend on
-    how the arithmetic is batched.
+    how the arithmetic is batched: they are computed in float64 blocks of
+    _FAKE_BLOCK rows from the float32 reals, each cast into its own rows.
     """
-    real = np.flatnonzero(~real_ds.fake)
-    groups = list(row_groups(real_ds.subject[real]))
-    subjects = [subject for subject, _ in groups]
-    pools = [real[pos] for _, pos in groups]  # each subject's real rows, in order
+    groups = list(row_groups(np.asarray(real_subject)))
+    subjects = [s for s, _ in groups]
+    pools = [pos for _, pos in groups]  # each subject's real rows, in order
     n_subjects = len(subjects)
+    n_real, dim = real_vectors.shape
+    n = n_real + n_subjects * sum(settings.per_subject for settings in swaps)
+    vectors = np.empty((n, dim), dtype=np.float32)
+    subject = np.empty(n, dtype=np.uint32)
+    host = np.empty(n, dtype=np.uint32)
+    fake = np.ones(n, dtype=bool)
+    method = np.zeros(n, dtype=np.uint8)
+    vectors[:n_real] = real_vectors
+    subject[:n_real] = host[:n_real] = real_subject
+    fake[:n_real] = False
 
-    parts = []
+    start = n_real
     for settings in swaps:
-        method = Method(settings.method)
-        rng = np.random.default_rng(
-            child_seed(seed, f"swap:{METHOD_NAMES[method]}")
-        )
-        identity_swap = method in IDENTITY_SWAP_METHODS
+        code = Method(settings.method)
+        rng = np.random.default_rng(child_seed(seed, f"swap:{METHOD_NAMES[code]}"))
+        identity_swap = code in IDENTITY_SWAP_METHODS
         if identity_swap and n_subjects < 2:
             raise ConfigError("identity swaps need at least 2 subjects")
-        if not identity_swap and method not in EXPRESSION_SWAP_METHODS:
-            raise ConfigError(f"{method!r} is not a manipulation method")
+        if not identity_swap and code not in EXPRESSION_SWAP_METHODS:
+            raise ConfigError(f"{code!r} is not a manipulation method")
         spec = settings.spec()
         noisy = draws_noise(spec, identity_swap)
-
         k = n_subjects * settings.per_subject
-        host_rows = np.empty(k, dtype=np.int64)
-        donor_rows = np.empty(k, dtype=np.int64)
-        noise = np.empty((k, real_ds.dim)) if noisy else None
-        for j in range(k):
-            host = j // settings.per_subject  # index into subjects
-            host_pool = pools[host]
-            host_rows[j] = host_pool[rng.integers(len(host_pool))]
-            if identity_swap:
-                donor = rng.integers(n_subjects)
-                while donor == host:
-                    donor = rng.integers(n_subjects)
-                donor_pool = pools[donor]
-                donor_rows[j] = donor_pool[rng.integers(len(donor_pool))]
-            if noisy:
-                noise[j] = swap_noise(rng, spec.noise_sigma, real_ds.dim)
+        host[start : start + k] = np.repeat(subjects, settings.per_subject)
+        method[start : start + k] = code
+        for first in range(0, k, _FAKE_BLOCK):
+            b = min(_FAKE_BLOCK, k - first)
+            host_rows = np.empty(b, dtype=np.int64)
+            donor_rows = np.empty(b, dtype=np.int64)
+            noise = np.empty((b, dim)) if noisy else None
+            for i in range(b):
+                h = (first + i) // settings.per_subject  # h and d index `subjects`
+                host_rows[i] = pools[h][rng.integers(len(pools[h]))]
+                if identity_swap:
+                    d = rng.integers(n_subjects)
+                    while d == h:
+                        d = rng.integers(n_subjects)
+                    donor_rows[i] = pools[d][rng.integers(len(pools[d]))]
+                if noisy:
+                    noise[i] = swap_noise(rng, spec.noise_sigma, dim)
 
-        hosts = real_ds.vectors[host_rows].astype(np.float64)
-        if identity_swap:
-            donors = real_ds.vectors[donor_rows].astype(np.float64)
-            vectors = identity_swap_rows(donors, hosts, spec, noise)
-            subject = real_ds.subject[donor_rows]
-        else:
-            vectors = expression_swap_rows(hosts, spec, noise)
-            subject = real_ds.subject[host_rows]
-        parts.append(EmbeddingDataset(
-            vectors,
-            subject,
-            np.repeat(subjects, settings.per_subject),
-            np.ones(k, dtype=bool),
-            np.full(k, method, dtype=np.uint8),
-        ))
-    return real_ds.take(slice(0, 0)).concat(*parts)
+            rows = slice(start + first, start + first + b)
+            hosts = vectors[host_rows].astype(np.float64)
+            if identity_swap:
+                donors = vectors[donor_rows].astype(np.float64)
+                vectors[rows] = identity_swap_rows(donors, hosts, spec, noise)
+                subject[rows] = subject[donor_rows]
+            else:
+                vectors[rows] = expression_swap_rows(hosts, spec, noise)
+                subject[rows] = subject[host_rows]
+        start += k
+    return EmbeddingDataset(vectors, subject, host, fake, method)
 
 
 def embed_stage(cfg: PipelineConfig, network, eval_raw: RawDataset) -> EmbeddingDataset:
-    real_ds = extract_embeddings(network, eval_raw.features, eval_raw.labels)
-    return real_ds.concat(simulate_fakes(real_ds, cfg.swaps, cfg.seed))
+    reals = extract_embeddings(network, eval_raw.features, eval_raw.labels)
+    return simulate_fakes(reals.subject, reals.vectors, cfg.swaps, cfg.seed)
 
 
 def tsne_stage(cfg: PipelineConfig, dataset: EmbeddingDataset):
@@ -272,7 +281,10 @@ def eval_command(cfg: PipelineConfig, out: Path, artifacts: dict, dataset, metad
         dataset, cfg.gallery_size, child_seed(cfg.seed, "gallery"),
         cfg.aggregation, cfg.probe_cap, metadata,
     )
-    _write_text(out, "scores.csv", scores_to_csv(scores), artifacts)
+    path = out / "scores.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        scores_to_csv(scores, fh)
+    artifacts[path.name] = path
     _write_text(out, "report.json", report.to_json(), artifacts)
     _write_text(out, "report.txt", report.format_table(), artifacts)
     return report, scores
@@ -313,6 +325,13 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None) -> RunResult:
     default cfg.out_dir)."""
     if out_dir is not None:
         cfg = replace(cfg, out_dir=out_dir)
+    # each eval subject has samples_per_identity real records to enroll
+    if cfg.gallery_size > cfg.samples_per_identity:
+        raise ConfigError(
+            f"gallery_size {cfg.gallery_size} exceeds the {cfg.samples_per_identity} "
+            "samples per identity",
+            field="protocol.gallery_size",
+        )
     return execute(cfg, _run_command)
 
 
@@ -340,5 +359,4 @@ def synth_embedding_dataset(cfg: PipelineConfig) -> EmbeddingDataset:
     as embeddings (they already live on the unit sphere) and the
     configured simulators supply the fakes."""
     raw = generate_identities(cfg.synthetic_spec("eval"))
-    real_ds = EmbeddingDataset.reals(raw.labels, raw.features)
-    return real_ds.concat(simulate_fakes(real_ds, cfg.swaps, cfg.seed))
+    return simulate_fakes(raw.labels, raw.features, cfg.swaps, cfg.seed)

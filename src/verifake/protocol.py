@@ -168,15 +168,16 @@ _HEADER = "score,kind,method,subject"
 _KINDS = {"genuine": True, "imposter": False}
 
 
-def scores_to_csv(scores: ScoreSet) -> str:
-    """Serialize a ScoreSet as `score,kind,method,subject` CSV; each score
-    is written as its repr, so it reads back bit-exactly."""
+def scores_to_csv(scores: ScoreSet, fh) -> None:
+    """Write a ScoreSet to the text file `fh` as `score,kind,method,subject`
+    CSV, one row at a time; each score is written as its repr, so it reads
+    back bit-exactly."""
     rows = zip(*(column.tolist() for column in scores._columns()))
-    lines = [_HEADER] + [
-        f"{score!r},{'genuine' if genuine else 'imposter'},{METHOD_NAMES[method]},{subject}"
+    fh.write(_HEADER + "\n")
+    fh.writelines(
+        f"{score!r},{'genuine' if genuine else 'imposter'},{METHOD_NAMES[method]},{subject}\n"
         for score, genuine, method, subject in rows
-    ]
-    return "\n".join(lines) + "\n"
+    )
 
 
 def scores_from_csv(text: str) -> ScoreSet:

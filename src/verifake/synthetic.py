@@ -79,8 +79,10 @@ def generate_identities(spec: SyntheticSpec) -> RawDataset:
     means = rng.normal(size=(k, d))
     means /= np.linalg.norm(means, axis=1, keepdims=True)
 
-    noise = rng.normal(size=(k, s, d)) / spec.concentration
-    samples = means[:, None, :] + noise
+    # in place: each out-of-place step would allocate another k x s x d array
+    samples = rng.normal(size=(k, s, d))
+    samples /= spec.concentration
+    samples += means[:, None, :]
     samples /= np.linalg.norm(samples, axis=2, keepdims=True)
 
     features = samples.reshape(k * s, d)

@@ -23,6 +23,7 @@ from verifake.embeddings import (
 from verifake.errors import (
     CalibrationWarning,
     ConfigError,
+    DimensionMismatch,
     FormatError,
     InsufficientEnrollment,
     NormalizationError,
@@ -294,6 +295,17 @@ class Record(NamedTuple):
     fake: bool
     method: Method
     vector: np.ndarray  # float32
+
+
+def concat(first, *others) -> EmbeddingDataset:
+    """The records of `first` followed by those of each of `others`."""
+    for other in others:
+        if other.dim != first.dim:
+            raise DimensionMismatch(f"dims {first.dim} and {other.dim} differ")
+    return EmbeddingDataset(*(
+        np.concatenate(columns)
+        for columns in zip(first._columns(), *(o._columns() for o in others))
+    ))
 
 
 def records_of(dataset) -> list:

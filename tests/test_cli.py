@@ -235,6 +235,7 @@ BAD_STAGE_SETTINGS = [
     ("train.embed_dim", "1"),
     ("train.hidden", "128, 0"),
     ("protocol.gallery_size", "0"),
+    ("protocol.gallery_size", "15"),  # above synth.samples_per_identity
     ("protocol.probe_cap", "0"),
     ("swap.Deepfakes.alpha", "1.5"),
     ("swap.Face2Face.sigma", "-0.1"),
@@ -250,6 +251,23 @@ def test_bad_stage_setting_exits_2_before_any_stage(tmp_path, capsys, key, value
     out = tmp_path / "bad_stage_out"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
     assert f"field '{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gallery_size_limit_is_for_run_only(tmp_path):
+    # `run` rejects this gallery (BAD_STAGE_SETTINGS); synth never evaluates
+    cfg = tmp_path / "big_gallery.cfg"
+    cfg.write_text(_with_setting("protocol.gallery_size", "15"))
+    assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "run"])
+def test_identity_swap_with_one_eval_identity_exits_2(tmp_path, capsys, command):
+    cfg = tmp_path / "one_identity.cfg"
+    cfg.write_text(_with_setting("synth.eval_identities", "1"))  # FaceSwap is configured
+    out = tmp_path / "one_identity_out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert "field 'synth.eval_identities'" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from helpers import concat
+
 from verifake.embeddings import (
     EXPRESSION_SWAP_METHODS,
     IDENTITY_SWAP_METHODS,
@@ -115,14 +117,14 @@ def test_dataset_dim_consistency():
 def test_dataset_accessors():
     reals = EmbeddingDataset.reals([0, 1], [[1.0, 0.0], [0.0, 1.0]])
     fakes = one_record(0, 1, True, Method.DEEPFAKES, [1.0, 1.0])
-    ds = reals.concat(fakes)
+    ds = concat(reals, fakes)
     assert len(ds) == 3 and ds.dim == 2
     assert ds.take(~ds.fake) == reals
     assert ds.take(ds.fake) == fakes
     assert ds.take(np.array([2, 0])).subject.tolist() == [0, 0]
-    assert reals.take(slice(0, 0)).concat(reals, fakes) == ds
+    assert concat(reals.take(slice(0, 0)), reals, fakes) == ds
     with pytest.raises(DimensionMismatch):
-        reals.concat(EmbeddingDataset.reals([0], [[1.0, 0.0, 0.0]]))
+        concat(reals, EmbeddingDataset.reals([0], [[1.0, 0.0, 0.0]]))
 
 
 def test_row_groups_sorted_keys_stable_positions():

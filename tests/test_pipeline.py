@@ -2,13 +2,15 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from helpers import record_keys, records_of, reference_simulate_fakes
 
-from verifake.config import SwapSettings, child_seed, parse_config
+from verifake import pipeline
+from verifake.config import PipelineConfig, SwapSettings, child_seed, parse_config
 from verifake.embeddings import (
     EXPRESSION_SWAP_METHODS,
     IDENTITY_SWAP_METHODS,
@@ -19,7 +21,9 @@ from verifake.dataset_io import read_dataset
 from verifake.errors import InsufficientEnrollment
 from verifake.pipeline import (
     StageFailure,
+    eval_command,
     evaluate_dataset,
+    execute,
     run_pipeline,
     simulate_fakes,
     synth_embedding_dataset,
@@ -142,11 +146,12 @@ def test_rerun_is_byte_identical(run, tmp_path):
         ).read_bytes(), name
 
 
-def test_insufficient_enrollment_is_a_stage_failure(tmp_path):
-    cfg = parse_config(PIPE_CFG)
-    cfg = dataclasses.replace(cfg, gallery_size=20)
+def test_insufficient_enrollment_is_a_stage_failure(run, tmp_path):
+    # `eval` on a file cannot know its enrollment before the protocol runs
+    cfg, result = run
+    cfg = dataclasses.replace(cfg, gallery_size=20, out_dir=tmp_path / "fail")
     with pytest.raises(StageFailure) as info:
-        run_pipeline(cfg, tmp_path / "fail")
+        execute(cfg, eval_command, result.dataset)
     assert info.value.stage == "protocol"
     assert isinstance(info.value.cause, InsufficientEnrollment)
     # eval subjects are offset past the 6 training identities
@@ -189,12 +194,13 @@ def test_simulate_fakes_labeling(run):
 
 
 def test_simulate_fakes_deterministic(run):
+    # the dataset is the reals, then every method's fakes
     cfg, result = run
     reals = result.dataset.take(~result.dataset.fake)
-    f1 = simulate_fakes(reals, cfg.swaps, cfg.seed)
-    f2 = simulate_fakes(reals, cfg.swaps, cfg.seed)
-    assert f1 == f2
-    assert f1 == result.dataset.take(result.dataset.fake)
+    d1 = simulate_fakes(reals.subject, reals.vectors, cfg.swaps, cfg.seed)
+    d2 = simulate_fakes(reals.subject, reals.vectors, cfg.swaps, cfg.seed)
+    assert d1 == d2
+    assert d1 == result.dataset
 
 
 SWAP_CASES = {
@@ -215,8 +221,7 @@ SWAP_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(SWAP_CASES))
-def test_simulate_fakes_matches_per_record_reference_bitwise(case):
+def assert_fakes_match_reference(case):
     # uneven real records per subject, shuffled so pools interleave
     rng = np.random.default_rng(21)
     labels = np.concatenate([np.full(4 + s, 10 + 3 * s) for s in range(5)])
@@ -224,10 +229,24 @@ def test_simulate_fakes_matches_per_record_reference_bitwise(case):
     vectors = rng.normal(size=(len(labels), 12))
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
     reals = EmbeddingDataset.reals(labels, vectors)
-    fakes = simulate_fakes(reals, SWAP_CASES[case], seed=77)
+    dataset = simulate_fakes(labels, vectors, SWAP_CASES[case], seed=77)
+    assert dataset.take(slice(len(reals))) == reals
+    fakes = dataset.take(slice(len(reals), None))
     expected = reference_simulate_fakes(records_of(reals), SWAP_CASES[case], 77)
     assert len(fakes) == len(expected) > 0
     assert record_keys(records_of(fakes)) == record_keys(expected)
+
+
+@pytest.mark.parametrize("case", sorted(SWAP_CASES))
+def test_simulate_fakes_matches_per_record_reference_bitwise(case):
+    assert_fakes_match_reference(case)
+
+
+@pytest.mark.parametrize("case", sorted(SWAP_CASES))
+def test_simulate_fakes_blocks_split_subjects_bitwise(case, monkeypatch):
+    # 5-row blocks end inside a subject's run of 3, 4 or 6 fakes
+    monkeypatch.setattr(pipeline, "_FAKE_BLOCK", 5)
+    assert_fakes_match_reference(case)
 
 
 def test_training_free_dataset():
@@ -249,3 +268,17 @@ def test_tsne_disabled_skips_files(tmp_path):
     assert not (result.out_dir / "kl_trace.csv").exists()
     manifest = json.loads((result.out_dir / "manifest.json").read_text())
     assert "tsne.csv" not in manifest["artifacts"]
+
+
+def test_synth_working_set_is_bounded():
+    # the reals are cast straight into the final columns and the fakes are
+    # simulated in row blocks: no whole-dataset temporaries
+    cfg = PipelineConfig(eval_identities=60)
+    tracemalloc.start()
+    try:
+        dataset = synth_embedding_dataset(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = sum(column.nbytes for column in dataset._columns())
+    assert peak <= 3.5 * columns, f"peak {peak} bytes is {peak / columns:.2f}x the columns"

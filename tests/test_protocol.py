@@ -1,9 +1,12 @@
 """Gallery enrollment, probe matching, and score sets."""
 
+import io
+
 import numpy as np
 import pytest
 
 from helpers import (
+    concat,
     record_keys,
     records_of,
     reference_build_gallery,
@@ -172,7 +175,7 @@ def test_all_real_probes_are_genuine():
 def test_conservation_and_order():
     ds = toy_dataset(subjects=2, per_subject=8, seed=5)
     rng = np.random.default_rng(6)
-    ds = ds.concat(fakes_of(1, 0, Method.FACESWAP, unit_rows(rng, 4, 4)))
+    ds = concat(ds, fakes_of(1, 0, Method.FACESWAP, unit_rows(rng, 4, 4)))
     gallery, probes = build_gallery(ds, g=5, seed=0)
     scores = run_protocol(gallery, probes)
     assert len(scores) == len(probes)
@@ -209,7 +212,7 @@ def test_identity_swaps_score_below_genuine():
         swap,
         noise,
     )
-    ds = ds.concat(EmbeddingDataset(fakes, donors, hosts, [True] * 40, [Method.FACESWAP] * 40))
+    ds = concat(ds, EmbeddingDataset(fakes, donors, hosts, [True] * 40, [Method.FACESWAP] * 40))
     gallery, probes = build_gallery(ds, g=10, seed=0)
     scored = run_protocol(gallery, probes)
     genuine = scored.score[scored.genuine]
@@ -221,7 +224,7 @@ def test_identity_swaps_score_below_genuine():
 def test_monotone_transform_keeps_roc():
     ds = toy_dataset(subjects=3, per_subject=10, seed=7)
     rng = np.random.default_rng(8)
-    ds = ds.concat(fakes_of(2, 0, Method.DEEPFAKES, unit_rows(rng, 8, 4)))
+    ds = concat(ds, fakes_of(2, 0, Method.DEEPFAKES, unit_rows(rng, 8, 4)))
     gallery, probes = build_gallery(ds, g=6, seed=0)
     scored = run_protocol(gallery, probes)
     genuine = scored.score[scored.genuine]
@@ -243,7 +246,8 @@ def uneven_dataset(seed, g):
     labels = np.concatenate([np.full(g + 3 + 3 * s, s) for s in range(4)])
     rng.shuffle(labels)
     ds = EmbeddingDataset.reals(labels, unit_rows(rng, len(labels), 6))
-    return ds.concat(
+    return concat(
+        ds,
         fakes_of(2, 0, Method.FACESWAP, unit_rows(rng, 7, 6)),
         fakes_of(0, 0, Method.FACE2FACE, unit_rows(rng, 5, 6)),
     )
@@ -306,6 +310,12 @@ def test_score_record_validation():
         ScoreSet([0.2, 0.3], [True], [Method.NONE], [1])
 
 
+def scores_csv_text(scores) -> str:
+    buffer = io.StringIO()
+    scores_to_csv(scores, buffer)
+    return buffer.getvalue()
+
+
 def test_scores_csv_roundtrip():
     scores = ScoreSet(
         [0.875, -0.25, 0.1234567890123],
@@ -313,7 +323,7 @@ def test_scores_csv_roundtrip():
         [Method.NONE, Method.FACESWAP, Method.NEURALTEXTURES],
         [0, 1, 2],
     )
-    text = scores_to_csv(scores)
+    text = scores_csv_text(scores)
     assert text.splitlines() == [
         "score,kind,method,subject",
         "0.875,genuine,none,0",
@@ -327,7 +337,7 @@ def test_scores_csv_roundtrip():
 
 
 def test_scores_csv_errors_carry_line_numbers():
-    good = scores_to_csv(ScoreSet([0.5], [True], [Method.NONE], [0]))
+    good = scores_csv_text(ScoreSet([0.5], [True], [Method.NONE], [0]))
     with pytest.raises(ConfigError, match="line 2"):
         scores_from_csv(good.replace("genuine", "maybe"))
     with pytest.raises(ConfigError, match="line 2"):
