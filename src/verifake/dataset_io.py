@@ -18,6 +18,12 @@ realness spelled `real`/`fake` and the method by name. Both formats
 round-trip datasets bit-exactly (vectors are float32).
 """
 
+import contextlib
+import itertools
+import os
+import sys
+from functools import partial
+
 import numpy as np
 
 from .embeddings import (
@@ -35,7 +41,9 @@ from .losses import INPUT_NORM_TOL
 MAGIC = b"EMB1"
 _HEADER_SIZE = 12  # magic, u32 record count, u32 dim
 _U32_MAX = 2**32 - 1
-_CSV_BLOCK_ROWS = 4096  # CSV rows parsed into one float64 block before the float32 cast
+_EMB1_BLOCK_ROWS = 4096  # EMB1 records packed and written together
+# vector components below which the CSV codec runs in this process only
+_SPLIT_MIN_VALUES = 1 << 17
 
 
 def _record_dtype(dim: int) -> np.dtype:
@@ -69,17 +77,22 @@ def _record_faults(vectors, subject, host, fake, method) -> list:
 
 
 def write_emb1(path, dataset: EmbeddingDataset) -> None:
-    """Write `dataset` to `path` in EMB1 format."""
-    rows = np.zeros(len(dataset), dtype=_record_dtype(dataset.dim))
-    rows["subject"] = dataset.subject
-    rows["host"] = dataset.host
-    rows["realness"] = dataset.fake
-    rows["method"] = dataset.method
-    rows["vector"] = dataset.vectors
+    """Write `dataset` to `path` in EMB1 format, packing _EMB1_BLOCK_ROWS
+    records at a time."""
+    n = len(dataset)
+    block = np.zeros(min(n, _EMB1_BLOCK_ROWS), dtype=_record_dtype(dataset.dim))
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(np.array([len(dataset), dataset.dim], dtype="<u4").tobytes())
-        fh.write(memoryview(rows).cast("B"))  # the array's own buffer, not a copy
+        fh.write(np.array([n, dataset.dim], dtype="<u4").tobytes())
+        for lo in range(0, n, _EMB1_BLOCK_ROWS):
+            hi = min(lo + _EMB1_BLOCK_ROWS, n)
+            rows = block[: hi - lo]
+            rows["subject"] = dataset.subject[lo:hi]
+            rows["host"] = dataset.host[lo:hi]
+            rows["realness"] = dataset.fake[lo:hi]
+            rows["method"] = dataset.method[lo:hi]
+            rows["vector"] = dataset.vectors[lo:hi]
+            fh.write(memoryview(rows).cast("B"))  # the block's own buffer, not a copy
 
 
 def read_emb1(path) -> EmbeddingDataset:
@@ -136,41 +149,237 @@ def read_emb1(path) -> EmbeddingDataset:
     return EmbeddingDataset(*columns)
 
 
+def _split(values: int) -> int:
+    """The number of processes the CSV codec splits `values` vector
+    components across: the usable CPUs from _SPLIT_MIN_VALUES on, where
+    os.fork exists; else 1."""
+    if values >= _SPLIT_MIN_VALUES and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def _child(job, out) -> None:
+    """Body of a forked child: job(out), then os._exit, so the child never
+    runs the parent's cleanup or flushes the parent's buffers."""
+    code = 1
+    try:
+        job(out)
+        out.flush()
+        code = 0
+    except Exception:
+        import traceback
+
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(code)
+
+
+@contextlib.contextmanager
+def _forked(jobs, own):
+    """Run each of `jobs` in a forked child on an anonymous temp file it
+    writes its output to, and own() here meanwhile. Yields own()'s result
+    and the children's files, rewound and in job order, once every child
+    has exited. A child that fails raises OSError."""
+    import tempfile
+
+    with contextlib.ExitStack() as stack:
+        # made before the forks, so that each child inherits its file
+        files = [stack.enter_context(tempfile.TemporaryFile()) for _ in jobs]
+        pids = []
+        try:
+            for job, out in zip(jobs, files):
+                pid = os.fork()
+                if pid == 0:
+                    _child(job, out)
+                pids.append(pid)
+            result = own()
+        finally:
+            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+        failed = [code for code in codes if code]
+        if failed:
+            raise OSError(
+                f"{len(failed)} of {len(jobs)} CSV worker processes failed "
+                f"(exit codes {failed})"
+            )
+        for out in files:
+            out.seek(0)
+        yield result, files
+
+
+def _write_csv_rows(dataset, lo, hi, fh) -> None:
+    """Write rows [lo, hi) of `dataset` to binary file `fh` as CSV lines."""
+    labels = zip(
+        dataset.subject[lo:hi].tolist(),
+        dataset.host[lo:hi].tolist(),
+        dataset.fake[lo:hi].tolist(),
+        dataset.method[lo:hi].tolist(),
+    )
+    # one row's floats at a time: a whole-matrix tolist() would hold
+    # every component as a Python float at once
+    fh.writelines(
+        f"{subject},{host},{'fake' if fake else 'real'},{METHOD_NAMES[method]},"
+        f"{','.join(map(repr, row.tolist()))}\n".encode("ascii")
+        for (subject, host, fake, method), row in zip(labels, dataset.vectors[lo:hi])
+    )
+
+
 def write_csv(path, dataset: EmbeddingDataset) -> None:
     """Write `dataset` as CSV. Values use full-precision decimal so the
-    float32 components round-trip exactly."""
-    d = dataset.dim
-    header = "subject,host,realness,method," + ",".join(f"v{i}" for i in range(d))
-    labels = zip(
-        dataset.subject.tolist(),
-        dataset.host.tolist(),
-        dataset.fake.tolist(),
-        dataset.method.tolist(),
+    float32 components round-trip exactly.
+
+    From _SPLIT_MIN_VALUES vector components on, the rows are cut into one
+    contiguous range per worker: this process writes the first range
+    straight into the file, forked children format the others into temp
+    files, and those are appended in order. The bytes do not depend on
+    the split."""
+    import shutil
+
+    n = len(dataset)
+    parts = _split(n * dataset.dim)
+    bounds = [n * i // parts for i in range(parts + 1)]
+    header = "subject,host,realness,method," + ",".join(f"v{i}" for i in range(dataset.dim))
+    jobs = [partial(_write_csv_rows, dataset, lo, hi) for lo, hi in zip(bounds[1:], bounds[2:])]
+    with open(path, "wb") as fh:
+        fh.write(f"{header}\n".encode("ascii"))
+        with _forked(jobs, partial(_write_csv_rows, dataset, 0, bounds[1], fh)) as (_, files):
+            for part in files:
+                shutil.copyfileobj(part, fh)
+
+
+def _csv_lines(fh, size):
+    """The lines in the next `size` bytes of binary file `fh`, which end
+    at a b"\\n" or at the end of the file. Each physical line is split with
+    str.splitlines(), which yields exactly the lines of the whole text:
+    \\v, \\f and \\x1c-\\x1e end a line too, and "\\r\\n" never straddles
+    the end of a physical line."""
+    while size > 0:
+        physical = fh.readline(size)
+        if not physical:
+            return
+        size -= len(physical)
+        # a byte above 0x7f decodes to a lone surrogate and is reported at its line
+        yield from physical.decode("ascii", "surrogateescape").splitlines()
+
+
+def _csv_columns(fh, lo, hi, dim):
+    """Empty dataset columns and line numbers with room for every row in
+    bytes [lo, hi) of binary file `fh`: a row, like the header, holds
+    3 + dim commas."""
+    fh.seek(lo)
+    commas = 0
+    while lo < hi and (chunk := fh.read(min(hi - lo, 1 << 16))):
+        lo += len(chunk)
+        commas += int(np.count_nonzero(np.frombuffer(chunk, dtype=np.uint8) == ord(",")))
+    rows = commas // (3 + dim)
+    columns = (
+        np.empty((rows, dim), dtype=np.float32),
+        np.empty(rows, dtype=np.uint32),
+        np.empty(rows, dtype=np.uint32),
+        np.empty(rows, dtype=bool),
+        np.empty(rows, dtype=np.uint8),
     )
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(header + "\n")
-        # one row's floats at a time: a whole-matrix tolist() would hold
-        # every component as a Python float at once
-        fh.writelines(
-            f"{subject},{host},{'fake' if fake else 'real'},{METHOD_NAMES[method]},"
-            f"{','.join(map(repr, row.tolist()))}\n"
-            for (subject, host, fake, method), row in zip(labels, dataset.vectors)
-        )
+    return columns, np.empty(rows, dtype=np.int64)
+
+
+def _csv_cuts(fh, lo, hi, parts) -> list:
+    """Offsets [lo, ..., hi] that cut bytes [lo, hi) of binary file `fh`
+    into `parts` ranges of about equal size, each cut just after a b"\\n"."""
+    cuts = [lo]
+    for i in range(1, parts):
+        fh.seek(max(lo + (hi - lo) * i // parts - 1, cuts[-1]))
+        fh.readline()
+        cuts.append(min(fh.tell(), hi))
+    return cuts + [hi]
+
+
+def _parse_csv_rows(lines, dim, columns, linenos):
+    """Parse CSV data `lines` into rows 0.. of `columns` (vectors, subject,
+    host, fake, method), and their line numbers, counted from 1, into
+    `linenos`, up to the first syntax fault -> (rows, lines read, the
+    message of a fault on the last line read, or None)."""
+    vectors, subject, host, fake, method = columns
+    row = lineno = 0
+    with np.errstate(over="ignore"):  # out-of-range values become inf: a fault
+        for lineno, line in enumerate(lines, start=1):
+            if not line:
+                continue
+            if not line.isascii():
+                byte = next(b for b in line.encode("ascii", "surrogateescape") if b > 0x7F)
+                return row, lineno, f"non-ASCII byte {byte:#04x}"
+            fields = line.split(",")
+            if len(fields) != 4 + dim:
+                return row, lineno, f"expected {4 + dim} fields, got {len(fields)}"
+            try:
+                subject_id, host_id = int(fields[0]), int(fields[1])
+            except ValueError:
+                return row, lineno, "non-integer subject/host id"
+            if not (0 <= subject_id <= _U32_MAX and 0 <= host_id <= _U32_MAX):
+                return row, lineno, "subject/host id outside the u32 range"
+            if fields[2] not in ("real", "fake"):
+                return row, lineno, f"invalid realness {fields[2]!r}"
+            if fields[3] not in METHOD_BY_NAME:
+                return row, lineno, f"unknown method {fields[3]!r}"
+            try:
+                vectors[row] = list(map(float, fields[4:]))
+            except ValueError:
+                return row, lineno, "non-numeric vector component"
+            subject[row] = subject_id
+            host[row] = host_id
+            fake[row] = fields[2] == "fake"
+            method[row] = METHOD_BY_NAME[fields[3]]
+            linenos[row] = lineno
+            row += 1
+    return row, lineno, None
+
+
+def _parse_csv_part(path, lo, hi, dim, out) -> None:
+    """Child job of read_csv: parse bytes [lo, hi) of `path` and write to
+    `out` the row count, the line count and the fault message's length
+    (0 for none) as int64, the message, then the rows' columns and line
+    numbers as raw bytes."""
+    with open(path, "rb") as fh:
+        columns, linenos = _csv_columns(fh, lo, hi, dim)
+        fh.seek(lo)
+        rows, lines, fault = _parse_csv_rows(_csv_lines(fh, hi - lo), dim, columns, linenos)
+    message = (fault or "").encode("utf-8", "surrogatepass")
+    out.write(np.array([rows, lines, len(message)], dtype=np.int64))
+    out.write(message)
+    for column in (*columns, linenos):
+        out.write(column[:rows])
+
+
+def _read_exactly(fh, buffer) -> None:
+    if fh.readinto(buffer) != memoryview(buffer).nbytes:
+        raise OSError("a CSV worker process wrote a truncated part")
+
+
+def _read_csv_part(fh, columns, linenos, start):
+    """Read what _parse_csv_part wrote into rows `start`.. of `columns` and
+    `linenos` -> what _parse_csv_rows returned there."""
+    head = np.empty(3, dtype=np.int64)
+    _read_exactly(fh, head)
+    rows, lines, size = head.tolist()
+    message = fh.read(size).decode("utf-8", "surrogatepass")
+    for column in (*columns, linenos):
+        _read_exactly(fh, column[start : start + rows])
+    return rows, lines, message or None
 
 
 def read_csv(path) -> EmbeddingDataset:
     """Read the CSV embedding format; FormatError offsets are line numbers.
 
-    The file is read as a stream: each physical line is split with
-    str.splitlines(), which yields exactly the lines of the whole text
-    (\\v, \\f and \\x1c-\\x1e end a line too), and parsed rows are kept
-    in float32 blocks of _CSV_BLOCK_ROWS."""
-    # a byte above 0x7f decodes to a lone surrogate and is reported at its line
-    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-        lines = (line for physical in fh for line in physical.splitlines())
-        header = next(lines, None)
-        if header is None:
+    The file is read as a stream of lines, counted as str.splitlines()
+    counts the lines of the whole text, into columns allocated once. From
+    _SPLIT_MIN_VALUES vector components on, the body is cut at b"\\n"
+    boundaries into one range per worker: this process parses the first
+    range, forked children parse the others, and their rows are read
+    straight into the columns. The earliest fault is reported."""
+    with open(path, "rb") as fh:
+        first = fh.readline().decode("ascii", "surrogateescape").splitlines()
+        if not first:
             raise FormatError("empty file", offset=1)
+        header = first[0]
         cols = header.split(",")
         if cols[:4] != ["subject", "host", "realness", "method"]:
             raise FormatError(f"bad header {header!r}", offset=1)
@@ -180,67 +389,40 @@ def read_csv(path) -> EmbeddingDataset:
         if cols[4:] != [f"v{i}" for i in range(dim)]:
             raise FormatError("value columns must be v0..v{d-1}", offset=1)
 
-        # full blocks as (float32 vectors, labels); labels are subject,
-        # host, fake, method codes
-        blocks = []
-        vectors = np.empty((_CSV_BLOCK_ROWS, dim))
-        labels = np.empty((_CSV_BLOCK_ROWS, 4), dtype=np.int64)
-        linenos = []
+        body, size = fh.tell(), os.fstat(fh.fileno()).st_size
+        # from offset 0: rows may follow the header on its physical line
+        columns, linenos = _csv_columns(fh, 0, size, dim)
+        cuts = _csv_cuts(fh, body, size, _split(len(linenos) * dim))
 
-        def close_block(k):
-            with np.errstate(over="ignore"):  # out-of-range values become inf: a fault
-                blocks.append((vectors[:k].astype(np.float32), labels[:k].copy()))
+        def own():
+            fh.seek(body)
+            lines = itertools.chain(first[1:], _csv_lines(fh, cuts[1] - body))
+            return _parse_csv_rows(lines, dim, columns, linenos)
 
-        def checked_columns():
-            # the rows read so far; the earliest label or vector fault raises
-            close_block(len(linenos) % _CSV_BLOCK_ROWS)
-            vecs = np.concatenate([v for v, _ in blocks])
-            labs = np.concatenate([lab for _, lab in blocks])
-            blocks.clear()
-            ids = labs[:, :2].astype(np.uint32)
-            columns = (vecs, ids[:, 0], ids[:, 1], labs[:, 2] == 1, labs[:, 3].astype(np.uint8))
-            faults = _record_faults(*columns)
-            hit = first_fault([mask for mask, _ in faults])
-            if hit is not None:
-                i, j = hit
-                raise FormatError(faults[j][1](i), offset=linenos[i])
-            return columns
+        jobs = [partial(_parse_csv_part, path, lo, hi, dim) for lo, hi in zip(cuts[1:], cuts[2:])]
+        with _forked(jobs, own) as (result, files):
+            n, line = 0, 1  # rows and lines so far, the header first
+            for part in [None, *files]:
+                if part is not None:
+                    result = _read_csv_part(part, columns, linenos, n)
+                rows, lines, fault = result
+                linenos[n : n + rows] += line
+                n += rows
+                line += lines
+                if fault is not None:  # on the last line read
+                    break
 
-        try:
-            for lineno, line in enumerate(lines, start=2):
-                if not line:
-                    continue
-                if not line.isascii():
-                    byte = next(b for b in line.encode("ascii", "surrogateescape") if b > 0x7F)
-                    raise FormatError(f"non-ASCII byte {byte:#04x}", offset=lineno)
-                fields = line.split(",")
-                if len(fields) != 4 + dim:
-                    raise FormatError(
-                        f"expected {4 + dim} fields, got {len(fields)}", offset=lineno
-                    )
-                try:
-                    subject, host = int(fields[0]), int(fields[1])
-                except ValueError:
-                    raise FormatError("non-integer subject/host id", offset=lineno) from None
-                if not (0 <= subject <= _U32_MAX and 0 <= host <= _U32_MAX):
-                    raise FormatError("subject/host id outside the u32 range", offset=lineno)
-                if fields[2] not in ("real", "fake"):
-                    raise FormatError(f"invalid realness {fields[2]!r}", offset=lineno)
-                if fields[3] not in METHOD_BY_NAME:
-                    raise FormatError(f"unknown method {fields[3]!r}", offset=lineno)
-                k = len(linenos) % _CSV_BLOCK_ROWS
-                try:
-                    vectors[k] = list(map(float, fields[4:]))
-                except ValueError:
-                    raise FormatError("non-numeric vector component", offset=lineno) from None
-                labels[k] = subject, host, fields[2] == "fake", METHOD_BY_NAME[fields[3]]
-                linenos.append(lineno)
-                if k == _CSV_BLOCK_ROWS - 1:
-                    close_block(_CSV_BLOCK_ROWS)
-        except FormatError:
-            checked_columns()  # a fault on an earlier line is reported first
-            raise
-    return EmbeddingDataset(*checked_columns())
+    # the rows before the first syntax fault; an earlier label or vector
+    # fault is reported first
+    columns = tuple(column[:n] for column in columns)
+    faults = _record_faults(*columns)
+    hit = first_fault([mask for mask, _ in faults])
+    if hit is not None:
+        i, j = hit
+        raise FormatError(faults[j][1](i), offset=int(linenos[i]))
+    if fault is not None:
+        raise FormatError(fault, offset=line)
+    return EmbeddingDataset(*columns)
 
 
 def write_dataset(path, dataset: EmbeddingDataset, fmt: str = "emb1") -> None:

@@ -247,9 +247,10 @@ def execute(cfg: PipelineConfig, command, *inputs):
     `command(cfg, out, artifacts, *inputs)`, which runs its stages through
     _run_stage and records each file it writes under `out` in `artifacts`.
     manifest.json is written last, so a directory without one holds an
-    incomplete run."""
+    incomplete run: an older manifest is removed before the first stage."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    (out / "manifest.json").unlink(missing_ok=True)
     artifacts: dict = {}
     result = command(cfg, out, artifacts, *inputs)
     write_manifest(cfg, out, artifacts)

@@ -2,12 +2,15 @@
 
 import argparse
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from verifake import dataset_io, pipeline
 from verifake.cli import EXIT_CONFIG, EXIT_FAILURE, EXIT_OK, build_parser, main
+from verifake.errors import DegenerateVector
 from verifake.losses import LOSS_NAMES
 
 CLI_CFG = """
@@ -276,6 +279,44 @@ def test_failed_subcommand_leaves_no_manifest(run_dir, tmp_path, capsys):
     argv = ["eval", str(run_dir / "embeddings.emb1"), "--gallery-size", "100", "--out", str(out)]
     assert main(argv) == EXIT_FAILURE
     assert "stage 'protocol' failed" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_failed_rerun_removes_the_old_manifest(cfg_path, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "rerun"
+    argv = ["train", "--config", str(cfg_path), "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert (out / "manifest.json").is_file()
+
+    def failing_embed(*args):
+        raise DegenerateVector("embedder fault")
+
+    monkeypatch.setattr(pipeline, "embed_stage", failing_embed)
+    assert main(argv) == EXIT_FAILURE
+    assert "stage 'embed' failed" in capsys.readouterr().err
+    # train_curve.csv was rewritten before the failure, and no manifest vouches for it
+    assert (out / "train_curve.csv").is_file()
+    assert not (out / "manifest.json").exists()
+
+
+def test_failed_csv_worker_exits_1(cfg_path, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(dataset_io, "_split", lambda values: 3)
+    write_rows = dataset_io._write_csv_rows
+
+    def failing_in_children(dataset, lo, hi, fh):
+        if lo > 0:  # not the first range, which this process writes
+            raise RuntimeError("worker fault")
+        write_rows(dataset, lo, hi, fh)
+
+    monkeypatch.setattr(dataset_io, "_write_csv_rows", failing_in_children)
+    temp_dir = tmp_path / "temp"
+    temp_dir.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp_dir))
+    out = tmp_path / "synth_csv"
+    argv = ["synth", "--config", str(cfg_path), "--out", str(out), "--format", "csv"]
+    assert main(argv) == EXIT_FAILURE
+    assert "2 of 2 CSV worker processes failed" in capsys.readouterr().err
+    assert list(temp_dir.iterdir()) == []
     assert not (out / "manifest.json").exists()
 
 

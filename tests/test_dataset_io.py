@@ -1,6 +1,10 @@
 """EMB1 binary format and CSV twin: round trips and corruption checks."""
 
+import contextlib
+import itertools
 import struct
+import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,7 +68,8 @@ def test_csv_round_trip_bit_exact(tmp_path):
 
 
 @pytest.mark.parametrize("fmt", ["emb1", "csv"])
-def test_writers_match_per_record_reference_bytes(tmp_path, fmt):
+def test_writers_match_per_record_reference_bytes(tmp_path, monkeypatch, fmt):
+    monkeypatch.setattr(dataset_io_module, "_EMB1_BLOCK_ROWS", 16)  # the last block is short
     # seeded swaps of both groups, the two record kinds and several subjects
     cfg = PipelineConfig(
         seed=5,
@@ -84,6 +89,42 @@ def test_writers_match_per_record_reference_bytes(tmp_path, fmt):
     reference(ref, ds.dim, records_of(ds))
     assert path.read_bytes() == ref.read_bytes()
     assert read_dataset(ref) == ds
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _basis_reals(n, dim):
+    """n real records whose vectors cycle through the unit basis: cheap to
+    write as CSV."""
+    return EmbeddingDataset.reals(np.arange(n) % 40, np.eye(dim)[np.arange(n) % dim])
+
+
+def test_emb1_writer_working_set_is_one_block(tmp_path):
+    # records are packed and written in blocks, not as one array the size of the file
+    ds = _basis_reals(40_000, 4)
+    path = tmp_path / "w.emb1"
+    _, peak = _traced_peak(write_emb1, path, ds)
+    columns = sum(column.nbytes for column in ds._columns())
+    assert peak <= 0.25 * columns, f"peak {peak} bytes is {peak / columns:.2f}x the columns"
+    assert read_emb1(path) == ds
+
+
+def test_csv_reader_working_set_is_bounded(tmp_path):
+    # the rows are parsed straight into columns allocated once
+    ds = _basis_reals(3000, 32)
+    path = tmp_path / "r.csv"
+    write_csv(path, ds)
+    back, peak = _traced_peak(read_csv, path)
+    assert back == ds
+    columns = sum(column.nbytes for column in back._columns())
+    assert peak <= 1.6 * columns, f"peak {peak} bytes is {peak / columns:.2f}x the columns"
 
 
 def test_emb1_layout_is_as_documented(tmp_path):
@@ -284,22 +325,33 @@ def _csv_outcome(reader, path):
     return [ds.vectors.tobytes()] + [col.tolist() for col in (ds.subject, ds.host, ds.fake, ds.method)]
 
 
-@pytest.mark.parametrize("brk", LINE_BREAKS)
-def test_csv_line_breaks_match_whole_text_reader(tmp_path, monkeypatch, brk):
-    monkeypatch.setattr(dataset_io_module, "_CSV_BLOCK_ROWS", 2)  # rows cross blocks
+def _line_break_rows():
     rng = np.random.default_rng(7)
-    rows = [f"{s},{s},real,none," + ",".join(map(repr, unit(rng, 2).astype(np.float32).tolist())) for s in range(5)]
+    return [
+        f"{s},{s},real,none," + ",".join(map(repr, unit(rng, 2).astype(np.float32).tolist()))
+        for s in range(5)
+    ]
+
+
+def _line_break_texts(brk):
+    rows = _line_break_rows()
     bad_label = "1,2,real,none,1.0,0.0"
-    path = tmp_path / "b.csv"
-    texts = [
+    return [
         CSV_HEADER + brk.join(rows) + brk,  # every row ends in the break
         CSV_HEADER + rows[0] + brk + rows[1] + "\n" + "1,1,real,none,1.0\n",  # field count
         CSV_HEADER + "\n".join(rows[:3]) + brk + bad_label + "\n" + rows[4] + "\n",  # label
         CSV_HEADER + rows[0] + "\n" + rows[1][:9] + brk + rows[1][9:] + "\n",  # break inside a row
         CSV_HEADER.replace(",v0", brk + "v0"),  # break inside the header
         brk + CSV_HEADER + rows[0],
+        CSV_HEADER[:-1] + brk + rows[0] + "\n" + rows[1] + "\n",  # a row on the header's line
     ]
-    for text in texts:
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS)
+def test_csv_line_breaks_match_whole_text_reader(tmp_path, brk):
+    rows = _line_break_rows()
+    path = tmp_path / "b.csv"
+    for text in _line_break_texts(brk):
         path.write_bytes(text.encode("ascii"))
         assert _csv_outcome(read_csv, path) == _csv_outcome(reference_read_csv, path), repr(text)
 
@@ -309,6 +361,86 @@ def test_csv_line_breaks_match_whole_text_reader(tmp_path, monkeypatch, brk):
     with pytest.raises(FormatError) as err:
         read_csv(path)
     assert err.value.offset == 4 + (brk == "\n\n")  # "\r\n" is one line break
+
+
+def _split_codec(monkeypatch, parts):
+    """Send every CSV file, however small, through `parts` processes."""
+    monkeypatch.setattr(dataset_io_module, "_split", lambda values: parts)
+
+
+@contextlib.contextmanager
+def _jobs_in_process(jobs, own):
+    """dataset_io._forked without the fork: each job runs here on its own
+    temp file, before own()."""
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(tempfile.TemporaryFile()) for _ in jobs]
+        for job, out in zip(jobs, files):
+            job(out)
+            out.seek(0)
+        yield own(), files
+
+
+def _every_cut(monkeypatch, data, parts):
+    """Cuts for the reader's 2 or 3 ranges that put each cut at each
+    b"\\n" boundary of the body of `data`; 3 ranges have a middle one that
+    is empty or one physical line long. The reader uses the cuts yielded
+    last."""
+    body = data.find(b"\n") + 1 or len(data)
+    ends = sorted({i + 1 for i in range(body - 1, len(data)) if data[i] == ord("\n")} | {len(data)})
+    if parts == 2:
+        choices = [[end] for end in ends]
+    else:
+        choices = [[a, a] for a in ends] + [[a, b] for a, b in zip(ends, ends[1:])]
+    for cuts in choices:
+        monkeypatch.setattr(
+            dataset_io_module, "_csv_cuts", lambda fh, lo, hi, k, cuts=cuts: [lo, *cuts, hi]
+        )
+        yield cuts
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+@pytest.mark.parametrize("brk", LINE_BREAKS)
+def test_csv_split_reader_matches_whole_text_reader_at_every_cut(tmp_path, monkeypatch, brk, parts):
+    # the parts run in this process, so that every cut is cheap to try;
+    # the next test forks
+    _split_codec(monkeypatch, parts)
+    monkeypatch.setattr(dataset_io_module, "_forked", _jobs_in_process)
+    path = tmp_path / "s.csv"
+    for text in _line_break_texts(brk):
+        data = text.encode("ascii")
+        path.write_bytes(data)
+        expected = _csv_outcome(reference_read_csv, path)
+        for cuts in _every_cut(monkeypatch, data, parts):
+            assert _csv_outcome(read_csv, path) == expected, (text, cuts)
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+def test_csv_forked_reader_matches_whole_text_reader(tmp_path, monkeypatch, parts):
+    _split_codec(monkeypatch, parts)
+    path = tmp_path / "f.csv"
+    for text in _line_break_texts("\r\n"):
+        path.write_bytes(text.encode("ascii"))
+        assert _csv_outcome(read_csv, path) == _csv_outcome(reference_read_csv, path), text
+
+
+def test_csv_row_on_the_header_line_is_read(tmp_path):
+    rows = _line_break_rows()
+    path = tmp_path / "h.csv"
+    path.write_bytes((CSV_HEADER[:-1] + "\v" + rows[0] + "\n" + rows[1] + "\n").encode("ascii"))
+    assert read_csv(path).subject.tolist() == [0, 1]
+
+
+def test_csv_writer_bytes_do_not_depend_on_the_split(tmp_path, monkeypatch):
+    rng = np.random.default_rng(11)
+    ds = EmbeddingDataset.reals(list(range(7)), [unit(rng, 3) for _ in range(7)])
+    ref = tmp_path / "ref.csv"
+    reference_write_csv(ref, ds.dim, records_of(ds))
+    for parts in (1, 2, 3):  # 7 rows: no split is even
+        _split_codec(monkeypatch, parts)
+        path = tmp_path / f"{parts}.csv"
+        write_csv(path, ds)
+        assert path.read_bytes() == ref.read_bytes(), parts
+        assert read_csv(path) == ds
 
 
 def test_csv_earliest_bad_line_reported_first(tmp_path):
