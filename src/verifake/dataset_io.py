@@ -18,10 +18,7 @@ realness spelled `real`/`fake` and the method by name. Both formats
 round-trip datasets bit-exactly (vectors are float32).
 """
 
-import contextlib
-import itertools
 import os
-import sys
 from functools import partial
 
 import numpy as np
@@ -37,11 +34,13 @@ from .embeddings import (
 )
 from .errors import FormatError
 from .losses import INPUT_NORM_TOL
+from .workers import forked, read_exactly, worker_count
 
 MAGIC = b"EMB1"
 _HEADER_SIZE = 12  # magic, u32 record count, u32 dim
 _U32_MAX = 2**32 - 1
-_EMB1_BLOCK_ROWS = 4096  # EMB1 records packed and written together
+_EMB1_BLOCK_ROWS = 4096  # EMB1 records packed or read together
+_CSV_PIECE_BYTES = 1 << 14  # CSV bytes read at once when no b"\n" comes sooner
 # vector components below which the CSV codec runs in this process only
 _SPLIT_MIN_VALUES = 1 << 17
 
@@ -95,31 +94,46 @@ def write_emb1(path, dataset: EmbeddingDataset) -> None:
             fh.write(memoryview(rows).cast("B"))  # the block's own buffer, not a copy
 
 
+def _read_records(fh, record, count):
+    """Read `count` EMB1 records of dtype `record` from binary file `fh`,
+    _EMB1_BLOCK_ROWS at a time, into one column per field, in field order."""
+    fields = [np.empty((count, *record[name].shape), record[name].base) for name in record.names]
+    block = np.empty(min(count, _EMB1_BLOCK_ROWS), dtype=record)
+    for lo in range(0, count, _EMB1_BLOCK_ROWS):
+        rows = block[: min(count - lo, _EMB1_BLOCK_ROWS)]
+        if fh.readinto(rows) != rows.nbytes:
+            raise FormatError("file shrank while it was read", offset=fh.tell())
+        for column, name in zip(fields, record.names):
+            column[lo : lo + len(rows)] = rows[name]
+    return fields
+
+
 def read_emb1(path) -> EmbeddingDataset:
     """Read an EMB1 file, validating structure byte-for-byte. A bad record
     is reported at the offset of the field at fault (the record's start
-    for label and vector faults)."""
+    for label and vector faults). The records are read _EMB1_BLOCK_ROWS
+    at a time straight into the dataset's columns."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        head = fh.read(_HEADER_SIZE)
+        if len(head) < 4 or head[:4] != MAGIC:
+            raise FormatError(f"bad magic {head[:4]!r}, expected {MAGIC!r}", offset=0)
+        if len(head) < _HEADER_SIZE:
+            raise FormatError("truncated header", offset=len(head))
+        count, dim = (int(x) for x in np.frombuffer(head, dtype="<u4", count=2, offset=4))
+        if dim < MIN_DIM:
+            raise FormatError(f"dim {dim} below minimum {MIN_DIM}", offset=8)
 
-    if len(data) < 4 or data[:4] != MAGIC:
-        raise FormatError(f"bad magic {data[:4]!r}, expected {MAGIC!r}", offset=0)
-    if len(data) < _HEADER_SIZE:
-        raise FormatError("truncated header", offset=len(data))
-    count, dim = (int(x) for x in np.frombuffer(data, dtype="<u4", count=2, offset=4))
-    if dim < MIN_DIM:
-        raise FormatError(f"dim {dim} below minimum {MIN_DIM}", offset=8)
+        try:
+            record = _record_dtype(dim)
+        except ValueError:  # numpy caps one record at 2**31 - 1 bytes
+            raise FormatError(f"dim {dim} too large", offset=8) from None
 
-    try:
-        record = _record_dtype(dim)
-    except ValueError:  # numpy caps one record at 2**31 - 1 bytes
-        raise FormatError(f"dim {dim} too large", offset=8) from None
+        rec_size = record.itemsize
+        size = os.fstat(fh.fileno()).st_size
+        complete = min(count, (size - _HEADER_SIZE) // rec_size)
+        subject, host, realness, code, reserved, vectors = _read_records(fh, record, complete)
 
-    rec_size = record.itemsize
-    complete = min(count, (len(data) - _HEADER_SIZE) // rec_size)
-    rows = np.frombuffer(data, dtype=record, count=complete, offset=_HEADER_SIZE)
-    realness, code, reserved = rows["realness"], rows["method"], rows["reserved"]
-    columns = (rows["vector"], rows["subject"], rows["host"], realness == 1, code)
+    columns = (vectors, subject, host, realness == 1, code)
     # (bad rows, field offset within the record, message for row i), in
     # the order the fields are checked
     faults = [
@@ -138,73 +152,12 @@ def read_emb1(path) -> EmbeddingDataset:
         raise FormatError(message(i), offset=_HEADER_SIZE + i * rec_size + field)
     if complete < count:
         raise FormatError(
-            f"truncated payload: record {complete} of {count} incomplete",
-            offset=len(data),
+            f"truncated payload: record {complete} of {count} incomplete", offset=size
         )
     end = _HEADER_SIZE + count * rec_size
-    if end != len(data):
-        raise FormatError(
-            f"{len(data) - end} trailing bytes after last record", offset=end
-        )
+    if end != size:
+        raise FormatError(f"{size - end} trailing bytes after last record", offset=end)
     return EmbeddingDataset(*columns)
-
-
-def _split(values: int) -> int:
-    """The number of processes the CSV codec splits `values` vector
-    components across: the usable CPUs from _SPLIT_MIN_VALUES on, where
-    os.fork exists; else 1."""
-    if values >= _SPLIT_MIN_VALUES and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return 1
-
-
-def _child(job, out) -> None:
-    """Body of a forked child: job(out), then os._exit, so the child never
-    runs the parent's cleanup or flushes the parent's buffers."""
-    code = 1
-    try:
-        job(out)
-        out.flush()
-        code = 0
-    except Exception:
-        import traceback
-
-        traceback.print_exc()
-        sys.stderr.flush()
-    finally:
-        os._exit(code)
-
-
-@contextlib.contextmanager
-def _forked(jobs, own):
-    """Run each of `jobs` in a forked child on an anonymous temp file it
-    writes its output to, and own() here meanwhile. Yields own()'s result
-    and the children's files, rewound and in job order, once every child
-    has exited. A child that fails raises OSError."""
-    import tempfile
-
-    with contextlib.ExitStack() as stack:
-        # made before the forks, so that each child inherits its file
-        files = [stack.enter_context(tempfile.TemporaryFile()) for _ in jobs]
-        pids = []
-        try:
-            for job, out in zip(jobs, files):
-                pid = os.fork()
-                if pid == 0:
-                    _child(job, out)
-                pids.append(pid)
-            result = own()
-        finally:
-            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-        failed = [code for code in codes if code]
-        if failed:
-            raise OSError(
-                f"{len(failed)} of {len(jobs)} CSV worker processes failed "
-                f"(exit codes {failed})"
-            )
-        for out in files:
-            out.seek(0)
-        yield result, files
 
 
 def _write_csv_rows(dataset, lo, hi, fh) -> None:
@@ -236,30 +189,55 @@ def write_csv(path, dataset: EmbeddingDataset) -> None:
     import shutil
 
     n = len(dataset)
-    parts = _split(n * dataset.dim)
+    parts = worker_count(n * dataset.dim, _SPLIT_MIN_VALUES)
     bounds = [n * i // parts for i in range(parts + 1)]
     header = "subject,host,realness,method," + ",".join(f"v{i}" for i in range(dataset.dim))
     jobs = [partial(_write_csv_rows, dataset, lo, hi) for lo, hi in zip(bounds[1:], bounds[2:])]
     with open(path, "wb") as fh:
         fh.write(f"{header}\n".encode("ascii"))
-        with _forked(jobs, partial(_write_csv_rows, dataset, 0, bounds[1], fh)) as (_, files):
+        with forked(jobs, partial(_write_csv_rows, dataset, 0, bounds[1], fh)) as (_, files):
             for part in files:
                 shutil.copyfileobj(part, fh)
 
 
 def _csv_lines(fh, size):
-    """The lines in the next `size` bytes of binary file `fh`, which end
-    at a b"\\n" or at the end of the file. Each physical line is split with
-    str.splitlines(), which yields exactly the lines of the whole text:
-    \\v, \\f and \\x1c-\\x1e end a line too, and "\\r\\n" never straddles
-    the end of a physical line."""
+    """The lines in the next `size` bytes of binary file `fh`, as
+    str.splitlines() splits their whole text: \\v, \\f, \\x1c-\\x1e and a lone
+    \\r end a line too, and "\\r\\n" is one break. The bytes are read a
+    physical line at a time, at most _CSV_PIECE_BYTES (or the carried
+    line's length) at once; a line still open at the end of a read is
+    carried into the next."""
+    carry, limit = "", _CSV_PIECE_BYTES
     while size > 0:
-        physical = fh.readline(size)
-        if not physical:
-            return
-        size -= len(physical)
+        piece = fh.readline(limit if limit < size else size)
+        if not piece:
+            break
+        size -= len(piece)
         # a byte above 0x7f decodes to a lone surrogate and is reported at its line
-        yield from physical.decode("ascii", "surrogateescape").splitlines()
+        text = piece.decode("ascii", "surrogateescape")
+        if carry:
+            text, carry, limit = carry + text, "", _CSV_PIECE_BYTES
+        if size and piece[-1] != ord("\n"):
+            # cut short: the last line may go on, and a last "\r" may be
+            # the start of a "\r\n"
+            lines = text.splitlines(keepends=True)
+            carry = lines.pop()
+            text = "".join(lines)
+            limit = max(_CSV_PIECE_BYTES, len(carry))
+        yield from text.splitlines()
+    yield from carry.splitlines()
+
+
+def _line_end(fh, pos, hi) -> int:
+    """The offset just after the first b"\\n" in bytes [pos, hi) of binary
+    file `fh`, or hi."""
+    fh.seek(pos)
+    while pos < hi and (chunk := fh.read(min(hi - pos, _CSV_PIECE_BYTES))):
+        found = chunk.find(b"\n")
+        if found >= 0:
+            return pos + found + 1
+        pos += len(chunk)
+    return hi
 
 
 def _csv_columns(fh, lo, hi, dim):
@@ -287,9 +265,7 @@ def _csv_cuts(fh, lo, hi, parts) -> list:
     into `parts` ranges of about equal size, each cut just after a b"\\n"."""
     cuts = [lo]
     for i in range(1, parts):
-        fh.seek(max(lo + (hi - lo) * i // parts - 1, cuts[-1]))
-        fh.readline()
-        cuts.append(min(fh.tell(), hi))
+        cuts.append(_line_end(fh, max(lo + (hi - lo) * i // parts - 1, cuts[-1]), hi))
     return cuts + [hi]
 
 
@@ -349,20 +325,15 @@ def _parse_csv_part(path, lo, hi, dim, out) -> None:
         out.write(column[:rows])
 
 
-def _read_exactly(fh, buffer) -> None:
-    if fh.readinto(buffer) != memoryview(buffer).nbytes:
-        raise OSError("a CSV worker process wrote a truncated part")
-
-
 def _read_csv_part(fh, columns, linenos, start):
     """Read what _parse_csv_part wrote into rows `start`.. of `columns` and
     `linenos` -> what _parse_csv_rows returned there."""
     head = np.empty(3, dtype=np.int64)
-    _read_exactly(fh, head)
+    read_exactly(fh, head)
     rows, lines, size = head.tolist()
     message = fh.read(size).decode("utf-8", "surrogatepass")
     for column in (*columns, linenos):
-        _read_exactly(fh, column[start : start + rows])
+        read_exactly(fh, column[start : start + rows])
     return rows, lines, message or None
 
 
@@ -376,10 +347,10 @@ def read_csv(path) -> EmbeddingDataset:
     range, forked children parse the others, and their rows are read
     straight into the columns. The earliest fault is reported."""
     with open(path, "rb") as fh:
-        first = fh.readline().decode("ascii", "surrogateescape").splitlines()
-        if not first:
+        size = os.fstat(fh.fileno()).st_size
+        header = next(_csv_lines(fh, size), None)
+        if header is None:
             raise FormatError("empty file", offset=1)
-        header = first[0]
         cols = header.split(",")
         if cols[:4] != ["subject", "host", "realness", "method"]:
             raise FormatError(f"bad header {header!r}", offset=1)
@@ -389,18 +360,20 @@ def read_csv(path) -> EmbeddingDataset:
         if cols[4:] != [f"v{i}" for i in range(dim)]:
             raise FormatError("value columns must be v0..v{d-1}", offset=1)
 
-        body, size = fh.tell(), os.fstat(fh.fileno()).st_size
-        # from offset 0: rows may follow the header on its physical line
+        # the body starts after the header's physical line; the rows that
+        # follow the header on that line are this process's to parse
+        body = _line_end(fh, 0, size)
         columns, linenos = _csv_columns(fh, 0, size, dim)
-        cuts = _csv_cuts(fh, body, size, _split(len(linenos) * dim))
+        cuts = _csv_cuts(fh, body, size, worker_count(len(linenos) * dim, _SPLIT_MIN_VALUES))
 
         def own():
-            fh.seek(body)
-            lines = itertools.chain(first[1:], _csv_lines(fh, cuts[1] - body))
+            fh.seek(0)
+            lines = _csv_lines(fh, cuts[1])
+            next(lines)  # the header
             return _parse_csv_rows(lines, dim, columns, linenos)
 
         jobs = [partial(_parse_csv_part, path, lo, hi, dim) for lo, hi in zip(cuts[1:], cuts[2:])]
-        with _forked(jobs, own) as (result, files):
+        with forked(jobs, own) as (result, files):
             n, line = 0, 1  # rows and lines so far, the header first
             for part in [None, *files]:
                 if part is not None:

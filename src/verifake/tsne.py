@@ -11,12 +11,15 @@ few thousand) keep the O(n^2) computation cheap and make the analytic
 gradient directly checkable against finite differences.
 """
 
+import contextlib
+import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CalibrationWarning, ConfigError
+from .workers import forked, worker_count
 
 MACHINE_EPSILON = np.finfo(np.float64).eps
 CALIBRATION_TOL = 1e-5
@@ -24,6 +27,8 @@ CALIBRATION_REFINE = 1e-8  # keep bisecting well past the declared tolerance
 CALIBRATION_MAX_ITER = 200
 DUPLICATE_JITTER = 1e-10
 _CALIBRATION_BLOCK = 128  # rows calibrated together; temporaries are O(block x n)
+# layouts from this many points on compute their KL trace in a forked child
+_KL_FORK_MIN_POINTS = 100
 
 
 @dataclass(frozen=True)
@@ -330,6 +335,108 @@ def kl_gradient(P, Y) -> np.ndarray:
     return _gradient_from_q(P, w, Q, Y, np.empty_like(w))
 
 
+def _descend(P, positive, Y, cfg, w, Q, coeff, kl_trace, child=None):
+    """The gradient descent of run_tsne from layout Y, whose kernel is in
+    (w, Q) -> the final layout.
+
+    kl_trace[it] receives the KL after iteration it. With `child`, the
+    _KlOffers of a forked _kl_child, each new Q is offered to the child
+    instead; before Q is overwritten, this process computes the KL of a Q
+    the child has not taken, or waits until the child has copied it."""
+    velocity = np.zeros_like(Y)
+    for it in range(cfg.iterations):
+        exaggeration = cfg.early_exaggeration if it < cfg.exaggeration_until else 1.0
+        grad = _gradient_from_q(P, w, Q, Y, coeff, exaggeration)
+        momentum = (
+            cfg.momentum_start if it < cfg.momentum_switch else cfg.momentum_final
+        )
+        velocity = momentum * velocity - cfg.learning_rate * grad
+        Y = Y + velocity
+        if child and it and child.take_back():
+            kl_trace[it - 1] = _kl_from_q(P, Q, coeff, positive)
+        _student_q(Y, w, Q, coeff)
+        if child:
+            child.offer(it)
+        else:
+            kl_trace[it] = _kl_from_q(P, Q, coeff, positive)
+    return Y
+
+
+class _KlOffers:
+    """This process's ends of the pipes to a forked _kl_child. Each new Q
+    is offered as its iteration number on the `ready` pipe, whose read end
+    both processes hold in non-blocking mode: whoever reads an offer
+    computes that KL, so a child that is slow to run costs no waiting. The
+    child says on `released` when it has copied a Q it took."""
+
+    def __init__(self, ready_r, ready_w, released_r):
+        self.ready_r, self.ready_w, self.released_r = ready_r, ready_w, released_r
+
+    def offer(self, it) -> None:
+        self.ready_w.write(it.to_bytes(8, "little"))
+
+    def take_back(self) -> bool:
+        """True if the child had not taken the last offer, which is then
+        this process's to compute; else waits until the child has copied
+        that Q."""
+        if self.ready_r.read(8):  # None: the child has it
+            return True
+        if not self.released_r.read(1):
+            raise ChildProcessError("the t-SNE KL worker process ended early")
+        return False
+
+
+def _kl_child(P, Q, positive, kl_trace, ready, released) -> None:
+    """Forked child of run_tsne: for each offer on `ready` that it reads
+    before its parent takes it back, copy Q, say so on `released` and write
+    the KL into the shared `kl_trace`. Returns when `ready` ends."""
+    import select
+
+    copy, terms = np.empty_like(Q), np.empty_like(Q)
+    while True:
+        select.select([ready], [], [])
+        offer = ready.read(8)
+        if offer is None:  # the parent took it back first
+            continue
+        if not offer:
+            return
+        np.copyto(copy, Q)
+        released.write(b"\1")
+        kl_trace[int.from_bytes(offer, "little")] = _kl_from_q(P, copy, terms, positive)
+
+
+def _descend_with_kl_child(P, positive, Y, cfg, w, Q, coeff, kl_trace):
+    """_descend with a forked _kl_child computing the KL terms it takes.
+    Q and kl_trace must be in memory the child shares."""
+    with contextlib.ExitStack() as stack:
+        ready_r, ready_w, released_r, released_w = (
+            stack.enter_context(open(fd, mode, buffering=0))
+            for fd, mode in zip((*os.pipe(), *os.pipe()), ("rb", "wb") * 2)
+        )
+        os.set_blocking(ready_r.fileno(), False)
+
+        def child(out):
+            ready_w.close()  # so that the child reads EOF once the parent closes its end
+            _kl_child(P, Q, positive, kl_trace, ready_r, released_w)
+
+        def own():
+            released_w.close()  # so that a child that died reads as EOF
+            with ready_w:  # closed before the child is waited for
+                offers = _KlOffers(ready_r, ready_w, released_r)
+                return _descend(P, positive, Y, cfg, w, Q, coeff, kl_trace, offers)
+
+        with forked([child], own) as (Y, _):
+            return Y
+
+
+def _shared_zeros(size) -> np.ndarray:
+    """`size` float64 zeros in an anonymous shared mapping: a forked child
+    reads and writes the same memory as this process."""
+    import mmap
+
+    return np.frombuffer(mmap.mmap(-1, 8 * size), dtype=np.float64)
+
+
 def run_tsne(X, cfg: TsneConfig):
     """Gradient descent on KL(P || Q) for a 2-D layout.
 
@@ -342,6 +449,11 @@ def run_tsne(X, cfg: TsneConfig):
     All n x n work runs in three buffers allocated up front: w, Q and a
     scratch that holds the Gram matrix, then the KL terms, then the
     gradient coefficients.
+
+    From _KL_FORK_MIN_POINTS points on, with more than one usable CPU, a
+    forked child computes the KL terms while this process goes on with
+    the next step; Q and the trace are then anonymous shared mappings.
+    The results do not depend on where each KL is computed.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 4:
@@ -354,23 +466,15 @@ def run_tsne(X, cfg: TsneConfig):
 
     rng = np.random.default_rng(cfg.seed)
     Y = rng.normal(0.0, cfg.init_std, size=(n, 2))
-    velocity = np.zeros_like(Y)
-    kl_trace = np.zeros(cfg.iterations, dtype=np.float64)
-
-    w, Q, coeff = (np.empty((n, n), dtype=np.float64) for _ in range(3))
+    in_child = worker_count(n, _KL_FORK_MIN_POINTS) > 1
+    w, coeff = (np.empty((n, n), dtype=np.float64) for _ in range(2))
+    if in_child:
+        Q, kl_trace = _shared_zeros(n * n).reshape(n, n), _shared_zeros(cfg.iterations)
+    else:
+        Q, kl_trace = np.empty((n, n), dtype=np.float64), np.zeros(cfg.iterations)
     _student_q(Y, w, Q, coeff)
-    for it in range(cfg.iterations):
-        exaggeration = cfg.early_exaggeration if it < cfg.exaggeration_until else 1.0
-        grad = _gradient_from_q(P, w, Q, Y, coeff, exaggeration)
-        momentum = (
-            cfg.momentum_start if it < cfg.momentum_switch else cfg.momentum_final
-        )
-        velocity = momentum * velocity - cfg.learning_rate * grad
-        Y = Y + velocity
-        _student_q(Y, w, Q, coeff)
-        kl_trace[it] = _kl_from_q(P, Q, coeff, positive)
-
-    return Y, kl_trace
+    descend = _descend_with_kl_child if in_child else _descend
+    return descend(P, positive, Y, cfg, w, Q, coeff, kl_trace), kl_trace
 
 
 def layout_to_csv(Y, dataset) -> str:

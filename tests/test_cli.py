@@ -2,13 +2,15 @@
 
 import argparse
 import json
+import os
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import deadline
 
-from verifake import dataset_io, pipeline
+from verifake import dataset_io, pipeline, tsne
 from verifake.cli import EXIT_CONFIG, EXIT_FAILURE, EXIT_OK, build_parser, main
 from verifake.errors import DegenerateVector
 from verifake.losses import LOSS_NAMES
@@ -300,7 +302,7 @@ def test_failed_rerun_removes_the_old_manifest(cfg_path, tmp_path, monkeypatch, 
 
 
 def test_failed_csv_worker_exits_1(cfg_path, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(dataset_io, "_split", lambda values: 3)
+    monkeypatch.setattr(dataset_io, "worker_count", lambda size, minimum: 3)
     write_rows = dataset_io._write_csv_rows
 
     def failing_in_children(dataset, lo, hi, fh):
@@ -315,8 +317,29 @@ def test_failed_csv_worker_exits_1(cfg_path, tmp_path, monkeypatch, capsys):
     out = tmp_path / "synth_csv"
     argv = ["synth", "--config", str(cfg_path), "--out", str(out), "--format", "csv"]
     assert main(argv) == EXIT_FAILURE
-    assert "2 of 2 CSV worker processes failed" in capsys.readouterr().err
+    assert "2 of 2 worker processes failed" in capsys.readouterr().err
     assert list(temp_dir.iterdir()) == []
+    assert not (out / "manifest.json").exists()
+
+
+def test_failed_kl_worker_exits_1(cfg_path, tmp_path, monkeypatch, capsys):
+    # the 60 t-SNE points go through a forked KL child on any host
+    monkeypatch.setattr(tsne, "_KL_FORK_MIN_POINTS", 4)
+    monkeypatch.setattr(tsne, "worker_count", lambda size, minimum: 2)
+
+    parent, kl = os.getpid(), tsne._kl_from_q
+
+    def failing_in_child(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("KL fault")
+        return kl(*args)
+
+    monkeypatch.setattr(tsne, "_kl_from_q", failing_in_child)
+    out = tmp_path / "kl_fault"
+    with deadline(60):
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == EXIT_FAILURE
+    assert "worker process" in capsys.readouterr().err
+    assert (out / "report.json").is_file()  # the stages before t-SNE ran
     assert not (out / "manifest.json").exists()
 
 

@@ -127,6 +127,31 @@ def test_csv_reader_working_set_is_bounded(tmp_path):
     assert peak <= 1.6 * columns, f"peak {peak} bytes is {peak / columns:.2f}x the columns"
 
 
+def test_csv_reader_streams_lines_ending_in_cr(tmp_path):
+    # a file with no b"\n" at all is one physical line: it is read in
+    # pieces, not whole
+    ds = _basis_reals(3000, 32)
+    path = tmp_path / "cr.csv"
+    write_csv(path, ds)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
+    back, peak = _traced_peak(read_csv, path)
+    assert back == ds
+    columns = sum(column.nbytes for column in back._columns())
+    assert peak <= 1.6 * columns, f"peak {peak} bytes is {peak / columns:.2f}x the columns"
+
+
+def test_emb1_reader_working_set_is_bounded(tmp_path):
+    # the records are read in blocks straight into the columns, not as a
+    # copy of the whole file
+    ds = _basis_reals(20_000, 32)
+    path = tmp_path / "r.emb1"
+    write_emb1(path, ds)
+    back, peak = _traced_peak(read_emb1, path)
+    assert back == ds
+    columns = sum(column.nbytes for column in back._columns())
+    assert peak <= 1.3 * columns, f"peak {peak} bytes is {peak / columns:.2f}x the columns"
+
+
 def test_emb1_layout_is_as_documented(tmp_path):
     vec = np.array([0.25, -1.5], dtype=np.float32)
     ds = EmbeddingDataset([vec], [7], [9], [True], [Method.FACESWAP])
@@ -238,6 +263,32 @@ def test_emb1_earliest_bad_record_reported_first(tmp_path):
     with pytest.raises(FormatError, match="record 1: real records") as err:
         read_emb1(path)
     assert err.value.offset == 12 + rec_size
+
+
+def test_emb1_faults_keep_their_order_across_blocks(tmp_path, monkeypatch):
+    # five records read two at a time: a field fault in the second block
+    # wins over trailing bytes, and the payload checks run after it
+    monkeypatch.setattr(dataset_io_module, "_EMB1_BLOCK_ROWS", 2)
+    ds = _basis_reals(5, 4)
+    rec_size = 12 + 4 * 4
+    path = tmp_path / "b.emb1"
+    write_emb1(path, ds)
+    good = path.read_bytes()
+    assert read_emb1(path) == ds
+    bad = bytearray(good + b"\x00")
+    bad[12 + 3 * rec_size + 10] = 1
+    path.write_bytes(bytes(bad))
+    with pytest.raises(FormatError, match="reserved") as err:
+        read_emb1(path)
+    assert err.value.offset == 12 + 3 * rec_size + 10
+    path.write_bytes(good[:-1])
+    with pytest.raises(FormatError, match="record 4 of 5 incomplete") as err:
+        read_emb1(path)
+    assert err.value.offset == len(good) - 1
+    path.write_bytes(good + b"\x00")
+    with pytest.raises(FormatError, match="1 trailing bytes") as err:
+        read_emb1(path)
+    assert err.value.offset == len(good)
 
 
 BAD_VECTORS = [
@@ -363,14 +414,25 @@ def test_csv_line_breaks_match_whole_text_reader(tmp_path, brk):
     assert err.value.offset == 4 + (brk == "\n\n")  # "\r\n" is one line break
 
 
+@pytest.mark.parametrize("piece", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("brk", LINE_BREAKS)
+def test_csv_lines_cut_into_pieces_match_whole_text_reader(tmp_path, monkeypatch, brk, piece):
+    # every line, and every "\r\n", is cut across reads somewhere
+    monkeypatch.setattr(dataset_io_module, "_CSV_PIECE_BYTES", piece)
+    path = tmp_path / "p.csv"
+    for text in _line_break_texts(brk):
+        path.write_bytes(text.encode("ascii"))
+        assert _csv_outcome(read_csv, path) == _csv_outcome(reference_read_csv, path), repr(text)
+
+
 def _split_codec(monkeypatch, parts):
     """Send every CSV file, however small, through `parts` processes."""
-    monkeypatch.setattr(dataset_io_module, "_split", lambda values: parts)
+    monkeypatch.setattr(dataset_io_module, "worker_count", lambda size, minimum: parts)
 
 
 @contextlib.contextmanager
 def _jobs_in_process(jobs, own):
-    """dataset_io._forked without the fork: each job runs here on its own
+    """workers.forked without the fork: each job runs here on its own
     temp file, before own()."""
     with contextlib.ExitStack() as stack:
         files = [stack.enter_context(tempfile.TemporaryFile()) for _ in jobs]
@@ -404,7 +466,7 @@ def test_csv_split_reader_matches_whole_text_reader_at_every_cut(tmp_path, monke
     # the parts run in this process, so that every cut is cheap to try;
     # the next test forks
     _split_codec(monkeypatch, parts)
-    monkeypatch.setattr(dataset_io_module, "_forked", _jobs_in_process)
+    monkeypatch.setattr(dataset_io_module, "forked", _jobs_in_process)
     path = tmp_path / "s.csv"
     for text in _line_break_texts(brk):
         data = text.encode("ascii")

@@ -1,11 +1,15 @@
 """Perplexity calibration, joint affinities, and the t-SNE optimizer."""
 
+import os
+import select
+import time
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from helpers import (
+    deadline,
     fd_grad,
     reference_calibrate_sigma,
     reference_joint_affinities,
@@ -398,6 +402,124 @@ def test_tsne_working_set_is_four_n_by_n_arrays():
     assert _traced_peak(run_tsne, X, TsneConfig(perplexity=10, iterations=5)) <= 4.5 * n_by_n
     # w and Q, with the KL terms written into w
     assert _traced_peak(kl_divergence, P, Y) <= 2.5 * n_by_n
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """worker_count as on a host with two usable CPUs and os.fork."""
+    monkeypatch.setattr(tsne_module, "worker_count", lambda size, minimum: 2 if size >= minimum else 1)
+
+
+@pytest.mark.parametrize(
+    "make_input, dense",
+    [(lambda: clustered(7, 120, 5, spread=1.0), True), (lambda: clustered(7, 300, 5), False)],
+    ids=["dense_P", "sparse_P"],
+)
+def test_kl_child_matches_in_process_bitwise(monkeypatch, two_cpus, make_input, dense):
+    X = make_input()
+    cfg = TsneConfig(perplexity=10, iterations=30, exaggeration_until=10, momentum_switch=20, seed=3)
+    assert (tsne_module._positive_mask(joint_affinities(X, cfg.perplexity).P) is None) == dense
+    forks = []
+    original = tsne_module.forked
+
+    def counting(*args):
+        forks.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(tsne_module, "forked", counting)
+    outputs = []
+    for minimum in (len(X) + 1, 4):  # in this process, then with a forked child
+        monkeypatch.setattr(tsne_module, "_KL_FORK_MIN_POINTS", minimum)
+        with deadline(60):
+            Y, trace = run_tsne(X, cfg)
+        outputs.append((Y.tobytes(), trace.tobytes()))
+    assert len(forks) == 1
+    assert outputs[0] == outputs[1]
+
+
+def _in_child_only(fn):
+    """`fn` in a forked child, the original _kl_from_q in this process."""
+    parent, original = os.getpid(), tsne_module._kl_from_q
+
+    def kl(*args):
+        return original(*args) if os.getpid() == parent else fn(*args)
+
+    return kl
+
+
+def test_slow_kl_child_leaves_the_kl_to_the_parent(monkeypatch, two_cpus):
+    # a child that takes 20 ms per KL takes few of the offers; the parent
+    # computes the rest, and the trace does not depend on who did which
+    X, _ = three_clusters(per=6)
+    cfg = TsneConfig(perplexity=3, iterations=30, exaggeration_until=10, momentum_switch=20)
+    monkeypatch.setattr(tsne_module, "_KL_FORK_MIN_POINTS", len(X) + 1)
+    Y_ref, trace_ref = run_tsne(X, cfg)
+    monkeypatch.setattr(tsne_module, "_KL_FORK_MIN_POINTS", 4)
+    original, here = tsne_module._kl_from_q, []
+
+    def slow(*args):
+        time.sleep(0.02)
+        return original(*args)
+
+    def counting(*args):
+        here.append(1)
+        return slow_in_child(*args)
+
+    slow_in_child = _in_child_only(slow)
+    monkeypatch.setattr(tsne_module, "_kl_from_q", counting)
+    with deadline(20):
+        Y, trace = run_tsne(X, cfg)
+    assert 0 < len(here) < cfg.iterations  # the last offer, at least, is left to the child
+    assert Y.tobytes() == Y_ref.tobytes()
+    assert trace.tobytes() == trace_ref.tobytes()
+
+
+def test_parent_fault_mid_loop_leaves_no_child(monkeypatch, two_cpus):
+    # the child waits for the next Q when the loop stops; it must read EOF
+    # and exit, and be waited for (the autouse no_child_left fixture checks)
+    monkeypatch.setattr(tsne_module, "_KL_FORK_MIN_POINTS", 4)
+    original = tsne_module._gradient_from_q
+    calls = []
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) == 5:
+            raise RuntimeError("parent fault")
+        return original(*args)
+
+    monkeypatch.setattr(tsne_module, "_gradient_from_q", failing)
+    X, _ = three_clusters(per=6)
+    with deadline(20), pytest.raises(RuntimeError, match="parent fault"):
+        run_tsne(X, TsneConfig(perplexity=3, iterations=20))
+
+
+@pytest.mark.parametrize("iterations", [1, 20], ids=["last_offer", "mid_loop"])
+def test_kl_child_fault_raises_os_error(monkeypatch, two_cpus, iterations):
+    monkeypatch.setattr(tsne_module, "_KL_FORK_MIN_POINTS", 4)
+
+    def failing(*args):
+        raise RuntimeError("child fault")
+
+    monkeypatch.setattr(tsne_module, "_kl_from_q", _in_child_only(failing))
+    X, _ = three_clusters(per=6)
+    with deadline(20), pytest.raises(OSError, match="worker process"):
+        run_tsne(X, TsneConfig(perplexity=3, iterations=iterations))
+
+
+def test_kl_child_that_dies_holding_a_q_raises_os_error(monkeypatch, two_cpus):
+    # the parent waits for the Q to be released and reads EOF instead
+    monkeypatch.setattr(tsne_module, "_KL_FORK_MIN_POINTS", 4)
+
+    def dies_holding_a_q(P, Q, positive, kl_trace, ready, released):
+        while True:
+            select.select([ready], [], [])
+            if ready.read(8) is not None:
+                raise RuntimeError("child fault")
+
+    monkeypatch.setattr(tsne_module, "_kl_child", dies_holding_a_q)
+    X, _ = three_clusters(per=6)
+    with deadline(20), pytest.raises(OSError, match="worker process"):
+        run_tsne(X, TsneConfig(perplexity=3, iterations=20))
 
 
 def test_zero_affinities_are_dropped_without_warnings():
