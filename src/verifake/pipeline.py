@@ -348,7 +348,7 @@ def evaluate_dataset(
     scores). The report's metadata is the aggregation, the gallery size and
     the gallery seed, updated by `metadata`."""
     scores = _run_stage("protocol", lambda: run_protocol(
-        *build_gallery(dataset, g=g, seed=seed, probe_cap=probe_cap), aggregation
+        *build_gallery(dataset, g=g, seed=seed, probe_cap=probe_cap), dataset, aggregation
     ))
     meta = {"aggregation": aggregation, "gallery_size": g, "seed": seed}
     meta.update(metadata or {})
@@ -358,6 +358,10 @@ def evaluate_dataset(
 def synth_embedding_dataset(cfg: PipelineConfig) -> EmbeddingDataset:
     """Training-free dataset: the synthetic clusters are used directly
     as embeddings (they already live on the unit sphere) and the
-    configured simulators supply the fakes."""
+    configured simulators supply the fakes. The float64 samples are cast
+    to float32, the dtype of the final columns, and dropped before those
+    are allocated."""
     raw = generate_identities(cfg.synthetic_spec("eval"))
-    return simulate_fakes(raw.labels, raw.features, cfg.swaps, cfg.seed)
+    labels, reals = raw.labels, raw.features.astype(np.float32)
+    del raw
+    return simulate_fakes(labels, reals, cfg.swaps, cfg.seed)

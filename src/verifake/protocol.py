@@ -98,13 +98,14 @@ def build_gallery(
     seed: int = 0,
     probe_cap: int = DEFAULT_PROBE_CAP,
 ):
-    """Split a dataset into (Gallery, probes).
+    """Split a dataset into (Gallery, probe rows).
 
     For every subject, g of its real records are enrolled by seeded
     uniform sampling without replacement; everything else (including all
     fakes) becomes a probe. When a host subject has more than probe_cap
     probe records, a seeded subsample keeps exactly probe_cap of them.
-    The probes are an EmbeddingDataset in input order.
+    The probes are given as their ascending int64 row indices into
+    `dataset`, so no probe column is copied.
     """
     if g < 1:
         raise ConfigError("gallery size must be >= 1", field="gallery_size")
@@ -131,30 +132,36 @@ def build_gallery(
         if len(pos) > probe_cap:
             keep[pos] = False
             keep[pos[rng.choice(len(pos), size=probe_cap, replace=False)]] = True
-    return Gallery(g, entries), dataset.take(probe_rows[keep])
+    return Gallery(g, entries), probe_rows[keep]
 
 
-def run_protocol(gallery: Gallery, probes: EmbeddingDataset, aggregation: str = "mean") -> ScoreSet:
-    """Score every probe against its host subject's gallery.
+def run_protocol(
+    gallery: Gallery, rows, dataset: EmbeddingDataset, aggregation: str = "mean"
+) -> ScoreSet:
+    """Score the probes, the records `rows` (row indices) of `dataset`,
+    against their host subjects' galleries.
 
-    Score i belongs to probe i: real probes are genuine, fakes imposters
-    carrying their method, and the subject is the probe's host.
+    Score i belongs to record rows[i]: real probes are genuine, fakes
+    imposters carrying their method, and the subject is the probe's host.
+    Each host's probe vectors are gathered from `dataset` in turn.
     """
     if aggregation not in AGGREGATIONS:
         raise ConfigError(f"aggregation must be one of {AGGREGATIONS}")
-    unknown = ~np.isin(probes.host, list(gallery.entries))
+    rows = np.asarray(rows, dtype=np.int64)
+    hosts = dataset.host[rows]
+    unknown = ~np.isin(hosts, list(gallery.entries))
     if unknown.any():
-        host = int(probes.host[np.argmax(unknown)])
+        host = int(hosts[np.argmax(unknown)])
         raise UnknownSubject(f"probe host subject {host} is not enrolled")
-    scores = np.empty(len(probes))
-    for host, pos in row_groups(probes.host):
-        vectors = probes.vectors[pos].astype(np.float64)
+    scores = np.empty(len(rows))
+    for host, pos in row_groups(hosts):
+        vectors = dataset.vectors[rows[pos]].astype(np.float64)
         # one gemv per probe row, the same BLAS call as `templates @ probe`,
         # so each score is bitwise what scoring that probe alone gives
         cosines = np.matmul(gallery.entries[host][None], vectors[:, :, None])[:, :, 0]
         values = cosines.mean(axis=1) if aggregation == "mean" else cosines.max(axis=1)
         scores[pos] = np.clip(values, -1.0, 1.0)
-    return ScoreSet(scores, ~probes.fake, probes.method, probes.host)
+    return ScoreSet(scores, ~dataset.fake[rows], dataset.method[rows], hosts)
 
 
 def assert_subject_disjoint(training_ids, evaluation_ids) -> None:
@@ -168,16 +175,20 @@ _HEADER = "score,kind,method,subject"
 _KINDS = {"genuine": True, "imposter": False}
 
 
+_SCORE_BLOCK = 4096  # rows converted to Python values at a time
+
+
 def scores_to_csv(scores: ScoreSet, fh) -> None:
     """Write a ScoreSet to the text file `fh` as `score,kind,method,subject`
-    CSV, one row at a time; each score is written as its repr, so it reads
-    back bit-exactly."""
-    rows = zip(*(column.tolist() for column in scores._columns()))
+    CSV, in blocks of _SCORE_BLOCK rows; each score is written as its repr,
+    so it reads back bit-exactly."""
     fh.write(_HEADER + "\n")
-    fh.writelines(
-        f"{score!r},{'genuine' if genuine else 'imposter'},{METHOD_NAMES[method]},{subject}\n"
-        for score, genuine, method, subject in rows
-    )
+    for start in range(0, len(scores), _SCORE_BLOCK):
+        block = (column[start : start + _SCORE_BLOCK].tolist() for column in scores._columns())
+        fh.writelines(
+            f"{score!r},{'genuine' if genuine else 'imposter'},{METHOD_NAMES[method]},{subject}\n"
+            for score, genuine, method, subject in zip(*block)
+        )
 
 
 def scores_from_csv(text: str) -> ScoreSet:

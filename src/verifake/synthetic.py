@@ -67,6 +67,9 @@ class RawDataset:
         return self.features.shape[0]
 
 
+_NORM_BLOCK = 512  # sample rows normalized together
+
+
 def generate_identities(spec: SyntheticSpec) -> RawDataset:
     """Sample the synthetic identity clusters described by `spec`.
 
@@ -83,9 +86,13 @@ def generate_identities(spec: SyntheticSpec) -> RawDataset:
     samples = rng.normal(size=(k, s, d))
     samples /= spec.concentration
     samples += means[:, None, :]
-    samples /= np.linalg.norm(samples, axis=2, keepdims=True)
-
     features = samples.reshape(k * s, d)
+    # np.linalg.norm makes two temporaries the size of its input; each row's
+    # norm is the same reduction in any block of rows
+    for start in range(0, k * s, _NORM_BLOCK):
+        block = features[start : start + _NORM_BLOCK]
+        block /= np.linalg.norm(block, axis=1, keepdims=True)
+
     labels = np.repeat(np.arange(k, dtype=np.int64), s)
     return RawDataset(features, labels, means)
 

@@ -29,6 +29,8 @@ DUPLICATE_JITTER = 1e-10
 _CALIBRATION_BLOCK = 128  # rows calibrated together; temporaries are O(block x n)
 # layouts from this many points on compute their KL trace in a forked child
 _KL_FORK_MIN_POINTS = 100
+# what the KL child writes to its file per KL it computes: (iteration, KL)
+_KL_RECORD = np.dtype([("iteration", "<i8"), ("kl", "<f8")])
 
 
 @dataclass(frozen=True)
@@ -386,10 +388,11 @@ class _KlOffers:
         return False
 
 
-def _kl_child(P, Q, positive, kl_trace, ready, released) -> None:
+def _kl_child(P, Q, positive, out, ready, released) -> None:
     """Forked child of run_tsne: for each offer on `ready` that it reads
     before its parent takes it back, copy Q, say so on `released` and write
-    the KL into the shared `kl_trace`. Returns when `ready` ends."""
+    the iteration and its KL to the file `out` as a _KL_RECORD. Returns
+    when `ready` ends."""
     import select
 
     copy, terms = np.empty_like(Q), np.empty_like(Q)
@@ -402,12 +405,14 @@ def _kl_child(P, Q, positive, kl_trace, ready, released) -> None:
             return
         np.copyto(copy, Q)
         released.write(b"\1")
-        kl_trace[int.from_bytes(offer, "little")] = _kl_from_q(P, copy, terms, positive)
+        kl = _kl_from_q(P, copy, terms, positive)
+        out.write(np.array((int.from_bytes(offer, "little"), kl), dtype=_KL_RECORD).tobytes())
 
 
 def _descend_with_kl_child(P, positive, Y, cfg, w, Q, coeff, kl_trace):
     """_descend with a forked _kl_child computing the KL terms it takes.
-    Q and kl_trace must be in memory the child shares."""
+    Q must be in memory the child shares; the KLs the child computed are
+    written into kl_trace once it has exited."""
     with contextlib.ExitStack() as stack:
         ready_r, ready_w, released_r, released_w = (
             stack.enter_context(open(fd, mode, buffering=0))
@@ -417,7 +422,7 @@ def _descend_with_kl_child(P, positive, Y, cfg, w, Q, coeff, kl_trace):
 
         def child(out):
             ready_w.close()  # so that the child reads EOF once the parent closes its end
-            _kl_child(P, Q, positive, kl_trace, ready_r, released_w)
+            _kl_child(P, Q, positive, out, ready_r, released_w)
 
         def own():
             released_w.close()  # so that a child that died reads as EOF
@@ -425,7 +430,9 @@ def _descend_with_kl_child(P, positive, Y, cfg, w, Q, coeff, kl_trace):
                 offers = _KlOffers(ready_r, ready_w, released_r)
                 return _descend(P, positive, Y, cfg, w, Q, coeff, kl_trace, offers)
 
-        with forked([child], own) as (Y, _):
+        with forked([child], own) as (Y, (out,)):
+            taken = np.frombuffer(out.read(), dtype=_KL_RECORD)
+            kl_trace[taken["iteration"]] = taken["kl"]
             return Y
 
 
@@ -452,7 +459,7 @@ def run_tsne(X, cfg: TsneConfig):
 
     From _KL_FORK_MIN_POINTS points on, with more than one usable CPU, a
     forked child computes the KL terms while this process goes on with
-    the next step; Q and the trace are then anonymous shared mappings.
+    the next step; Q is then an anonymous shared mapping.
     The results do not depend on where each KL is computed.
     """
     X = np.asarray(X, dtype=np.float64)
@@ -468,10 +475,8 @@ def run_tsne(X, cfg: TsneConfig):
     Y = rng.normal(0.0, cfg.init_std, size=(n, 2))
     in_child = worker_count(n, _KL_FORK_MIN_POINTS) > 1
     w, coeff = (np.empty((n, n), dtype=np.float64) for _ in range(2))
-    if in_child:
-        Q, kl_trace = _shared_zeros(n * n).reshape(n, n), _shared_zeros(cfg.iterations)
-    else:
-        Q, kl_trace = np.empty((n, n), dtype=np.float64), np.zeros(cfg.iterations)
+    Q = _shared_zeros(n * n).reshape(n, n) if in_child else np.empty((n, n), dtype=np.float64)
+    kl_trace = np.zeros(cfg.iterations)
     _student_q(Y, w, Q, coeff)
     descend = _descend_with_kl_child if in_child else _descend
     return descend(P, positive, Y, cfg, w, Q, coeff, kl_trace), kl_trace

@@ -4,6 +4,7 @@ import contextlib
 import math
 import signal
 import struct
+import tracemalloc
 import warnings
 from typing import NamedTuple
 
@@ -46,6 +47,17 @@ from verifake.tsne import (
     kl_divergence,
     kl_gradient,
 )
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the peak bytes tracemalloc saw allocated during the
+    call)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def rel_err(analytic, numeric) -> float:

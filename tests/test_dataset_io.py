@@ -4,12 +4,17 @@ import contextlib
 import itertools
 import struct
 import tempfile
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import records_of, reference_read_csv, reference_write_csv, reference_write_emb1
+from helpers import (
+    records_of,
+    reference_read_csv,
+    reference_write_csv,
+    reference_write_emb1,
+    traced_peak,
+)
 
 import verifake.dataset_io as dataset_io_module
 from verifake.config import PipelineConfig, SwapSettings
@@ -91,15 +96,6 @@ def test_writers_match_per_record_reference_bytes(tmp_path, monkeypatch, fmt):
     assert read_dataset(ref) == ds
 
 
-def _traced_peak(fn, *args):
-    tracemalloc.start()
-    try:
-        result = fn(*args)
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def _basis_reals(n, dim):
     """n real records whose vectors cycle through the unit basis: cheap to
     write as CSV."""
@@ -110,7 +106,7 @@ def test_emb1_writer_working_set_is_one_block(tmp_path):
     # records are packed and written in blocks, not as one array the size of the file
     ds = _basis_reals(40_000, 4)
     path = tmp_path / "w.emb1"
-    _, peak = _traced_peak(write_emb1, path, ds)
+    _, peak = traced_peak(write_emb1, path, ds)
     columns = sum(column.nbytes for column in ds._columns())
     assert peak <= 0.25 * columns, f"peak {peak} bytes is {peak / columns:.2f}x the columns"
     assert read_emb1(path) == ds
@@ -121,7 +117,7 @@ def test_csv_reader_working_set_is_bounded(tmp_path):
     ds = _basis_reals(3000, 32)
     path = tmp_path / "r.csv"
     write_csv(path, ds)
-    back, peak = _traced_peak(read_csv, path)
+    back, peak = traced_peak(read_csv, path)
     assert back == ds
     columns = sum(column.nbytes for column in back._columns())
     assert peak <= 1.6 * columns, f"peak {peak} bytes is {peak / columns:.2f}x the columns"
@@ -134,7 +130,7 @@ def test_csv_reader_streams_lines_ending_in_cr(tmp_path):
     path = tmp_path / "cr.csv"
     write_csv(path, ds)
     path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
-    back, peak = _traced_peak(read_csv, path)
+    back, peak = traced_peak(read_csv, path)
     assert back == ds
     columns = sum(column.nbytes for column in back._columns())
     assert peak <= 1.6 * columns, f"peak {peak} bytes is {peak / columns:.2f}x the columns"
@@ -146,7 +142,7 @@ def test_emb1_reader_working_set_is_bounded(tmp_path):
     ds = _basis_reals(20_000, 32)
     path = tmp_path / "r.emb1"
     write_emb1(path, ds)
-    back, peak = _traced_peak(read_emb1, path)
+    back, peak = traced_peak(read_emb1, path)
     assert back == ds
     columns = sum(column.nbytes for column in back._columns())
     assert peak <= 1.3 * columns, f"peak {peak} bytes is {peak / columns:.2f}x the columns"

@@ -2,12 +2,11 @@
 
 import dataclasses
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import record_keys, records_of, reference_simulate_fakes
+from helpers import record_keys, records_of, reference_simulate_fakes, traced_peak
 
 from verifake import pipeline
 from verifake.config import PipelineConfig, SwapSettings, child_seed, parse_config
@@ -19,6 +18,7 @@ from verifake.embeddings import (
 )
 from verifake.dataset_io import read_dataset
 from verifake.errors import InsufficientEnrollment
+from verifake.protocol import scores_to_csv
 from verifake.pipeline import (
     StageFailure,
     eval_command,
@@ -274,11 +274,49 @@ def test_synth_working_set_is_bounded():
     # the reals are cast straight into the final columns and the fakes are
     # simulated in row blocks: no whole-dataset temporaries
     cfg = PipelineConfig(eval_identities=60)
-    tracemalloc.start()
-    try:
-        dataset = synth_embedding_dataset(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    dataset, peak = traced_peak(synth_embedding_dataset, cfg)
     columns = sum(column.nbytes for column in dataset._columns())
     assert peak <= 3.5 * columns, f"peak {peak} bytes is {peak / columns:.2f}x the columns"
+
+
+@pytest.fixture(scope="module")
+def scale_dataset():
+    """The `synth` dataset at 200 eval identities, as in the scale config:
+    12,000 reals and 16,000 fakes."""
+    return synth_embedding_dataset(PipelineConfig(eval_identities=200))
+
+
+def test_synth_working_set_at_scale_is_bounded(scale_dataset):
+    # the float64 samples are dropped before the final columns are allocated
+    dataset, peak = traced_peak(synth_embedding_dataset, PipelineConfig(eval_identities=200))
+    assert dataset == scale_dataset
+    columns = sum(column.nbytes for column in dataset._columns())
+    assert peak <= 1.6 * columns, f"peak {peak} bytes is {peak / columns:.2f}x the columns"
+
+
+def test_evaluate_working_set_is_within_the_columns(scale_dataset):
+    # the protocol gathers each host's probes from the dataset by row index:
+    # no copy of the probe columns
+    (_, scores), peak = traced_peak(evaluate_dataset, scale_dataset, 20, 7)
+    assert len(scores) == 24_000
+    columns = sum(column.nbytes for column in scale_dataset._columns())
+    assert peak <= 1.0 * columns, f"peak {peak} bytes is {peak / columns:.2f}x the columns"
+
+
+class _NullSink:
+    """A text file that keeps nothing: it consumes each line it is given."""
+
+    def write(self, text):
+        pass
+
+    def writelines(self, lines):
+        for _ in lines:
+            pass
+
+
+def test_scores_csv_working_set_is_bounded(scale_dataset):
+    # the score columns become Python values a block of rows at a time
+    _, scores = evaluate_dataset(scale_dataset, 20, 7)
+    _, peak = traced_peak(scores_to_csv, scores, _NullSink())
+    columns = sum(column.nbytes for column in scores._columns())
+    assert peak <= 2.0 * columns, f"peak {peak} bytes is {peak / columns:.2f}x the columns"

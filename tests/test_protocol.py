@@ -14,6 +14,7 @@ from helpers import (
     score_rows,
 )
 
+from verifake import protocol
 from verifake.embeddings import EmbeddingDataset, Method, l2_normalize
 from verifake.errors import ConfigError, InsufficientEnrollment, SubjectOverlap, UnknownSubject
 from verifake.metrics import eer, roc_curve
@@ -55,7 +56,8 @@ def fakes_of(subject, host, method, vectors):
 
 def test_gallery_exhaustion_leaves_no_real_probes():
     ds = toy_dataset(subjects=2, per_subject=5)
-    gallery, probes = build_gallery(ds, g=5, seed=0)
+    gallery, rows = build_gallery(ds, g=5, seed=0)
+    probes = ds.take(rows)
     assert gallery.entries.keys() == {0, 1}
     assert probes.fake.all()
     assert len(probes) == 0
@@ -63,7 +65,8 @@ def test_gallery_exhaustion_leaves_no_real_probes():
 
 def test_gallery_probe_partition():
     ds = toy_dataset(subjects=3, per_subject=8)
-    gallery, probes = build_gallery(ds, g=5, seed=1)
+    gallery, rows = build_gallery(ds, g=5, seed=1)
+    probes = ds.take(rows)
     for s in range(3):
         assert gallery.entries[s].shape == (5, 4)
     # every record is either enrolled or a probe, never both
@@ -95,16 +98,17 @@ def test_gallery_reports_only_short_subjects():
 
 def test_gallery_deterministic():
     ds = toy_dataset(subjects=3, per_subject=9, seed=3)
-    g1, p1 = build_gallery(ds, g=4, seed=9)
-    g2, p2 = build_gallery(ds, g=4, seed=9)
+    g1, rows1 = build_gallery(ds, g=4, seed=9)
+    g2, rows2 = build_gallery(ds, g=4, seed=9)
     for s in g1.entries:
         assert np.array_equal(g1.entries[s], g2.entries[s])
-    assert p1 == p2
+    assert ds.take(rows1) == ds.take(rows2)
 
 
 def test_probe_cap_is_per_host_and_order_preserving():
     ds = toy_dataset(subjects=2, per_subject=12, seed=4)
-    _, probes = build_gallery(ds, g=4, seed=0, probe_cap=5)
+    _, rows = build_gallery(ds, g=4, seed=0, probe_cap=5)
+    probes = ds.take(rows)
     assert np.bincount(probes.host).tolist() == [5, 5]
     # capped probes appear in the same relative order as the dataset
     order = {row.tobytes(): i for i, row in enumerate(ds.vectors)}
@@ -127,7 +131,7 @@ def match_one(probe, templates, aggregation="mean"):
     """run_protocol's score for one probe against a hand-built gallery."""
     gallery = Gallery(len(templates), {0: np.array(templates, dtype=np.float64)})
     probes = EmbeddingDataset.reals([0], [probe])
-    return float(run_protocol(gallery, probes, aggregation).score[0])
+    return float(run_protocol(gallery, [0], probes, aggregation).score[0])
 
 
 def test_match_probe_identity_orthogonal_antipodal():
@@ -166,9 +170,9 @@ def test_match_probe_bad_aggregation():
 
 def test_all_real_probes_are_genuine():
     ds = toy_dataset(subjects=2, per_subject=8)
-    gallery, probes = build_gallery(ds, g=5, seed=0)
-    scores = run_protocol(gallery, probes)
-    assert len(scores) == len(probes)
+    gallery, rows = build_gallery(ds, g=5, seed=0)
+    scores = run_protocol(gallery, rows, ds)
+    assert len(scores) == len(rows)
     assert scores.genuine.all() and (scores.method == Method.NONE).all()
 
 
@@ -176,8 +180,9 @@ def test_conservation_and_order():
     ds = toy_dataset(subjects=2, per_subject=8, seed=5)
     rng = np.random.default_rng(6)
     ds = concat(ds, fakes_of(1, 0, Method.FACESWAP, unit_rows(rng, 4, 4)))
-    gallery, probes = build_gallery(ds, g=5, seed=0)
-    scores = run_protocol(gallery, probes)
+    gallery, rows = build_gallery(ds, g=5, seed=0)
+    probes = ds.take(rows)
+    scores = run_protocol(gallery, rows, ds)
     assert len(scores) == len(probes)
     # output order and method multiset follow the probe list exactly
     for fake, method, host, score in zip(probes.fake, probes.method, probes.host, score_rows(scores)):
@@ -192,7 +197,7 @@ def test_unknown_host_subject():
     gallery, _ = build_gallery(ds, g=5, seed=0)
     stray = EmbeddingDataset.reals([0, 99], [[1.0, 0.0, 0.0, 0.0]] * 2)
     with pytest.raises(UnknownSubject, match="subject 99 "):
-        run_protocol(gallery, stray)
+        run_protocol(gallery, [0, 1], stray)
 
 
 def test_identity_swaps_score_below_genuine():
@@ -213,8 +218,8 @@ def test_identity_swaps_score_below_genuine():
         noise,
     )
     ds = concat(ds, EmbeddingDataset(fakes, donors, hosts, [True] * 40, [Method.FACESWAP] * 40))
-    gallery, probes = build_gallery(ds, g=10, seed=0)
-    scored = run_protocol(gallery, probes)
+    gallery, rows = build_gallery(ds, g=10, seed=0)
+    scored = run_protocol(gallery, rows, ds)
     genuine = scored.score[scored.genuine]
     imposter = scored.score[~scored.genuine]
     assert imposter.size and genuine.size
@@ -225,8 +230,8 @@ def test_monotone_transform_keeps_roc():
     ds = toy_dataset(subjects=3, per_subject=10, seed=7)
     rng = np.random.default_rng(8)
     ds = concat(ds, fakes_of(2, 0, Method.DEEPFAKES, unit_rows(rng, 8, 4)))
-    gallery, probes = build_gallery(ds, g=6, seed=0)
-    scored = run_protocol(gallery, probes)
+    gallery, rows = build_gallery(ds, g=6, seed=0)
+    scored = run_protocol(gallery, rows, ds)
     genuine = scored.score[scored.genuine]
     imposter = scored.score[~scored.genuine]
 
@@ -258,7 +263,8 @@ def uneven_dataset(seed, g):
 def test_protocol_matches_per_record_reference_bitwise(seed, g, aggregation):
     ds = uneven_dataset(seed, g)
     # host 0 has 3 real probes plus 12 fakes: over the cap of 13
-    gallery, probes = build_gallery(ds, g=g, seed=seed, probe_cap=13)
+    gallery, rows = build_gallery(ds, g=g, seed=seed, probe_cap=13)
+    probes = ds.take(rows)
     ref_gallery, ref_probes = reference_build_gallery(records_of(ds), g, seed, 13)
     assert gallery.entries.keys() == ref_gallery.entries.keys()
     for subject, templates in gallery.entries.items():
@@ -267,8 +273,22 @@ def test_protocol_matches_per_record_reference_bitwise(seed, g, aggregation):
 
     counts = np.bincount(probes.host).tolist()
     assert counts == [13, 6, 9, 12]  # host 0 capped, the others uneven
-    scores = run_protocol(gallery, probes, aggregation)
+    scores = run_protocol(gallery, rows, ds, aggregation)
     expected = reference_run_protocol(ref_gallery, ref_probes, aggregation)
+    assert [(repr(r.score), r.kind, r.method, r.subject) for r in score_rows(scores)] == [
+        (repr(r.score), r.kind, r.method, r.subject) for r in expected
+    ]
+
+
+@pytest.mark.parametrize("aggregation", ["mean", "max"])
+def test_protocol_scores_any_rows_as_the_reference_scores_them_taken(aggregation):
+    # rows in any order, a host's rows split apart: score i is record rows[i]'s
+    ds = uneven_dataset(3, 6)
+    gallery, rows = build_gallery(ds, g=6, seed=3, probe_cap=13)
+    rows = np.random.default_rng(4).permutation(rows)[:-5]
+    ref_gallery, _ = reference_build_gallery(records_of(ds), 6, 3, 13)
+    scores = run_protocol(gallery, rows, ds, aggregation)
+    expected = reference_run_protocol(ref_gallery, records_of(ds.take(rows)), aggregation)
     assert [(repr(r.score), r.kind, r.method, r.subject) for r in score_rows(scores)] == [
         (repr(r.score), r.kind, r.method, r.subject) for r in expected
     ]
@@ -314,6 +334,22 @@ def scores_csv_text(scores) -> str:
     buffer = io.StringIO()
     scores_to_csv(scores, buffer)
     return buffer.getvalue()
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_scores_csv_bytes_do_not_depend_on_block(monkeypatch, block):
+    rng = np.random.default_rng(5)
+    fake = rng.random(20) < 0.5
+    scores = ScoreSet(
+        rng.uniform(-1.0, 1.0, 20),
+        ~fake,
+        np.where(fake, rng.integers(1, 7, 20), Method.NONE),
+        rng.integers(0, 2**32, 20),
+    )
+    whole = scores_csv_text(scores)  # one block of the default size
+    monkeypatch.setattr(protocol, "_SCORE_BLOCK", block)
+    assert scores_csv_text(scores) == whole
+    assert scores_from_csv(whole) == scores
 
 
 def test_scores_csv_roundtrip():

@@ -3,6 +3,10 @@
 import numpy as np
 import pytest
 
+from helpers import traced_peak
+
+from verifake import synthetic
+from verifake.config import PipelineConfig
 from verifake.embeddings import l2_normalize
 from verifake.errors import ConfigError
 from verifake.synthetic import (
@@ -56,6 +60,37 @@ def test_generate_deterministic():
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.labels, b.labels)
     assert np.array_equal(a.means, b.means)
+
+
+def whole_array_features(spec):
+    """generate_identities' features normalized with one np.linalg.norm
+    over the whole (k, s, d) sample array."""
+    rng = np.random.default_rng(spec.seed)
+    k, s, d = spec.num_identities, spec.samples_per_identity, spec.raw_dim
+    means = rng.normal(size=(k, d))
+    means /= np.linalg.norm(means, axis=1, keepdims=True)
+    samples = rng.normal(size=(k, s, d)) / spec.concentration + means[:, None, :]
+    return (samples / np.linalg.norm(samples, axis=2, keepdims=True)).reshape(k * s, d)
+
+
+@pytest.mark.parametrize("rows", ["1", "7", "s", "3s", "ks"])
+def test_generate_bits_do_not_depend_on_norm_block(monkeypatch, rows):
+    spec = SyntheticSpec(9, 5, 12, concentration=3.0, seed=21)
+    k, s = spec.num_identities, spec.samples_per_identity
+    block = {"1": 1, "7": 7, "s": s, "3s": 3 * s, "ks": k * s}[rows]
+    monkeypatch.setattr(synthetic, "_NORM_BLOCK", block)
+    raw = generate_identities(spec)
+    assert raw.features.tobytes() == whole_array_features(spec).tobytes()
+
+
+def test_generate_working_set_is_bounded():
+    # at 200 identities, as in the scale config: the samples are normalized
+    # in row blocks, so norm's temporaries are no second full-size array
+    raw, peak = traced_peak(
+        generate_identities, PipelineConfig(eval_identities=200).synthetic_spec("eval")
+    )
+    features = raw.features.nbytes
+    assert peak <= 1.2 * features, f"peak {peak} bytes is {peak / features:.2f}x the features"
 
 
 def test_high_concentration_separates_clusters():

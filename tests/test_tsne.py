@@ -1,9 +1,10 @@
 """Perplexity calibration, joint affinities, and the t-SNE optimizer."""
 
+import contextlib
 import os
 import select
+import tempfile
 import time
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from helpers import (
     reference_row_entropy_bits,
     reference_tsne,
     rel_err,
+    traced_peak,
 )
 
 import verifake.tsne as tsne_module
@@ -381,15 +383,6 @@ def test_run_tsne_builds_one_kernel_per_iteration(monkeypatch):
     assert len(calls) == 12 + 1
 
 
-def _traced_peak(fn, *args):
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_tsne_working_set_is_four_n_by_n_arrays():
     # P > 0 off the diagonal, as on real embeddings: the loop holds P, w, Q
     # and one scratch, and the KL gathers nothing
@@ -399,9 +392,9 @@ def test_tsne_working_set_is_four_n_by_n_arrays():
     assert np.all(P[~np.eye(n, dtype=bool)] > 0.0)
     Y = np.random.default_rng(7).normal(size=(n, 2))
     n_by_n = 8 * n * n
-    assert _traced_peak(run_tsne, X, TsneConfig(perplexity=10, iterations=5)) <= 4.5 * n_by_n
+    assert traced_peak(run_tsne, X, TsneConfig(perplexity=10, iterations=5))[1] <= 4.5 * n_by_n
     # w and Q, with the KL terms written into w
-    assert _traced_peak(kl_divergence, P, Y) <= 2.5 * n_by_n
+    assert traced_peak(kl_divergence, P, Y)[1] <= 2.5 * n_by_n
 
 
 @pytest.fixture
@@ -472,6 +465,40 @@ def test_slow_kl_child_leaves_the_kl_to_the_parent(monkeypatch, two_cpus):
     assert 0 < len(here) < cfg.iterations  # the last offer, at least, is left to the child
     assert Y.tobytes() == Y_ref.tobytes()
     assert trace.tobytes() == trace_ref.tobytes()
+
+
+def test_kl_child_hands_its_values_back_through_its_file(monkeypatch, two_cpus):
+    # forked makes one temp file per job, and the KL child writes each
+    # (iteration, KL) it computes there: the last offer's at least
+    monkeypatch.setattr(tsne_module, "_KL_FORK_MIN_POINTS", 4)
+    made, sizes, taken_back = [], [], []
+    original_file, original_forked = tempfile.TemporaryFile, tsne_module.forked
+    original_take_back = tsne_module._KlOffers.take_back
+
+    def counting_file(*args, **kwargs):
+        made.append(1)
+        return original_file(*args, **kwargs)
+
+    @contextlib.contextmanager
+    def sizing(jobs, own):
+        with original_forked(jobs, own) as (result, files):
+            sizes.extend(os.fstat(out.fileno()).st_size for out in files)
+            yield result, files
+
+    def recording(self):
+        taken_back.append(original_take_back(self))
+        return taken_back[-1]
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", counting_file)
+    monkeypatch.setattr(tsne_module, "forked", sizing)
+    monkeypatch.setattr(tsne_module._KlOffers, "take_back", recording)
+    X, _ = three_clusters(per=6)
+    with deadline(20):
+        run_tsne(X, TsneConfig(perplexity=3, iterations=30))
+    assert len(made) == 1
+    assert len(taken_back) == 29
+    by_child = 1 + taken_back.count(False)
+    assert sizes == [tsne_module._KL_RECORD.itemsize * by_child]
 
 
 def test_parent_fault_mid_loop_leaves_no_child(monkeypatch, two_cpus):
