@@ -398,7 +398,7 @@ def read_csv(path) -> EmbeddingDataset:
     return EmbeddingDataset(*columns)
 
 
-def write_dataset(path, dataset: EmbeddingDataset, fmt: str = "emb1") -> None:
+def write_dataset(path, dataset: EmbeddingDataset, fmt: str) -> None:
     """Write `dataset` to `path` in the given format ('emb1' or 'csv')."""
     if fmt == "emb1":
         write_emb1(path, dataset)
@@ -408,13 +408,8 @@ def write_dataset(path, dataset: EmbeddingDataset, fmt: str = "emb1") -> None:
         raise ValueError(f"unknown format {fmt!r}")
 
 
-def read_dataset(path, fmt: str | None = None) -> EmbeddingDataset:
-    """Read a dataset, sniffing EMB1 vs CSV from the magic when `fmt` is None."""
-    if fmt is None:
-        with open(path, "rb") as fh:
-            fmt = "emb1" if fh.read(4) == MAGIC else "csv"
-    if fmt == "emb1":
-        return read_emb1(path)
-    if fmt == "csv":
-        return read_csv(path)
-    raise ValueError(f"unknown format {fmt!r}")
+def read_dataset(path) -> EmbeddingDataset:
+    """Read a dataset, EMB1 if it starts with the magic, else CSV."""
+    with open(path, "rb") as fh:
+        emb1 = fh.read(4) == MAGIC
+    return read_emb1(path) if emb1 else read_csv(path)

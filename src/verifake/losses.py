@@ -170,31 +170,40 @@ def _check_labels(labels, num_classes):
     return labels
 
 
-def _margin_pieces(X, labels, head: ClassHead, cfg: MarginConfig):
-    """Shared forward computation for the margin loss and its gradient."""
+def margin_loss(X, labels, head: ClassHead, cfg: MarginConfig):
+    """Mean margin-softmax cross-entropy over a batch, with its gradients.
+
+    X: (N, d) unit-norm embeddings, labels: (N,) class indices. Returns
+    (loss, dX, dW). Gradients are taken with respect to the raw inputs,
+    i.e. through the internal renormalization: components along each
+    vector are projected out and the result is divided by the input's norm.
+    """
     if head.num_classes < 2:
         raise ConfigError("margin losses require at least 2 classes")
     labels = _check_labels(labels, head.num_classes)
     Xh, xnorms = _unit_rows(X, "input")
     Wh, wnorms = _unit_cols(head.W, "class-center")
-    if Xh.shape[0] != labels.shape[0]:
+    N = labels.shape[0]
+    if Xh.shape[0] != N:
         raise LabelError("batch size and label count differ")
 
     cosines = Xh @ Wh  # (N, C)
-    n = np.arange(labels.shape[0])
+    n = np.arange(N)
     raw_target = cosines[n, labels]
-    identity_map = cfg.m1 == 1.0 and cfg.m2 == 0.0
-    interior = np.abs(raw_target) < 1.0 - ARCCOS_EPS  # arccos clamp not engaged
-    a = np.clip(raw_target, -1.0 + ARCCOS_EPS, 1.0 - ARCCOS_EPS)
-    theta = np.arccos(a)
-    u = cfg.m1 * theta + cfg.m2
-    in_range = u <= math.pi
-    if identity_map:
+    if cfg.m1 == 1.0 and cfg.m2 == 0.0:
         # trivial angular map: stay exact at cosines of +-1 and keep the
         # gradient free of the clamp's dead zone
         psi = raw_target - cfg.m3
+        dpsi_da = 1.0
     else:
+        a = np.clip(raw_target, -1.0 + ARCCOS_EPS, 1.0 - ARCCOS_EPS)
+        u = cfg.m1 * np.arccos(a) + cfg.m2
+        in_range = u <= math.pi
         psi = np.where(in_range, np.cos(u) - cfg.m3, -1.0 - cfg.m3 - (u - math.pi))
+        # dpsi/da, 0 where the arccos clamp was engaged
+        root = np.sqrt(1.0 - a**2)
+        dpsi_da = np.where(in_range, cfg.m1 * np.sin(u) / root, cfg.m1 / root)
+        dpsi_da = np.where(np.abs(raw_target) < 1.0 - ARCCOS_EPS, dpsi_da, 0.0)
 
     logits = cfg.s * cosines
     logits[n, labels] = cfg.s * psi
@@ -205,75 +214,22 @@ def _margin_pieces(X, labels, head: ClassHead, cfg: MarginConfig):
     ce = (zmax[:, 0] + np.log(sumexp[:, 0])) - logits[n, labels]
     loss = float(ce.mean())
 
-    return {
-        "labels": labels,
-        "Xh": Xh,
-        "xnorms": xnorms,
-        "Wh": Wh,
-        "wnorms": wnorms,
-        "a": a,
-        "u": u,
-        "in_range": in_range,
-        "interior": interior,
-        "identity_map": identity_map,
-        "softmax": expz / sumexp,
-        "logits": logits,
-        "loss": loss,
-    }
-
-
-def margin_loss_forward(X, labels, head: ClassHead, cfg: MarginConfig):
-    """Mean margin-softmax cross-entropy over a batch.
-
-    X: (N, d) unit-norm embeddings, labels: (N,) class indices. Returns
-    (loss, logits) where logits is the scaled, margin-penalized (N, C)
-    matrix the softmax was taken over.
-    """
-    pieces = _margin_pieces(X, labels, head, cfg)
-    return pieces["loss"], pieces["logits"]
-
-
-def margin_loss_backward(X, labels, head: ClassHead, cfg: MarginConfig):
-    """Gradients (dX, dW) of the mean margin loss.
-
-    Gradients are taken with respect to the raw inputs, i.e. through the
-    internal renormalization: components along each vector are projected
-    out and the result is divided by the input's norm.
-    """
-    return _margin_grads(_margin_pieces(X, labels, head, cfg), cfg)
-
-
-def _margin_grads(p, cfg: MarginConfig):
-    """(dX, dW) from the pieces of one forward pass."""
-    labels_, Xh, Wh = p["labels"], p["Xh"], p["Wh"]
-    N = labels_.shape[0]
-    n = np.arange(N)
-
     # d(mean CE)/d(logit)
-    G = p["softmax"].copy()
-    G[n, labels_] -= 1.0
+    G = expz / sumexp
+    G[n, labels] -= 1.0
     G /= N
 
-    # d(logit)/d(cosine): s off target, s * dpsi/da on target (0 where the
-    # arccos clamp was engaged).
-    if p["identity_map"]:
-        dpsi_da = np.ones_like(p["a"])
-    else:
-        sin_u = np.sin(p["u"])
-        root = np.sqrt(1.0 - p["a"] ** 2)
-        dpsi_da = np.where(p["in_range"], cfg.m1 * sin_u / root, cfg.m1 / root)
-        dpsi_da = np.where(p["interior"], dpsi_da, 0.0)
-
+    # d(logit)/d(cosine): s off target, s * dpsi/da on target
     dC = G * cfg.s
-    dC[n, labels_] = G[n, labels_] * cfg.s * dpsi_da
+    dC[n, labels] = G[n, labels] * cfg.s * dpsi_da
 
     dXh = dC @ Wh.T
     dWh = Xh.T @ dC
 
     # chain through row/column normalization
-    dX = (dXh - (dXh * Xh).sum(axis=1, keepdims=True) * Xh) / p["xnorms"][:, None]
-    dW = (dWh - (dWh * Wh).sum(axis=0, keepdims=True) * Wh) / p["wnorms"][None, :]
-    return dX, dW
+    dX = (dXh - (dXh * Xh).sum(axis=1, keepdims=True) * Xh) / xnorms[:, None]
+    dW = (dWh - (dWh * Wh).sum(axis=0, keepdims=True) * Wh) / wnorms[None, :]
+    return loss, dX, dW
 
 
 def plain_softmax_loss(X, labels, head: ClassHead):

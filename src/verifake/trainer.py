@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import losses
 from .embeddings import EmbeddingDataset
 from .errors import ConfigError, DegenerateVector, DimensionMismatch, VerifakeError
 from .losses import (
@@ -24,6 +23,7 @@ from .losses import (
     ClassHead,
     MarginConfig,
     TripletConfig,
+    margin_loss,
     margin_preset,
     plain_softmax_loss,
     triplet_loss_batch,
@@ -166,24 +166,6 @@ class EmbedderNetwork:
         return np.stack([self.embed_one(row) for row in X])
 
 
-class _SGD:
-    """SGD with momentum; weight decay applies to weight matrices only."""
-
-    def __init__(self, params: list, decay_flags: list, cfg: TrainConfig):
-        self.params = params
-        self.decay_flags = decay_flags
-        self.cfg = cfg
-        self.velocity = [np.zeros_like(p) for p in params]
-
-    def step(self, grads: list, lr: float):
-        wd, mu = self.cfg.weight_decay, self.cfg.momentum
-        for p, v, g, decay in zip(self.params, self.velocity, grads, self.decay_flags):
-            total = g + wd * p if decay else g
-            v *= mu
-            v += total
-            p -= lr * v
-
-
 def _triplet_indices(labels: np.ndarray, by_label: dict, rng: np.random.Generator):
     """Positive and negative companions for each anchor index."""
     n = labels.shape[0]
@@ -263,7 +245,7 @@ def train_embedder(
             decay.append(False)
             margin_cfg = margin if margin is not None else margin_preset(loss_name)
 
-    optimizer = _SGD(params, decay, cfg)
+    velocity = [np.zeros_like(p) for p in params]
     batches_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
     total_iters = cfg.epochs * batches_per_epoch
     marks = cfg.lr_marks or (
@@ -300,14 +282,16 @@ def train_embedder(
                 gW, gb = network._backward_batch(cache, dz, normalized=False)
                 grads = gW + gb + [dW, db]
             else:
-                # one forward pass feeds both the loss value and the gradients
-                pieces = losses._margin_pieces(e, labels[batch], head, margin_cfg)
-                loss = pieces["loss"]
-                de, dW = losses._margin_grads(pieces, margin_cfg)
+                loss, de, dW = margin_loss(e, labels[batch], head, margin_cfg)
                 gW, gb = network._backward_batch(cache, de, normalized=True)
                 grads = gW + gb + [dW]
 
-            optimizer.step(grads, lr)
+            # SGD with momentum; weight decay applies to weight matrices only
+            for p, v, g, decayed in zip(params, velocity, grads, decay):
+                total = g + cfg.weight_decay * p if decayed else g
+                v *= cfg.momentum
+                v += total
+                p -= lr * v
             if margin_cfg is not None:
                 head.W /= np.linalg.norm(head.W, axis=0, keepdims=True)
             weighted_loss += loss * nb

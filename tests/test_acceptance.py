@@ -26,8 +26,7 @@ from verifake.losses import (
     ClassHead,
     MarginConfig,
     TripletConfig,
-    margin_loss_backward,
-    margin_loss_forward,
+    margin_loss,
     margin_preset,
     plain_softmax_loss,
     triplet_loss,
@@ -83,11 +82,9 @@ def test_criterion_1_gradient_correctness():
             X = unit_rows(rng, N, D)
             head = ClassHead(unit_cols(rng, D, C))
             labels = rng.integers(0, C, size=N)
-            dX, dW = margin_loss_backward(X, labels, head, cfg)
-            fdX = fd_grad(lambda: margin_loss_forward(X, labels, head, cfg)[0], X)
-            fdW = fd_grad(
-                lambda: margin_loss_forward(X, labels, head, cfg)[0], head.W
-            )
+            dX, dW = margin_loss(X, labels, head, cfg)[1:]
+            fdX = fd_grad(lambda: margin_loss(X, labels, head, cfg)[0], X)
+            fdW = fd_grad(lambda: margin_loss(X, labels, head, cfg)[0], head.W)
             worst = max(worst, rel_err(dX, fdX), rel_err(dW, fdW))
 
     # plain softmax: 100 seeded instances, gradients wrt X, W, and b
@@ -243,8 +240,7 @@ def test_criterion_6_identity_margin_equals_scaled_softmax():
         labels = rng.integers(0, C, size=N)
         head = ClassHead(W)
 
-        loss_m, _ = margin_loss_forward(X, labels, head, cfg)
-        dX_m, dW_m = margin_loss_backward(X, labels, head, cfg)
+        loss_m, dX_m, dW_m = margin_loss(X, labels, head, cfg)
         loss_o, dX_o, dW_o = _scaled_softmax_oracle(X, labels, W, cfg.s)
 
         worst = max(

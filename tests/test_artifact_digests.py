@@ -3,7 +3,11 @@
 Runs `demo.cfg` and then every subcommand that writes files, and compares
 the sha256 of each file written against the digests of the initial import
 (commit 4314888). The subcommands' own `manifest.json` files came later,
-when every subcommand began to end with one. Reruns are byte-identical on one machine; a BLAS kernel
+when every subcommand began to end with one, and so did the `train-*`
+files of the six losses, recorded before the margin loss's forward and
+backward passes became one call. The files that forked code writes are
+checked again with every fork run in this process and with the CSV codec
+cut into 3 parts. Reruns are byte-identical on one machine; a BLAS kernel
 with another FMA order may change the bytes on another, so a mismatch names
 the numpy version and the BLAS core it ran on.
 """
@@ -14,7 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
+from verifake import dataset_io, tsne
 from verifake.cli import EXIT_OK, main
+from verifake.losses import LOSS_NAMES
 
 DEMO = Path(__file__).resolve().parents[1] / "demo.cfg"
 
@@ -26,7 +32,14 @@ COMMANDS = [
     ["eval", "synth-csv/synth.csv", "--config", str(DEMO), "--out", "eval-csv"],
     ["tsne", "run/embeddings.emb1", "--config", str(DEMO), "--out", "tsne"],
     ["report", "run/scores.csv", "--out", "report"],
+    *(
+        ["train", "--config", str(DEMO), "--loss", loss, "--out", f"train-{loss}"]
+        for loss in LOSS_NAMES
+    ),
 ]
+RUN, SYNTH_CSV, EVAL_CSV, TSNE = (COMMANDS[i] for i in (0, 3, 4, 5))
+# the pinned files that forked code writes: the CSV codec's and the KL trace
+FORKED = ("synth-csv/", "eval-csv/", "run/kl_trace.csv", "tsne/")
 
 DIGESTS = {
     "eval-csv/manifest.json": "a7a4b50ba9f84ef5e17b82653672eae81550372baf86dea72ef44e7308e38034",
@@ -57,6 +70,24 @@ DIGESTS = {
     "tsne/kl_trace.csv": "e6ff54817ee930968946c2e4f6bd21e25be113936d390dff45a3cad1ddb730eb",
     "tsne/manifest.json": "ba3e237e6dbe4e5f678a4a08442f69d0672920d10cb9f3bcfcc1fa3d888eb980",
     "tsne/tsne.csv": "66322b9ce7b7f069a5b193588f26484ed35c5325a624f293cb3eaba836536625",
+    "train-arcface/embeddings.emb1": "e23156708c6c723101cdf562f45be45d53acc46fe8d0a2afb4b0ba8a98d61b00",
+    "train-arcface/manifest.json": "3c77f7531e4113446ccfc8582cc816704d9b0301af8015ef8be53fc2e43763e2",
+    "train-arcface/train_curve.csv": "f90db5b58886050ba5b252f05a16a38e4808d4333f1aa8a0b46750df6082de52",
+    "train-combined/embeddings.emb1": "166a43983be4a1ef4c31e8c095d29dc30f133ff5492a4c9e440f1c93176d9c21",
+    "train-combined/manifest.json": "3c77f7531e4113446ccfc8582cc816704d9b0301af8015ef8be53fc2e43763e2",
+    "train-combined/train_curve.csv": "20da58365746424784897094455d9e5484b8b800509dafcf67db789a0d338ff9",
+    "train-cosface/embeddings.emb1": "15c7ab8274e1b8ba6e5da14df528b9333eab9e8fcca8a1308153ebac1af142a1",
+    "train-cosface/manifest.json": "3c77f7531e4113446ccfc8582cc816704d9b0301af8015ef8be53fc2e43763e2",
+    "train-cosface/train_curve.csv": "ecb77fa3b0b7092e98a3debbe7fbdf60766bed717cc25e7bd37f3f6ce1df3dac",
+    "train-softmax/embeddings.emb1": "44eab26aa2c546af82348470f5dd6d25b43ff8624efae4d544cdb81e9d223275",
+    "train-softmax/manifest.json": "3c77f7531e4113446ccfc8582cc816704d9b0301af8015ef8be53fc2e43763e2",
+    "train-softmax/train_curve.csv": "073c81666b9a91c8b7876228a261f0c17d46570e8a4d97d55739f209180d358d",
+    "train-sphereface/embeddings.emb1": "d648aea195ccbe9c5573360e69901f00f4c3e613bd5ef0322aa694389b786fa9",
+    "train-sphereface/manifest.json": "3c77f7531e4113446ccfc8582cc816704d9b0301af8015ef8be53fc2e43763e2",
+    "train-sphereface/train_curve.csv": "dcdc894a23f219a08370ceb66d19367a207869cf8da3e1d453d3427179dd0ddf",
+    "train-triplet/embeddings.emb1": "87df9aaf8b0f44d725bebccfe9ab907b5525b6d85eb6427c40afb7e35c1a5610",
+    "train-triplet/manifest.json": "3c77f7531e4113446ccfc8582cc816704d9b0301af8015ef8be53fc2e43763e2",
+    "train-triplet/train_curve.csv": "3dce583e105f0528093c8add4998175a53e38c993675b8b6f0e1108e683c2870",
 }
 
 
@@ -83,20 +114,44 @@ def blas_core() -> str:
     return build
 
 
-def test_artifact_bytes_match_pinned_digests(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    for argv in COMMANDS:
+def check_digests(root, commands, prefixes=("",)):
+    """Run `commands` in `root`, then compare the files written whose names
+    start with one of `prefixes` against the pinned ones: the same names
+    and the same bytes."""
+    for argv in commands:
         assert main(argv) == EXIT_OK, argv
-    capsys.readouterr()
-
     written = {
-        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in tmp_path.rglob("*")
-        if path.is_file()
+        path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in root.rglob("*")
+        if path.is_file() and path.relative_to(root).as_posix().startswith(prefixes)
     }
-    assert sorted(written) == sorted(DIGESTS)
-    changed = sorted(name for name in DIGESTS if written[name] != DIGESTS[name])
+    pinned = sorted(name for name in DIGESTS if name.startswith(prefixes))
+    assert sorted(written) == pinned
+    changed = [name for name in pinned if written[name] != DIGESTS[name]]
     assert not changed, (
         f"artifact bytes changed: {', '.join(changed)} "
         f"(numpy {np.__version__}, {blas_core()})"
     )
+
+
+def test_artifact_bytes_match_pinned_digests(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    check_digests(tmp_path, COMMANDS)
+    capsys.readouterr()
+
+
+def test_forked_paths_in_process_match_pinned_digests(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for module in (dataset_io, tsne):
+        monkeypatch.setattr(module, "worker_count", lambda size, minimum: 1)
+    check_digests(tmp_path, [RUN, SYNTH_CSV, EVAL_CSV, TSNE], FORKED)
+    capsys.readouterr()
+
+
+def test_csv_codec_in_3_parts_matches_pinned_digests(tmp_path, monkeypatch, capsys):
+    # demo.cfg's CSV is below _SPLIT_MIN_VALUES, so on its own it is one part;
+    # the t-SNE KL child is all or nothing, so it has no split to force
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(dataset_io, "worker_count", lambda size, minimum: 3)
+    check_digests(tmp_path, [SYNTH_CSV, EVAL_CSV], FORKED[:2])
+    capsys.readouterr()

@@ -178,6 +178,20 @@ def test_train_writes_embeddings_and_curve(cfg_path, tmp_path, capsys):
     assert "trained cosface" in capsys.readouterr().out
 
 
+def test_loss_flag_drops_the_config_margin_overrides(tmp_path, capsys):
+    # loss.* keys belong to the config's loss, so --loss takes its own preset
+    flagged = tmp_path / "cosface.cfg"
+    flagged.write_text(CLI_CFG + "loss.m3 = 0.2\n")
+    configured = tmp_path / "sphereface.cfg"
+    configured.write_text(CLI_CFG.replace("run.loss = cosface", "run.loss = sphereface"))
+    argv = ["train", "--config", str(flagged), "--loss", "sphereface", "--out", str(tmp_path / "a")]
+    assert main(argv) == EXIT_OK
+    assert main(["train", "--config", str(configured), "--out", str(tmp_path / "b")]) == EXIT_OK
+    assert "trained sphereface" in capsys.readouterr().out
+    curve = "train_curve.csv"
+    assert (tmp_path / "a" / curve).read_bytes() == (tmp_path / "b" / curve).read_bytes()
+
+
 def test_diverged_training_exits_1(tmp_path, capsys):
     cfg = tmp_path / "diverge.cfg"
     cfg.write_text(CLI_CFG.replace("run.loss = cosface", "run.loss = softmax") + "train.lr = 1e200\n")
@@ -352,7 +366,7 @@ def test_disabled_tsne_skips_its_checks(tmp_path):
     assert not (out / "tsne.csv").exists()
 
 
-def test_report_command_roundtrip(run_dir, tmp_path, capsys):
+def test_report_command_roundtrip(run_dir, tmp_path, monkeypatch, capsys):
     out = tmp_path / "rep_out"
     code = main(["report", str(run_dir / "scores.csv"), "--out", str(out)])
     assert code == EXIT_OK
@@ -361,6 +375,14 @@ def test_report_command_roundtrip(run_dir, tmp_path, capsys):
     rebuilt = json.loads((out / "report.json").read_text())
     original = json.loads((run_dir / "report.json").read_text())
     assert rebuilt["rows"] == original["rows"]
+    # without --out it prints the same table and writes nothing
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["report", str(run_dir / "scores.csv")]) == EXIT_OK
+    assert capsys.readouterr().out == shown == (out / "report.txt").read_text()
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_report_bad_csv_exits_2(tmp_path, capsys):

@@ -180,8 +180,8 @@ def test_truncated_header(tmp_path):
 
 def test_oversized_dim_rejected(tmp_path):
     path = tmp_path / "dim.emb1"
-    for count in (0, 1):
-        path.write_bytes(MAGIC + struct.pack("<II", count, 2**32 - 1))
+    for count, dim in ((0, 2**32 - 1), (1, 2**32 - 1), (1, 1)):  # and one below the minimum
+        path.write_bytes(MAGIC + struct.pack("<II", count, dim))
         with pytest.raises(FormatError, match="dim") as err:
             read_emb1(path)
         assert err.value.offset == 8
@@ -328,10 +328,15 @@ def test_vectors_within_tolerance_accepted(tmp_path):
 
 def test_csv_header_checked(tmp_path):
     path = tmp_path / "h.csv"
-    path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(FormatError) as err:
-        read_csv(path)
-    assert err.value.offset == 1
+    for text, message in (
+        ("a,b,c\n1,2,3\n", "bad header"),
+        ("", "empty file"),
+        ("subject,host,realness,method,v0,w1\n0,0,real,none,1.0,0.0\n", "value columns"),
+    ):
+        path.write_text(text)
+        with pytest.raises(FormatError, match=message) as err:
+            read_csv(path)
+        assert err.value.offset == 1
 
 
 def test_csv_bad_field_count(tmp_path):
@@ -354,9 +359,9 @@ def test_csv_bad_realness_and_method(tmp_path):
 
 def test_csv_ids_must_fit_u32(tmp_path):
     path = tmp_path / "u.csv"
-    for ids in ("-1,-1", f"{2**32},{2**32}"):
+    for ids, message in (("-1,-1", "u32"), (f"{2**32},{2**32}", "u32"), ("1.5,0", "non-integer")):
         path.write_text(CSV_HEADER + "0,0,real,none,1.0,0.0\n" + ids + ",real,none,1.0,0.0\n")
-        with pytest.raises(FormatError, match="u32") as err:
+        with pytest.raises(FormatError, match=message) as err:
             read_csv(path)
         assert err.value.offset == 3
 

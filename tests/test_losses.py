@@ -25,8 +25,7 @@ from verifake.losses import (
     ClassHead,
     MarginConfig,
     TripletConfig,
-    margin_loss_backward,
-    margin_loss_forward,
+    margin_loss,
     margin_preset,
     plain_softmax_loss,
     target_logit,
@@ -126,23 +125,22 @@ def test_forward_two_logit_oracle():
     # sample sits on its own class center, the other center orthogonal
     X = np.array([[1.0, 0.0]])
     head = ClassHead(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    loss, logits = margin_loss_forward(X, [0], head, MarginConfig(1, 0, 0, s=1.0))
+    loss = margin_loss(X, [0], head, MarginConfig(1, 0, 0, s=1.0))[0]
     assert loss == pytest.approx(TWO_LOGIT_CE, abs=1e-9)
-    assert logits.shape == (1, 2)
 
 
 def test_forward_equidistant_ln_c():
     d, c = 4, 4
     X = np.full((1, d), 0.5)
     head = ClassHead(np.eye(d))
-    loss, _ = margin_loss_forward(X, [2], head, MarginConfig(1, 0, 0))
+    loss = margin_loss(X, [2], head, MarginConfig(1, 0, 0))[0]
     assert loss == pytest.approx(math.log(c), abs=1e-9)
 
 
 def test_forward_loss_increases_with_m3():
     X, labels, head = head_and_batch(11)
     losses = [
-        margin_loss_forward(X, labels, head, MarginConfig(1, 0, m3))[0]
+        margin_loss(X, labels, head, MarginConfig(1, 0, m3))[0]
         for m3 in (0.0, 0.1, 0.2)
     ]
     assert losses[0] < losses[1] < losses[2]
@@ -151,36 +149,35 @@ def test_forward_loss_increases_with_m3():
 def test_forward_monotone_in_each_margin():
     X, labels, head = head_and_batch(12)
     base = (1.0, 0.2, 0.1)
-    l0 = margin_loss_forward(X, labels, head, MarginConfig(*base))[0]
+    l0 = margin_loss(X, labels, head, MarginConfig(*base))[0]
     for bump in ((1.2, 0.2, 0.1), (1.0, 0.3, 0.1), (1.0, 0.2, 0.2)):
-        l1 = margin_loss_forward(X, labels, head, MarginConfig(*bump))[0]
+        l1 = margin_loss(X, labels, head, MarginConfig(*bump))[0]
         assert l1 >= l0 - 1e-12
 
 
 def test_scale_zero_constant_loss_zero_grads():
     X, labels, head = head_and_batch(13)
     cfg = MarginConfig(1, 0.3, 0.2, s=0.0)
-    loss, _ = margin_loss_forward(X, labels, head, cfg)
+    loss, dX, dW = margin_loss(X, labels, head, cfg)
     assert loss == pytest.approx(math.log(head.num_classes), abs=1e-12)
-    dX, dW = margin_loss_backward(X, labels, head, cfg)
     assert np.all(dX == 0.0) and np.all(dW == 0.0)
 
 
 def test_label_out_of_range():
     X, _, head = head_and_batch(14)
     with pytest.raises(LabelError):
-        margin_loss_forward(X, [0, 1, 2, 3, 4, 5, 0, 0], head, margin_preset("cosface"))
+        margin_loss(X, [0, 1, 2, 3, 4, 5, 0, 0], head, margin_preset("cosface"))
     with pytest.raises(LabelError):
-        margin_loss_forward(X, [-1] * 8, head, margin_preset("cosface"))
+        margin_loss(X, [-1] * 8, head, margin_preset("cosface"))
 
 
 def test_non_normalized_inputs_rejected():
     X, labels, head = head_and_batch(15)
     with pytest.raises(NormalizationError):
-        margin_loss_forward(X * 1.5, labels, head, margin_preset("cosface"))
+        margin_loss(X * 1.5, labels, head, margin_preset("cosface"))
     bad_head = ClassHead(head.W * 0.5)
     with pytest.raises(NormalizationError):
-        margin_loss_forward(X, labels, bad_head, margin_preset("cosface"))
+        margin_loss(X, labels, bad_head, margin_preset("cosface"))
 
 
 def test_non_target_column_permutation_invariance():
@@ -189,9 +186,9 @@ def test_non_target_column_permutation_invariance():
     W = unit_cols(rng, 8, 5)
     labels = np.zeros(6, dtype=int)
     cfg = margin_preset("combined")
-    base, _ = margin_loss_forward(X, labels, ClassHead(W), cfg)
+    base = margin_loss(X, labels, ClassHead(W), cfg)[0]
     perm = [0, 3, 1, 4, 2]  # target column stays in place
-    permuted, _ = margin_loss_forward(X, labels, ClassHead(W[:, perm]), cfg)
+    permuted = margin_loss(X, labels, ClassHead(W[:, perm]), cfg)[0]
     assert permuted == pytest.approx(base, abs=1e-12)
 
 
@@ -202,9 +199,9 @@ def test_margin_gradients_match_finite_differences(preset):
     cfg = MarginConfig(1, 0, 0) if preset == "identity" else margin_preset(preset)
     for seed in (21, 22, 23):
         X, labels, head = head_and_batch(seed)
-        dX, dW = margin_loss_backward(X, labels, head, cfg)
-        fd_X = fd_grad(lambda: margin_loss_forward(X, labels, head, cfg)[0], X)
-        fd_W = fd_grad(lambda: margin_loss_forward(X, labels, head, cfg)[0], head.W)
+        dX, dW = margin_loss(X, labels, head, cfg)[1:]
+        fd_X = fd_grad(lambda: margin_loss(X, labels, head, cfg)[0], X)
+        fd_W = fd_grad(lambda: margin_loss(X, labels, head, cfg)[0], head.W)
         assert rel_err(dX, fd_X) < 1e-4
         assert rel_err(dW, fd_W) < 1e-4
 
@@ -225,8 +222,7 @@ def test_identity_margin_equals_scaled_softmax():
     cfg = MarginConfig(1, 0, 0, s=DEFAULT_SCALE)
     for seed in (31, 32, 33, 34):
         X, labels, head = head_and_batch(seed)
-        loss, _ = margin_loss_forward(X, labels, head, cfg)
-        dX, dW = margin_loss_backward(X, labels, head, cfg)
+        loss, dX, dW = margin_loss(X, labels, head, cfg)
         o_loss, o_dX, o_dW = scaled_softmax_oracle(X, labels, head.W, cfg.s)
         assert loss == pytest.approx(o_loss, abs=1e-9)
         assert np.abs(dX - o_dX).max() < 1e-9

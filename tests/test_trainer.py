@@ -5,7 +5,6 @@ import warnings
 import numpy as np
 import pytest
 
-import verifake.losses as losses_mod
 import verifake.trainer as trainer_mod
 from helpers import reference_triplet_batch
 from verifake.errors import ConfigError, DegenerateVector, DimensionMismatch, VerifakeError
@@ -197,13 +196,13 @@ def test_triplet_training_matches_per_triple_reference(monkeypatch):
 
 def test_margin_pieces_built_once_per_batch(monkeypatch):
     calls = []
-    original = losses_mod._margin_pieces
+    original = trainer_mod.margin_loss
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(losses_mod, "_margin_pieces", counted)
+    monkeypatch.setattr(trainer_mod, "margin_loss", counted)
     raw = small_dataset(seed=10, ids=4, samples=10)  # 40 rows: 3 batches of 16
     for loss in ("arcface", "cosface", "sphereface", "combined"):
         calls.clear()
