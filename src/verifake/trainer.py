@@ -32,6 +32,8 @@ from .losses import (
 DEFAULT_HIDDEN = (128, 128)
 DEFAULT_EMBED_DIM = 64
 LR_MARK_FRACTIONS = (0.6, 0.85)
+# an epoch loss above this multiple of the first epoch's means training diverged
+DIVERGENCE_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
@@ -201,7 +203,8 @@ def train_embedder(
     fixed config: parameter init, shuffling, and triplet sampling all
     derive from cfg.seed. Diverged training raises: DegenerateVector
     when the network output stops being finite, VerifakeError when an
-    epoch's loss does; both name the loss and the epoch.
+    epoch's loss does or exceeds DIVERGENCE_FACTOR times the first
+    epoch's; each names the loss and the epoch.
     """
     if loss_name not in LOSS_NAMES:
         raise ConfigError(f"unknown loss {loss_name!r}; expected one of {LOSS_NAMES}")
@@ -300,6 +303,11 @@ def train_embedder(
         if not np.isfinite(curve[epoch]):
             raise VerifakeError(
                 f"{loss_name} training diverged: epoch {epoch + 1} loss is {curve[epoch]}"
+            )
+        if curve[epoch] > DIVERGENCE_FACTOR * curve[0]:
+            raise VerifakeError(
+                f"{loss_name} training diverged: epoch {epoch + 1} loss {curve[epoch]:.6g} "
+                f"exceeds {DIVERGENCE_FACTOR:g} x epoch 1's loss {curve[0]:.6g}"
             )
 
     return network, curve

@@ -27,6 +27,7 @@ CALIBRATION_REFINE = 1e-8  # keep bisecting well past the declared tolerance
 CALIBRATION_MAX_ITER = 200
 DUPLICATE_JITTER = 1e-10
 _CALIBRATION_BLOCK = 128  # rows calibrated together; temporaries are O(block x n)
+_EXAGGERATION_BLOCK = 64  # rows of exaggeration * P - Q formed together
 # layouts from this many points on compute their KL trace in a forked child
 _KL_FORK_MIN_POINTS = 100
 # what the KL child writes to its file per KL it computes: (iteration, KL)
@@ -264,15 +265,19 @@ def _student_q(Y: np.ndarray, w=None, Q=None, scratch=None):
     """Student-t kernel weights and normalized Q for a 2-D layout.
 
     Optional n x n buffers receive w and Q; `scratch` holds Y Y^T while
-    the kernel is built and is free again afterwards."""
+    the kernel is built and is free again afterwards, so it may be Q."""
     w = _pairwise_sq_dists(Y, out=w, scratch=scratch)
     np.add(1.0, w, out=w)
     np.divide(1.0, w, out=w)
     np.fill_diagonal(w, 0.0)
-    total = w.sum()
-    Q = np.divide(w, total, out=Q)
+    return w, _q_from_w(w, Q)
+
+
+def _q_from_w(w, Q=None) -> np.ndarray:
+    """Q = max(w / sum(w), eps) from the kernel weights w, into `Q` if given."""
+    Q = np.divide(w, w.sum(), out=Q)
     np.maximum(Q, MACHINE_EPSILON, out=Q)
-    return w, Q
+    return Q
 
 
 def _kl_from_q(P, Q, out, positive=None) -> float:
@@ -302,10 +307,13 @@ def _positive_mask(P):
 
 def _gradient_from_q(P, w, Q, Y, coeff, exaggeration=1.0) -> np.ndarray:
     """Layout gradient of KL(exaggeration * P || Q); `coeff` is an n x n
-    buffer that receives (exaggeration * P - Q) * w."""
+    buffer that receives (exaggeration * P - Q) * w, and may be Q."""
     if exaggeration != 1.0:
-        np.multiply(P, exaggeration, out=coeff)
-        np.subtract(coeff, Q, out=coeff)
+        # a block of rows at a time: exaggeration * P cannot go to coeff
+        # first when coeff holds Q
+        for start in range(0, P.shape[0], _EXAGGERATION_BLOCK):
+            rows = slice(start, start + _EXAGGERATION_BLOCK)
+            np.subtract(np.multiply(P[rows], exaggeration), Q[rows], out=coeff[rows])
     else:
         np.subtract(P, Q, out=coeff)
     np.multiply(coeff, w, out=coeff)
@@ -342,9 +350,11 @@ def _descend(P, positive, Y, cfg, w, Q, coeff, kl_trace, child=None):
     (w, Q) -> the final layout.
 
     kl_trace[it] receives the KL after iteration it. With `child`, the
-    _KlOffers of a forked _kl_child, each new Q is offered to the child
-    instead; before Q is overwritten, this process computes the KL of a Q
-    the child has not taken, or waits until the child has copied it."""
+    _KlOffers of a forked _kl_child, each new kernel w is offered to the
+    child instead, and Q is the scratch `coeff`, which the gradient
+    overwrites. Before w is overwritten, this process computes the KL of
+    a w the child has not taken, deriving its Q again into the scratch
+    and the KL terms into w, or waits until the child has derived Q."""
     velocity = np.zeros_like(Y)
     for it in range(cfg.iterations):
         exaggeration = cfg.early_exaggeration if it < cfg.exaggeration_until else 1.0
@@ -355,7 +365,7 @@ def _descend(P, positive, Y, cfg, w, Q, coeff, kl_trace, child=None):
         velocity = momentum * velocity - cfg.learning_rate * grad
         Y = Y + velocity
         if child and it and child.take_back():
-            kl_trace[it - 1] = _kl_from_q(P, Q, coeff, positive)
+            kl_trace[it - 1] = _kl_from_q(P, _q_from_w(w, coeff), w, positive)
         _student_q(Y, w, Q, coeff)
         if child:
             child.offer(it)
@@ -365,11 +375,11 @@ def _descend(P, positive, Y, cfg, w, Q, coeff, kl_trace, child=None):
 
 
 class _KlOffers:
-    """This process's ends of the pipes to a forked _kl_child. Each new Q
+    """This process's ends of the pipes to a forked _kl_child. Each new w
     is offered as its iteration number on the `ready` pipe, whose read end
     both processes hold in non-blocking mode: whoever reads an offer
     computes that KL, so a child that is slow to run costs no waiting. The
-    child says on `released` when it has copied a Q it took."""
+    child says on `released` when it has derived its Q from a w it took."""
 
     def __init__(self, ready_r, ready_w, released_r):
         self.ready_r, self.ready_w, self.released_r = ready_r, ready_w, released_r
@@ -379,8 +389,8 @@ class _KlOffers:
 
     def take_back(self) -> bool:
         """True if the child had not taken the last offer, which is then
-        this process's to compute; else waits until the child has copied
-        that Q."""
+        this process's to compute; else waits until the child has derived
+        Q from that w."""
         if self.ready_r.read(8):  # None: the child has it
             return True
         if not self.released_r.read(1):
@@ -388,14 +398,14 @@ class _KlOffers:
         return False
 
 
-def _kl_child(P, Q, positive, out, ready, released) -> None:
+def _kl_child(P, w, positive, out, ready, released) -> None:
     """Forked child of run_tsne: for each offer on `ready` that it reads
-    before its parent takes it back, copy Q, say so on `released` and write
-    the iteration and its KL to the file `out` as a _KL_RECORD. Returns
-    when `ready` ends."""
+    before its parent takes it back, derive Q from the shared kernel w,
+    say so on `released` and write the iteration and its KL to the file
+    `out` as a _KL_RECORD. Returns when `ready` ends."""
     import select
 
-    copy, terms = np.empty_like(Q), np.empty_like(Q)
+    Q, terms = np.empty_like(w), np.empty_like(w)
     while True:
         select.select([ready], [], [])
         offer = ready.read(8)
@@ -403,16 +413,17 @@ def _kl_child(P, Q, positive, out, ready, released) -> None:
             continue
         if not offer:
             return
-        np.copyto(copy, Q)
+        _q_from_w(w, Q)
         released.write(b"\1")
-        kl = _kl_from_q(P, copy, terms, positive)
+        kl = _kl_from_q(P, Q, terms, positive)
         out.write(np.array((int.from_bytes(offer, "little"), kl), dtype=_KL_RECORD).tobytes())
 
 
-def _descend_with_kl_child(P, positive, Y, cfg, w, Q, coeff, kl_trace):
+def _descend_with_kl_child(P, positive, Y, cfg, w, coeff, kl_trace):
     """_descend with a forked _kl_child computing the KL terms it takes.
-    Q must be in memory the child shares; the KLs the child computed are
-    written into kl_trace once it has exited."""
+    w must be in memory the child shares, and Q is in the scratch `coeff`;
+    the KLs the child computed are written into kl_trace once it has
+    exited."""
     with contextlib.ExitStack() as stack:
         ready_r, ready_w, released_r, released_w = (
             stack.enter_context(open(fd, mode, buffering=0))
@@ -422,13 +433,13 @@ def _descend_with_kl_child(P, positive, Y, cfg, w, Q, coeff, kl_trace):
 
         def child(out):
             ready_w.close()  # so that the child reads EOF once the parent closes its end
-            _kl_child(P, Q, positive, out, ready_r, released_w)
+            _kl_child(P, w, positive, out, ready_r, released_w)
 
         def own():
             released_w.close()  # so that a child that died reads as EOF
             with ready_w:  # closed before the child is waited for
                 offers = _KlOffers(ready_r, ready_w, released_r)
-                return _descend(P, positive, Y, cfg, w, Q, coeff, kl_trace, offers)
+                return _descend(P, positive, Y, cfg, w, coeff, coeff, kl_trace, offers)
 
         with forked([child], own) as (Y, (out,)):
             taken = np.frombuffer(out.read(), dtype=_KL_RECORD)
@@ -459,7 +470,9 @@ def run_tsne(X, cfg: TsneConfig):
 
     From _KL_FORK_MIN_POINTS points on, with more than one usable CPU, a
     forked child computes the KL terms while this process goes on with
-    the next step; Q is then an anonymous shared mapping.
+    the next step. w is then an anonymous shared mapping from which the
+    child derives its own Q, and this process keeps Q in the scratch,
+    so it holds two n x n buffers besides P.
     The results do not depend on where each KL is computed.
     """
     X = np.asarray(X, dtype=np.float64)
@@ -473,13 +486,15 @@ def run_tsne(X, cfg: TsneConfig):
 
     rng = np.random.default_rng(cfg.seed)
     Y = rng.normal(0.0, cfg.init_std, size=(n, 2))
-    in_child = worker_count(n, _KL_FORK_MIN_POINTS) > 1
-    w, coeff = (np.empty((n, n), dtype=np.float64) for _ in range(2))
-    Q = _shared_zeros(n * n).reshape(n, n) if in_child else np.empty((n, n), dtype=np.float64)
     kl_trace = np.zeros(cfg.iterations)
+    coeff = np.empty((n, n), dtype=np.float64)
+    if worker_count(n, _KL_FORK_MIN_POINTS) > 1:
+        w = _shared_zeros(n * n).reshape(n, n)
+        _student_q(Y, w, coeff, coeff)
+        return _descend_with_kl_child(P, positive, Y, cfg, w, coeff, kl_trace), kl_trace
+    w, Q = (np.empty((n, n), dtype=np.float64) for _ in range(2))
     _student_q(Y, w, Q, coeff)
-    descend = _descend_with_kl_child if in_child else _descend
-    return descend(P, positive, Y, cfg, w, Q, coeff, kl_trace), kl_trace
+    return _descend(P, positive, Y, cfg, w, Q, coeff, kl_trace), kl_trace
 
 
 def layout_to_csv(Y, dataset) -> str:

@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -205,6 +206,21 @@ def test_diverged_training_exits_1(tmp_path, capsys):
     assert "stage 'train' failed: softmax training, epoch 1" in capsys.readouterr().err
     assert not (out / "train_curve.csv").exists()
     assert not (out / "manifest.json").exists()
+
+
+def test_finite_loss_blow_up_exits_1(tmp_path, capsys):
+    # softmax at lr 1e6 stays finite, but epoch 2's loss is ~3e33 x epoch 1's
+    cfg = tmp_path / "blow_up.cfg"
+    cfg.write_text(CLI_CFG + "train.lr = 1e6\n")
+    for command in ("train", "run"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--loss", "softmax", "--out", str(out)]) == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert re.search(
+            r"stage 'train' failed: softmax training diverged: "
+            r"epoch 2 loss \S+ exceeds 10 x epoch 1's loss \S+", err
+        )
+        assert not (out / "manifest.json").exists()
 
 
 def test_tsne_command(cfg_path, run_dir, tmp_path, capsys):

@@ -219,14 +219,15 @@ def test_non_finite_output_fails_with_loss_and_epoch():
 
 
 def test_divergence_raises_without_overflow_warnings():
-    # the output norm overflows before anything else does; taking it must
-    # not warn, so the divergence error is all a user sees
+    # the output norm overflows before anything else does (mid-epoch 2, so
+    # before the epoch-loss gate could stop softmax); taking it must not
+    # warn, so the divergence error is all a user sees
     raw = small_dataset(seed=11)
     for loss in ("softmax", "cosface", "triplet"):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DegenerateVector, match=rf"{loss} training, epoch \d: .*non-finite"):
-                train_embedder(raw, loss, quick_cfg(lr=1e20), embed_dim=8)
+                train_embedder(raw, loss, quick_cfg(lr=1e25), embed_dim=8)
 
 
 def test_non_finite_epoch_loss_fails_with_loss_epoch_and_value(monkeypatch):
@@ -241,4 +242,19 @@ def test_non_finite_epoch_loss_fails_with_loss_epoch_and_value(monkeypatch):
     monkeypatch.setattr(trainer_mod, "plain_softmax_loss", nan_from_epoch_two)
     raw = small_dataset(seed=12)  # 60 rows: 4 batches of 16 per epoch
     with pytest.raises(VerifakeError, match=r"softmax training diverged: epoch 2 loss is nan"):
+        train_embedder(raw, "softmax", quick_cfg(), embed_dim=8)
+
+
+def test_epoch_loss_past_the_divergence_factor_fails(monkeypatch):
+    calls = []
+    original = trainer_mod.plain_softmax_loss
+
+    def growing_from_epoch_three(*args):
+        loss, *grads = original(*args)
+        calls.append(1)
+        return (loss * 1e3 if len(calls) > 8 else loss, *grads)
+
+    monkeypatch.setattr(trainer_mod, "plain_softmax_loss", growing_from_epoch_three)
+    raw = small_dataset(seed=12)  # 60 rows: 4 batches of 16 per epoch
+    with pytest.raises(VerifakeError, match=r"softmax training diverged: epoch 3 loss .* exceeds 10 x epoch 1's loss"):
         train_embedder(raw, "softmax", quick_cfg(), embed_dim=8)

@@ -383,11 +383,12 @@ def test_run_tsne_builds_one_kernel_per_iteration(monkeypatch):
     assert len(calls) == 12 + 1
 
 
-def test_tsne_working_set_is_four_n_by_n_arrays():
+def test_in_process_tsne_working_set_is_four_n_by_n_arrays(monkeypatch):
     # P > 0 off the diagonal, as on real embeddings: the loop holds P, w, Q
     # and one scratch, and the KL gathers nothing
     X = clustered(7, 300, 5, spread=1.0)
     n = len(X)
+    monkeypatch.setattr(tsne_module, "_KL_FORK_MIN_POINTS", n + 1)
     P = joint_affinities(X, 10.0).P
     assert np.all(P[~np.eye(n, dtype=bool)] > 0.0)
     Y = np.random.default_rng(7).normal(size=(n, 2))
@@ -430,14 +431,53 @@ def test_kl_child_matches_in_process_bitwise(monkeypatch, two_cpus, make_input, 
     assert outputs[0] == outputs[1]
 
 
-def _in_child_only(fn):
-    """`fn` in a forked child, the original _kl_from_q in this process."""
-    parent, original = os.getpid(), tsne_module._kl_from_q
+def _in_child_only(fn, name="_kl_from_q"):
+    """`fn` in a forked child, the original tsne function `name` in this
+    process."""
+    parent, original = os.getpid(), getattr(tsne_module, name)
 
-    def kl(*args):
+    def call(*args):
         return original(*args) if os.getpid() == parent else fn(*args)
 
-    return kl
+    return call
+
+
+def test_forked_descent_holds_one_traced_n_by_n_array(monkeypatch, two_cpus):
+    # with P computed beforehand, tracemalloc sees what the forked descent
+    # allocates in this process: the scratch, which also holds Q, and one
+    # block of rows of the exaggerated gradient. It does not see w in the
+    # shared mapping, nor the child's own arrays
+    X = clustered(7, 400, 5, spread=1.0)
+    n = len(X)
+    affinity = joint_affinities(X, 10.0)
+    assert tsne_module._positive_mask(affinity.P) is None
+    monkeypatch.setattr(tsne_module, "joint_affinities", lambda X, perplexity: affinity)
+    cfg = TsneConfig(perplexity=10, iterations=6, exaggeration_until=3)
+    with deadline(60):
+        assert traced_peak(run_tsne, X, cfg)[1] <= 1.5 * 8 * n * n
+
+
+def test_slow_q_derivation_in_the_child_holds_the_shared_kernel(monkeypatch, two_cpus):
+    # the child reads the shared w for three passes (sum, divide, max)
+    # before it releases it; a child that takes 20 ms to derive each Q
+    # holds this process back, through the exaggerated iterations and
+    # after them, and the results do not change
+    X = clustered(7, 120, 5, spread=1.0)
+    cfg = TsneConfig(perplexity=10, iterations=30, exaggeration_until=10, momentum_switch=20, seed=3)
+    monkeypatch.setattr(tsne_module, "_KL_FORK_MIN_POINTS", len(X) + 1)
+    Y_ref, trace_ref = run_tsne(X, cfg)
+    monkeypatch.setattr(tsne_module, "_KL_FORK_MIN_POINTS", 4)
+    original = tsne_module._q_from_w
+
+    def slow(*args):
+        time.sleep(0.02)
+        return original(*args)
+
+    monkeypatch.setattr(tsne_module, "_q_from_w", _in_child_only(slow, "_q_from_w"))
+    with deadline(20):
+        Y, trace = run_tsne(X, cfg)
+    assert Y.tobytes() == Y_ref.tobytes()
+    assert trace.tobytes() == trace_ref.tobytes()
 
 
 def test_slow_kl_child_leaves_the_kl_to_the_parent(monkeypatch, two_cpus):
