@@ -338,7 +338,7 @@ def _read_csv_part(fh, columns, linenos, start):
 
 
 def read_csv(path) -> EmbeddingDataset:
-    """Read the CSV embedding format; FormatError offsets are line numbers.
+    """Read the CSV embedding format; FormatError names the line.
 
     The file is read as a stream of lines, counted as str.splitlines()
     counts the lines of the whole text, into columns allocated once. From
@@ -350,15 +350,15 @@ def read_csv(path) -> EmbeddingDataset:
         size = os.fstat(fh.fileno()).st_size
         header = next(_csv_lines(fh, size), None)
         if header is None:
-            raise FormatError("empty file", offset=1)
+            raise FormatError("empty file", line=1)
         cols = header.split(",")
         if cols[:4] != ["subject", "host", "realness", "method"]:
-            raise FormatError(f"bad header {header!r}", offset=1)
+            raise FormatError(f"bad header {header!r}", line=1)
         dim = len(cols) - 4
         if dim < MIN_DIM:
-            raise FormatError(f"dim {dim} below minimum {MIN_DIM}", offset=1)
+            raise FormatError(f"dim {dim} below minimum {MIN_DIM}", line=1)
         if cols[4:] != [f"v{i}" for i in range(dim)]:
-            raise FormatError("value columns must be v0..v{d-1}", offset=1)
+            raise FormatError("value columns must be v0..v{d-1}", line=1)
 
         # the body starts after the header's physical line; the rows that
         # follow the header on that line are this process's to parse
@@ -392,9 +392,9 @@ def read_csv(path) -> EmbeddingDataset:
     hit = first_fault([mask for mask, _ in faults])
     if hit is not None:
         i, j = hit
-        raise FormatError(faults[j][1](i), offset=int(linenos[i]))
+        raise FormatError(faults[j][1](i), line=int(linenos[i]))
     if fault is not None:
-        raise FormatError(fault, offset=line)
+        raise FormatError(fault, line=line)
     return EmbeddingDataset(*columns)
 
 

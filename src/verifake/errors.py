@@ -16,15 +16,19 @@ class DimensionMismatch(VerifakeError):
 class FormatError(VerifakeError):
     """Embedding file is malformed.
 
-    `offset` is the byte offset (or line number for CSV) at which the
-    problem was detected.
+    `offset` is the byte offset (EMB1) and `line` the 1-based line number
+    (CSV) at which the problem was detected; the message ends in
+    `(at offset N)` or `(at line N)`.
     """
 
-    def __init__(self, message, offset=None):
+    def __init__(self, message, offset=None, line=None):
         if offset is not None:
             message = f"{message} (at offset {offset})"
+        if line is not None:
+            message = f"{message} (at line {line})"
         super().__init__(message)
         self.offset = offset
+        self.line = line
 
 
 class LabelError(VerifakeError):

@@ -26,7 +26,7 @@ CALIBRATION_TOL = 1e-5
 CALIBRATION_REFINE = 1e-8  # keep bisecting well past the declared tolerance
 CALIBRATION_MAX_ITER = 200
 DUPLICATE_JITTER = 1e-10
-_CALIBRATION_BLOCK = 128  # rows calibrated together; temporaries are O(block x n)
+_CALIBRATION_BLOCK = 64  # rows calibrated together; temporaries are O(block x n)
 _EXAGGERATION_BLOCK = 64  # rows of exaggeration * P - Q formed together
 # layouts from this many points on compute their KL trace in a forked child
 _KL_FORK_MIN_POINTS = 100
@@ -232,31 +232,33 @@ def joint_affinities(X, perplexity: float) -> AffinityMatrix:
         )
         perplexity = limit
 
-    d2 = _pairwise_sq_dists(X)
+    # two n x n buffers: P holds the Gram matrix until it receives P
+    P = np.empty((n, n), dtype=np.float64)
+    d2 = _pairwise_sq_dists(X, scratch=P)
     if np.any(_off_diagonal(d2) == 0.0):
         warnings.warn(
             "duplicate points detected; applying 1e-10 jitter", UserWarning
         )
         jitter_rng = np.random.default_rng(0)
         X = X + jitter_rng.normal(0.0, DUPLICATE_JITTER, size=X.shape)
-        d2 = _pairwise_sq_dists(X)
-
-    # row i holds d2[i, j != i]; each block of rows is replaced in place
-    # by its conditional probabilities once calibrated
-    rows = _off_diagonal(d2).reshape(n, n - 1)
-    if not np.all(np.isfinite(rows)):
+        _pairwise_sq_dists(X, out=d2, scratch=P)
+    if not np.all(np.isfinite(d2)):
         raise ConfigError("distance row needs >= 2 finite entries")
+
+    # each block of rows of d2 is replaced in place by its conditional
+    # probabilities once calibrated; the diagonal stays 0
     sigmas = np.empty(n, dtype=np.float64)
     for start in range(0, n, _CALIBRATION_BLOCK):
-        block = rows[start : start + _CALIBRATION_BLOCK]
-        S = block - block.min(axis=1, keepdims=True)
+        block = d2[start : start + _CALIBRATION_BLOCK]
+        off = np.ones(block.shape, dtype=bool)
+        np.fill_diagonal(off[:, start:], False)
+        S = block[off].reshape(len(block), n - 1)  # d2[i, j != i]
+        np.subtract(S, S.min(axis=1, keepdims=True), out=S)
         sigma = np.sqrt(0.5 / _calibrated_betas(S, perplexity))
         sigmas[start : start + _CALIBRATION_BLOCK] = sigma
-        block[...] = _entropy_bits(S, 0.5 / (sigma * sigma))[1]
+        block[off] = _entropy_bits(S, 0.5 / (sigma * sigma))[1].ravel()
 
-    cond = d2  # the distances are spent: reuse the buffer, diagonal already 0
-    _off_diagonal(cond)[...] = rows.reshape(n - 1, n)
-    P = np.add(cond, cond.T)
+    np.add(d2, d2.T, out=P)  # d2 now holds the conditional probabilities
     np.divide(P, 2.0 * n, out=P)
     return AffinityMatrix(P, sigmas)
 

@@ -375,16 +375,16 @@ def reference_read_csv(path) -> EmbeddingDataset:
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
     if not lines:
-        raise FormatError("empty file", offset=1)
+        raise FormatError("empty file", line=1)
 
     cols = lines[0].split(",")
     if cols[:4] != ["subject", "host", "realness", "method"]:
-        raise FormatError(f"bad header {lines[0]!r}", offset=1)
+        raise FormatError(f"bad header {lines[0]!r}", line=1)
     dim = len(cols) - 4
     if dim < MIN_DIM:
-        raise FormatError(f"dim {dim} below minimum {MIN_DIM}", offset=1)
+        raise FormatError(f"dim {dim} below minimum {MIN_DIM}", line=1)
     if cols[4:] != [f"v{i}" for i in range(dim)]:
-        raise FormatError("value columns must be v0..v{d-1}", offset=1)
+        raise FormatError("value columns must be v0..v{d-1}", line=1)
 
     n = len(lines) - 1
     vectors = np.empty((n, dim))
@@ -402,7 +402,7 @@ def reference_read_csv(path) -> EmbeddingDataset:
         hit = first_fault([mask for mask, _ in faults])
         if hit is not None:
             i, j = hit
-            raise FormatError(faults[j][1](i), offset=linenos[i])
+            raise FormatError(faults[j][1](i), line=linenos[i])
         return columns
 
     try:
@@ -412,23 +412,23 @@ def reference_read_csv(path) -> EmbeddingDataset:
             fields = line.split(",")
             if len(fields) != 4 + dim:
                 raise FormatError(
-                    f"expected {4 + dim} fields, got {len(fields)}", offset=lineno
+                    f"expected {4 + dim} fields, got {len(fields)}", line=lineno
                 )
             try:
                 subject, host = int(fields[0]), int(fields[1])
             except ValueError:
-                raise FormatError("non-integer subject/host id", offset=lineno) from None
+                raise FormatError("non-integer subject/host id", line=lineno) from None
             if not (0 <= subject <= _U32_MAX and 0 <= host <= _U32_MAX):
-                raise FormatError("subject/host id outside the u32 range", offset=lineno)
+                raise FormatError("subject/host id outside the u32 range", line=lineno)
             if fields[2] not in ("real", "fake"):
-                raise FormatError(f"invalid realness {fields[2]!r}", offset=lineno)
+                raise FormatError(f"invalid realness {fields[2]!r}", line=lineno)
             if fields[3] not in METHOD_BY_NAME:
-                raise FormatError(f"unknown method {fields[3]!r}", offset=lineno)
+                raise FormatError(f"unknown method {fields[3]!r}", line=lineno)
             k = len(linenos)
             try:
                 vectors[k] = list(map(float, fields[4:]))
             except ValueError:
-                raise FormatError("non-numeric vector component", offset=lineno) from None
+                raise FormatError("non-numeric vector component", line=lineno) from None
             ids[k] = subject, host
             fake[k] = fields[2] == "fake"
             method[k] = METHOD_BY_NAME[fields[3]]

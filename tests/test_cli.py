@@ -153,6 +153,17 @@ def test_eval_missing_file_exits_1(capsys):
     assert code == EXIT_FAILURE
 
 
+def test_eval_csv_error_names_its_line(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text(
+        "subject,host,realness,method,v0,v1\n0,0,real,none,1.0,0.0\n1,1,real,none,x,1.0\n"
+    )
+    assert main(["eval", str(path), "--out", str(tmp_path / "out")]) == EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert "non-numeric vector component (at line 3)" in err
+    assert "offset" not in err
+
+
 def test_synth_writes_dataset(cfg_path, tmp_path):
     out = tmp_path / "synth_out"
     assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK

@@ -314,7 +314,7 @@ def test_csv_rejects_bad_vector_with_line(tmp_path, vector, message):
     )
     with pytest.raises(FormatError, match=f"vector .*{message}") as err:
         read_csv(path)
-    assert err.value.offset == 4  # the blank line 3 is skipped
+    assert err.value.line == 4  # the blank line 3 is skipped
 
 
 def test_vectors_within_tolerance_accepted(tmp_path):
@@ -336,15 +336,15 @@ def test_csv_header_checked(tmp_path):
         path.write_text(text)
         with pytest.raises(FormatError, match=message) as err:
             read_csv(path)
-        assert err.value.offset == 1
+        assert err.value.line == 1
 
 
 def test_csv_bad_field_count(tmp_path):
     path = tmp_path / "f.csv"
     path.write_text(CSV_HEADER + "0,0,real,none,1.0\n")
-    with pytest.raises(FormatError) as err:
+    with pytest.raises(FormatError, match=r"\(at line 2\)$") as err:
         read_csv(path)
-    assert err.value.offset == 2
+    assert err.value.line == 2 and err.value.offset is None
 
 
 def test_csv_bad_realness_and_method(tmp_path):
@@ -363,7 +363,7 @@ def test_csv_ids_must_fit_u32(tmp_path):
         path.write_text(CSV_HEADER + "0,0,real,none,1.0,0.0\n" + ids + ",real,none,1.0,0.0\n")
         with pytest.raises(FormatError, match=message) as err:
             read_csv(path)
-        assert err.value.offset == 3
+        assert err.value.line == 3
 
 
 LINE_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\r", "\r\n", "\n\n"]
@@ -373,7 +373,7 @@ def _csv_outcome(reader, path):
     try:
         ds = reader(path)
     except FormatError as exc:
-        return str(exc), exc.offset
+        return str(exc), exc.line
     return [ds.vectors.tobytes()] + [col.tolist() for col in (ds.subject, ds.host, ds.fake, ds.method)]
 
 
@@ -412,7 +412,7 @@ def test_csv_line_breaks_match_whole_text_reader(tmp_path, brk):
     path.write_bytes((CSV_HEADER + rows[0] + brk + rows[1] + "\nx\n").encode("ascii"))
     with pytest.raises(FormatError) as err:
         read_csv(path)
-    assert err.value.offset == 4 + (brk == "\n\n")  # "\r\n" is one line break
+    assert err.value.line == 4 + (brk == "\n\n")  # "\r\n" is one line break
 
 
 @pytest.mark.parametrize("piece", [1, 2, 3, 5, 8])
@@ -513,7 +513,7 @@ def test_csv_earliest_bad_line_reported_first(tmp_path):
     path.write_text(CSV_HEADER + "0,1,real,none,1.0,0.0\n0,0,real,none,1.0,oops\n")
     with pytest.raises(FormatError, match="host == subject") as err:
         read_csv(path)
-    assert err.value.offset == 2
+    assert err.value.line == 2
 
 
 def test_csv_undecodable_byte_names_its_line(tmp_path):
@@ -526,7 +526,7 @@ def test_csv_undecodable_byte_names_its_line(tmp_path):
     )
     with pytest.raises(FormatError, match="non-ASCII byte 0xe9") as err:
         read_csv(path)
-    assert err.value.offset == 5
+    assert err.value.line == 5
 
 
 def test_sniffing_dispatch(tmp_path):

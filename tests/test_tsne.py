@@ -68,6 +68,21 @@ def duplicated_points():
     return X
 
 
+def duplicated_across_blocks():
+    """200 rows, four calibration blocks; rows 10 and 150 coincide."""
+    X = np.random.default_rng(4).normal(size=(200, 4))
+    X[150] = X[10]
+    return X
+
+
+def hub_past_first_block():
+    """193 rows, four calibration blocks: a hub with 12 equidistant nearest
+    neighbors at row 130 cannot reach perplexity 5, every other row can."""
+    others = 20.0 + np.random.default_rng(9).normal(size=(180, 12))
+    hub = np.vstack([np.zeros(12), np.eye(12)])
+    return np.vstack([others[:130], hub, others[130:]])
+
+
 def hub_points():
     """Two hubs with 12 and 9 equidistant nearest neighbors: their rows
     cannot reach perplexity 3 (each with its own residual), every other
@@ -179,6 +194,8 @@ AFFINITY_CASES = {
     "clusters_37": (lambda: clustered(2, 37, 3), 5.0),
     "clamped": (lambda: np.random.default_rng(2).normal(size=(7, 3)), 30.0),
     "duplicates": (duplicated_points, 4.0),
+    "duplicates_across_blocks": (duplicated_across_blocks, 10.0),
+    "unreachable_row_past_first_block": (hub_past_first_block, 5.0),
     "exact_zero_P": (separated_clusters, 3),
     "unreachable_rows": (hub_points, 3.0),
     "all_rows_unreachable": (simplex_points, 2.0),
@@ -211,8 +228,24 @@ def test_reference_cases_exercise_their_edge():
     assert [c for c, _ in caught] == [UserWarning] + [CalibrationWarning] * 4
     _, caught = _recorded(joint_affinities, duplicated_points(), 4.0)
     assert "jitter" in caught[0][1]
+    block = tsne_module._CALIBRATION_BLOCK
+    assert len(duplicated_across_blocks()) >= 3 * block and 10 // block != 150 // block
+    _, caught = _recorded(joint_affinities, duplicated_across_blocks(), 10.0)
+    assert [c for c, _ in caught] == [UserWarning] and "jitter" in caught[0][1]
+    assert len(hub_past_first_block()) >= 3 * block and 130 >= block
+    _, caught = _recorded(joint_affinities, hub_past_first_block(), 5.0)
+    assert [c for c, _ in caught] == [CalibrationWarning]
     P = joint_affinities(separated_clusters(), 3).P
     assert np.any(P[~np.eye(len(P), dtype=bool)] == 0.0)
+
+
+@pytest.mark.parametrize("n", [500, 1000])
+def test_joint_affinities_hold_p_and_one_n_by_n_buffer(n):
+    # P, which holds the Gram matrix first, the distances d2, which each
+    # block of rows turns into its conditional probabilities, and O(block x n)
+    # calibration temporaries
+    X = clustered(8, n, 10, d=32)
+    assert traced_peak(joint_affinities, X, 30.0)[1] <= 2.75 * 8 * n * n
 
 
 def test_joint_affinities_make_no_per_row_calls(monkeypatch):
