@@ -27,8 +27,10 @@ def main() -> int:
     ap.add_argument("--out", default=None, help="artifact dir (default: temp)")
     args = ap.parse_args()
 
+    out_dir = args.out or tempfile.mkdtemp(prefix="verifake_demo_")
     cfg = PipelineConfig(
         seed=args.seed,
+        out_dir=out_dir,
         swaps=[
             SwapSettings(Method.FACESWAP, alpha=0.8, sigma=0.05, per_subject=80),
             SwapSettings(Method.FACE2FACE, sigma=0.05, per_subject=40),
@@ -38,8 +40,7 @@ def main() -> int:
         tsne_enabled=False,
     )
 
-    out_dir = args.out or tempfile.mkdtemp(prefix="verifake_demo_")
-    result = run_pipeline(cfg, out_dir)
+    result = run_pipeline(cfg)
 
     print(result.report.format_table(), end="")
     print()

@@ -17,11 +17,12 @@ import sys
 from dataclasses import replace
 
 from .config import PipelineConfig, load_config
-from .dataset_io import read_dataset
+from .dataset_io import FORMATS, read_dataset
 from .errors import ConfigError, VerifakeError
 from .losses import LOSS_NAMES
 from .metrics import build_report
 from .pipeline import (
+    _run_stage,
     eval_command,
     execute,
     report_command,
@@ -30,7 +31,7 @@ from .pipeline import (
     train_command,
     tsne_command,
 )
-from .protocol import read_scores
+from .protocol import AGGREGATIONS, read_scores
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -76,6 +77,7 @@ def cmd_eval(args) -> None:
 
 def cmd_tsne(args) -> None:
     cfg = _load_pipeline_config(args)
+    cfg.tsne_config()  # checked even with tsne.enabled = false, before `out` is touched
     points, trace, path = execute(cfg, tsne_command, read_dataset(args.embeddings))
     print(f"embedded {len(points)} points; final KL {trace[-1]:.6f} (wrote {path})")
 
@@ -89,7 +91,7 @@ def cmd_run(args) -> None:
 def cmd_report(args) -> None:
     scores = read_scores(args.scores)
     if args.out is None:
-        report = build_report(scores)
+        report = _run_stage("report", build_report, scores)
     else:
         # report takes no --config: its manifest records the built-in defaults
         report = execute(PipelineConfig(out_dir=args.out), report_command, scores)
@@ -102,8 +104,8 @@ def _add_common_flags(sub):
     sub.add_argument("--out", help="output directory")
     sub.add_argument("--loss", choices=LOSS_NAMES, help="loss preset")
     sub.add_argument("--gallery-size", type=int, dest="gallery_size")
-    sub.add_argument("--aggregation", choices=["mean", "max"])
-    sub.add_argument("--format", choices=["emb1", "csv"], dest="fmt")
+    sub.add_argument("--aggregation", choices=AGGREGATIONS)
+    sub.add_argument("--format", choices=FORMATS, dest="fmt")
 
 
 def build_parser() -> argparse.ArgumentParser:

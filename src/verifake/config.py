@@ -20,6 +20,7 @@ import hashlib
 import re
 from dataclasses import dataclass, field, replace
 
+from .dataset_io import FORMATS
 from .embeddings import METHOD_BY_NAME, METHOD_NAMES, MIN_DIM, Method
 from .errors import ConfigError
 from .losses import LOSS_NAMES, MarginConfig, TripletConfig, margin_preset
@@ -86,7 +87,7 @@ class PipelineConfig:
     eval_identities: int = 10
     samples_per_identity: int = 60
     raw_dim: int = 32
-    concentration: float = 8.0
+    concentration: float = SyntheticSpec.concentration
 
     # the defaults below live with the code that uses them
     batch_size: int = TrainConfig.batch_size
@@ -118,9 +119,9 @@ class PipelineConfig:
                 f"unknown loss {self.loss_name!r}; expected one of {LOSS_NAMES}",
                 field="run.loss",
             )
-        if self.file_format not in ("emb1", "csv"):
+        if self.file_format not in FORMATS:
             raise ConfigError(
-                f"format must be emb1 or csv, got {self.file_format!r}",
+                f"format must be one of {FORMATS}, got {self.file_format!r}",
                 field="run.format",
             )
         if self.aggregation not in AGGREGATIONS:
@@ -143,13 +144,6 @@ class PipelineConfig:
                 raise ConfigError(f"{key} must be >= 1", field=f"protocol.{key}")
         if self.tsne_enabled:
             self.tsne_config()
-
-    def resolved_margin(self) -> MarginConfig | None:
-        if self.loss_name in ("softmax", "triplet"):
-            return None
-        if self.margin is not None:
-            return self.margin
-        return margin_preset(self.loss_name)
 
     def synthetic_spec(self, part: str) -> SyntheticSpec:
         """Generator spec of the 'train' or 'eval' identities; a bad value

@@ -37,6 +37,7 @@ from .losses import INPUT_NORM_TOL
 from .workers import forked, read_exactly, worker_count
 
 MAGIC = b"EMB1"
+FORMATS = ("emb1", "csv")  # the names write_dataset takes
 _HEADER_SIZE = 12  # magic, u32 record count, u32 dim
 _U32_MAX = 2**32 - 1
 _EMB1_BLOCK_ROWS = 4096  # EMB1 records packed or read together

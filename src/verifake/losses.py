@@ -64,7 +64,7 @@ MARGIN_PRESETS = {
 }
 
 
-def margin_preset(name: str, s: float = DEFAULT_SCALE) -> MarginConfig:
+def margin_preset(name: str) -> MarginConfig:
     """Return the MarginConfig for a named preset (arcface, cosface,
     sphereface, combined)."""
     try:
@@ -73,7 +73,7 @@ def margin_preset(name: str, s: float = DEFAULT_SCALE) -> MarginConfig:
         raise ConfigError(
             f"unknown margin preset {name!r}, expected one of {sorted(MARGIN_PRESETS)}"
         ) from None
-    return MarginConfig(m1, m2, m3, s)
+    return MarginConfig(m1, m2, m3)
 
 
 @dataclass(frozen=True)

@@ -98,8 +98,8 @@ def eer(genuine, imposter) -> float:
     return roc_curve(genuine, imposter).eer()
 
 
-def histogram(scores, bins: int = HISTOGRAM_BINS) -> np.ndarray:
-    """Bin counts over `bins` uniform bins spanning [-1, 1].
+def histogram(scores) -> np.ndarray:
+    """Bin counts over HISTOGRAM_BINS uniform bins spanning [-1, 1].
 
     Bin edges are inclusive on the left; the last bin also includes its
     right edge. Scores outside [-1, 1] raise RangeError.
@@ -109,7 +109,7 @@ def histogram(scores, bins: int = HISTOGRAM_BINS) -> np.ndarray:
         raise RangeError(
             f"scores must lie in [-1, 1], got range [{arr.min()}, {arr.max()}]"
         )
-    counts, _ = np.histogram(arr, bins=bins, range=(-1.0, 1.0))
+    counts, _ = np.histogram(arr, bins=HISTOGRAM_BINS, range=(-1.0, 1.0))
     return counts
 
 
@@ -134,13 +134,12 @@ class EvalReport:
     histograms: dict = field(default_factory=dict)
     counts: dict = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
-    histogram_bins: int = HISTOGRAM_BINS
     curves: dict = field(default_factory=dict, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
             "counts": self.counts,
-            "histogram_bins": self.histogram_bins,
+            "histogram_bins": HISTOGRAM_BINS,
             "histograms": {k: [int(c) for c in v] for k, v in self.histograms.items()},
             "metadata": self.metadata,
             "rows": [asdict(row) for row in self.rows],
@@ -216,7 +215,7 @@ def roc_to_csv(curves: dict[str, RocCurve]) -> str:
 
 def histograms_to_csv(report: EvalReport) -> str:
     """Serialize report histograms as `series,bin_lo,bin_hi,count` CSV."""
-    edges = np.linspace(-1.0, 1.0, report.histogram_bins + 1)
+    edges = np.linspace(-1.0, 1.0, HISTOGRAM_BINS + 1)
     lines = ["series,bin_lo,bin_hi,count"]
     for name in sorted(report.histograms):
         counts = report.histograms[name]

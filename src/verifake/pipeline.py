@@ -13,7 +13,7 @@ artifact byte for byte.
 """
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -110,7 +110,7 @@ def train_stage(cfg: PipelineConfig, train_raw: RawDataset):
         cfg.train_config(),
         embed_dim=cfg.embed_dim,
         hidden_dims=cfg.hidden_dims,
-        margin=cfg.resolved_margin(),
+        margin=cfg.margin,
         triplet=cfg.triplet,
     )
 
@@ -321,11 +321,8 @@ def _run_command(cfg: PipelineConfig, out: Path, artifacts: dict) -> RunResult:
     return RunResult(out, report, scores, dataset, curve, artifacts)
 
 
-def run_pipeline(cfg: PipelineConfig, out_dir=None) -> RunResult:
-    """Execute every stage and write all artifacts under out_dir (by
-    default cfg.out_dir)."""
-    if out_dir is not None:
-        cfg = replace(cfg, out_dir=out_dir)
+def run_pipeline(cfg: PipelineConfig) -> RunResult:
+    """Execute every stage and write all artifacts under cfg.out_dir."""
     # each eval subject has samples_per_identity real records to enroll
     if cfg.gallery_size > cfg.samples_per_identity:
         raise ConfigError(

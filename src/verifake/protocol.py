@@ -32,7 +32,6 @@ AGGREGATIONS = ("mean", "max")
 class Gallery:
     """Enrolled real embeddings: subject id -> (g, dim) float64 matrix."""
 
-    size: int
     entries: dict
 
 
@@ -132,7 +131,7 @@ def build_gallery(
         if len(pos) > probe_cap:
             keep[pos] = False
             keep[pos[rng.choice(len(pos), size=probe_cap, replace=False)]] = True
-    return Gallery(g, entries), probe_rows[keep]
+    return Gallery(entries), probe_rows[keep]
 
 
 def run_protocol(

@@ -21,7 +21,7 @@ class SyntheticSpec:
     num_identities: int
     samples_per_identity: int
     raw_dim: int
-    concentration: float = 5.0
+    concentration: float = 8.0
     seed: int = 0
 
     def __post_init__(self):

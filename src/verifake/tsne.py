@@ -33,26 +33,23 @@ _KL_FORK_MIN_POINTS = 100
 # what the KL child writes to its file per KL it computes: (iteration, KL)
 _KL_RECORD = np.dtype([("iteration", "<i8"), ("kl", "<f8")])
 
+# the optimization schedule of van der Maaten & Hinton (JMLR 2008)
+EARLY_EXAGGERATION = 4.0  # P's factor for the first EXAGGERATION_UNTIL iterations
+EXAGGERATION_UNTIL = 100
+MOMENTUM_START = 0.5  # then MOMENTUM_FINAL from iteration MOMENTUM_SWITCH on
+MOMENTUM_FINAL = 0.8
+MOMENTUM_SWITCH = 250
+INIT_STD = 1e-4  # the layout starts from N(0, INIT_STD^2)
+
 
 @dataclass(frozen=True)
 class TsneConfig:
-    """Optimizer settings for run_tsne.
-
-    The momentum term switches from `momentum_start` to `momentum_final`
-    at iteration `momentum_switch`; affinities are multiplied by
-    `early_exaggeration` for the first `exaggeration_until` iterations.
-    Output dimensionality is fixed at 2.
-    """
+    """Optimizer settings for run_tsne; the schedule is the module's
+    constants. Output dimensionality is fixed at 2."""
 
     perplexity: float = 30.0
     iterations: int = 1000
     learning_rate: float = 200.0
-    early_exaggeration: float = 4.0
-    exaggeration_until: int = 100
-    momentum_start: float = 0.5
-    momentum_final: float = 0.8
-    momentum_switch: int = 250
-    init_std: float = 1e-4
     seed: int = 0
 
     def __post_init__(self):
@@ -62,14 +59,6 @@ class TsneConfig:
             raise ConfigError("iterations must be >= 1", field="iterations")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive", field="learning_rate")
-        if self.early_exaggeration < 1.0:
-            raise ConfigError(
-                "early_exaggeration must be >= 1", field="early_exaggeration"
-            )
-        if not 0.0 <= self.momentum_start < 1.0 or not 0.0 <= self.momentum_final < 1.0:
-            raise ConfigError("momentum terms must lie in [0, 1)", field="momentum")
-        if self.init_std <= 0:
-            raise ConfigError("init_std must be positive", field="init_std")
 
 
 @dataclass
@@ -359,11 +348,9 @@ def _descend(P, positive, Y, cfg, w, Q, coeff, kl_trace, child=None):
     and the KL terms into w, or waits until the child has derived Q."""
     velocity = np.zeros_like(Y)
     for it in range(cfg.iterations):
-        exaggeration = cfg.early_exaggeration if it < cfg.exaggeration_until else 1.0
+        exaggeration = EARLY_EXAGGERATION if it < EXAGGERATION_UNTIL else 1.0
         grad = _gradient_from_q(P, w, Q, Y, coeff, exaggeration)
-        momentum = (
-            cfg.momentum_start if it < cfg.momentum_switch else cfg.momentum_final
-        )
+        momentum = MOMENTUM_START if it < MOMENTUM_SWITCH else MOMENTUM_FINAL
         velocity = momentum * velocity - cfg.learning_rate * grad
         Y = Y + velocity
         if child and it and child.take_back():
@@ -487,7 +474,7 @@ def run_tsne(X, cfg: TsneConfig):
     positive = _positive_mask(P)
 
     rng = np.random.default_rng(cfg.seed)
-    Y = rng.normal(0.0, cfg.init_std, size=(n, 2))
+    Y = rng.normal(0.0, INIT_STD, size=(n, 2))
     kl_trace = np.zeros(cfg.iterations)
     coeff = np.empty((n, n), dtype=np.float64)
     if worker_count(n, _KL_FORK_MIN_POINTS) > 1:

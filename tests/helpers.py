@@ -10,6 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+import verifake.tsne as tsne_module
 from verifake.config import child_seed
 from verifake.dataset_io import _U32_MAX, _record_faults
 from verifake.embeddings import (
@@ -111,13 +112,14 @@ def reference_tsne(X, cfg):
     X = np.asarray(X, dtype=np.float64)
     P = joint_affinities(X, cfg.perplexity).P
     rng = np.random.default_rng(cfg.seed)
-    Y = rng.normal(0.0, cfg.init_std, size=(X.shape[0], 2))
+    t = tsne_module  # the schedule, read when called so that tests can shorten it
+    Y = rng.normal(0.0, t.INIT_STD, size=(X.shape[0], 2))
     velocity = np.zeros_like(Y)
     kl_trace = np.zeros(cfg.iterations, dtype=np.float64)
     for it in range(cfg.iterations):
-        P_eff = P * cfg.early_exaggeration if it < cfg.exaggeration_until else P
+        P_eff = P * t.EARLY_EXAGGERATION if it < t.EXAGGERATION_UNTIL else P
         grad = kl_gradient(P_eff, Y)
-        momentum = cfg.momentum_start if it < cfg.momentum_switch else cfg.momentum_final
+        momentum = t.MOMENTUM_START if it < t.MOMENTUM_SWITCH else t.MOMENTUM_FINAL
         velocity = momentum * velocity - cfg.learning_rate * grad
         Y = Y + velocity
         kl_trace[it] = kl_divergence(P, Y)
@@ -565,7 +567,7 @@ def reference_build_gallery(records, g, seed, probe_cap):
             keep.update(idx)
 
     probes = [records[i] for i in probe_indices if i in keep]
-    return Gallery(g, entries), probes
+    return Gallery(entries), probes
 
 
 def reference_match_probe(probe, subject_gallery, aggregation="mean") -> float:

@@ -179,6 +179,7 @@ def test_criterion_4_identity_vs_expression_contrast(tmp_path):
     start = time.monotonic()
     cfg = PipelineConfig(
         seed=42,
+        out_dir=tmp_path / "contrast",
         swaps=[
             SwapSettings(Method.FACESWAP, alpha=0.8, sigma=0.05, per_subject=80),
             SwapSettings(Method.NEURALTEXTURES, sigma=0.05, per_subject=80),
@@ -191,7 +192,7 @@ def test_criterion_4_identity_vs_expression_contrast(tmp_path):
     assert cfg.loss_name == "cosface"
     assert cfg.gallery_size == 20
 
-    result = run_pipeline(cfg, tmp_path / "contrast")
+    result = run_pipeline(cfg)
     rows = {row.group: row for row in result.report.rows}
     identity_eer = rows["identity-swap"].eer_percent
     expression_eer = rows["expression-swap"].eer_percent

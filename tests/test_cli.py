@@ -15,6 +15,7 @@ from verifake import dataset_io, pipeline, tsne
 from verifake.cli import EXIT_CONFIG, EXIT_FAILURE, EXIT_OK, build_parser, main
 from verifake.errors import DegenerateVector
 from verifake.losses import LOSS_NAMES
+from verifake.protocol import AGGREGATIONS
 
 CLI_CFG = """
 run.seed = 5
@@ -275,6 +276,20 @@ def test_bad_tsne_setting_exits_2_before_any_stage(tmp_path, capsys, key, value)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [*BAD_TSNE, ("perplexity", "0.5")])
+def test_tsne_command_checks_its_settings_before_touching_out(run_dir, tmp_path, capsys, key, value):
+    # tsne.enabled = false only spares `run`; `verifake tsne` needs them
+    cfg = tmp_path / "bad_tsne.cfg"
+    cfg.write_text(_with_tsne_setting(key, value, enabled="false"))
+    out = tmp_path / "tsne_out"
+    out.mkdir()
+    (out / "manifest.json").write_text("{}\n")
+    argv = ["tsne", str(run_dir / "embeddings.emb1"), "--config", str(cfg), "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    assert f"field 'tsne.{key}'" in capsys.readouterr().err
+    assert (out / "manifest.json").read_text() == "{}\n"
+
+
 BAD_STAGE_SETTINGS = [
     ("train.momentum", "1.0"),
     ("train.embed_dim", "0"),
@@ -428,15 +443,39 @@ def test_report_bad_csv_exits_2(tmp_path, capsys):
     assert "line 4" in capsys.readouterr().err
 
 
-def test_loss_choices_are_the_loss_names():
+def test_report_without_genuine_scores_fails_its_stage(tmp_path, capsys):
+    scores = tmp_path / "scores.csv"
+    scores.write_text("score,kind,method,subject\n0.1,imposter,FaceSwap,1\n")
+    out = tmp_path / "rep_out"
+    for argv in (["report", str(scores)], ["report", str(scores), "--out", str(out)]):
+        assert main(argv) == EXIT_FAILURE
+        assert "stage 'report' failed" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def _flag_choices(dest):
+    """subcommand -> the choices of its flag stored under `dest`."""
     commands = next(
         action for action in build_parser()._actions
         if isinstance(action, argparse._SubParsersAction)
     ).choices
-    for name, sub in commands.items():
-        for action in sub._actions:
-            if action.dest == "loss":
-                assert action.choices is LOSS_NAMES, name
+    return {
+        name: action.choices
+        for name, sub in commands.items() for action in sub._actions if action.dest == dest
+    }
+
+
+def test_format_and_aggregation_choices_are_declared_once():
+    for dest, names in (("fmt", dataset_io.FORMATS), ("aggregation", AGGREGATIONS)):
+        choices = _flag_choices(dest)
+        assert choices
+        for name, flag_choices in choices.items():
+            assert flag_choices is names, name
+
+
+def test_loss_choices_are_the_loss_names():
+    for name, choices in _flag_choices("loss").items():
+        assert choices is LOSS_NAMES, name
 
 
 def test_usage_error_exits_2():

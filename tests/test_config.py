@@ -51,7 +51,7 @@ def test_defaults_are_valid():
     assert cfg.gallery_size == 20
     assert cfg.probe_cap == 1000
     assert [s.method for s in cfg.swaps] == [Method.FACESWAP, Method.NEURALTEXTURES]
-    assert cfg.resolved_margin() == margin_preset("cosface")
+    assert cfg.margin is None  # train_embedder falls back to the loss preset
 
 
 def test_parse_full_sample():
@@ -141,7 +141,7 @@ def test_unknown_swap_method_rejected():
 
 def test_margin_overrides_extend_preset():
     cfg = parse_config("run.loss = arcface\nloss.m2 = 0.4\nloss.scale = 32\n")
-    margin = cfg.resolved_margin()
+    margin = cfg.margin
     base = margin_preset("arcface")
     assert margin.m2 == 0.4
     assert margin.s == 32.0
@@ -156,7 +156,7 @@ def test_margin_overrides_need_margin_loss():
 def test_triplet_margin_key():
     cfg = parse_config("run.loss = triplet\nloss.triplet_margin = 0.3\n")
     assert cfg.triplet.margin == 0.3
-    assert cfg.resolved_margin() is None
+    assert cfg.margin is None
 
 
 def test_aggregation_validated():

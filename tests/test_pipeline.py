@@ -76,7 +76,7 @@ EXPECTED_FILES = [
 def run(tmp_path_factory):
     cfg = parse_config(PIPE_CFG)
     out = tmp_path_factory.mktemp("run")
-    return cfg, run_pipeline(cfg, out)
+    return cfg, run_pipeline(dataclasses.replace(cfg, out_dir=out))
 
 
 def test_artifacts_written(run):
@@ -139,7 +139,7 @@ def test_written_embeddings_load_back(run):
 
 def test_rerun_is_byte_identical(run, tmp_path):
     cfg, result = run
-    again = run_pipeline(cfg, tmp_path / "again")
+    again = run_pipeline(dataclasses.replace(cfg, out_dir=tmp_path / "again"))
     for name in ("report.json", "scores.csv", "embeddings.emb1", "tsne.csv"):
         assert (result.out_dir / name).read_bytes() == (
             again.out_dir / name
@@ -263,7 +263,7 @@ def test_training_free_dataset():
 
 def test_tsne_disabled_skips_files(tmp_path):
     cfg = parse_config(PIPE_CFG + "tsne.enabled = false\n")
-    result = run_pipeline(cfg, tmp_path / "no_tsne")
+    result = run_pipeline(dataclasses.replace(cfg, out_dir=tmp_path / "no_tsne"))
     assert not (result.out_dir / "tsne.csv").exists()
     assert not (result.out_dir / "kl_trace.csv").exists()
     manifest = json.loads((result.out_dir / "manifest.json").read_text())

@@ -129,7 +129,7 @@ def test_gallery_size_validated():
 
 def match_one(probe, templates, aggregation="mean"):
     """run_protocol's score for one probe against a hand-built gallery."""
-    gallery = Gallery(len(templates), {0: np.array(templates, dtype=np.float64)})
+    gallery = Gallery({0: np.array(templates, dtype=np.float64)})
     probes = EmbeddingDataset.reals([0], [probe])
     return float(run_protocol(gallery, [0], probes, aggregation).score[0])
 

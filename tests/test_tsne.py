@@ -376,18 +376,25 @@ def test_run_tsne_trace_decreases_and_separates_clusters():
     assert np.mean(within) < np.mean(between)
 
 
+def shorten_schedule(monkeypatch, exaggerated, switch):
+    """The t-SNE schedule with exaggeration for the first `exaggerated`
+    iterations and the momentum switch at iteration `switch`, so that a
+    short run crosses both."""
+    monkeypatch.setattr(tsne_module, "EXAGGERATION_UNTIL", exaggerated)
+    monkeypatch.setattr(tsne_module, "MOMENTUM_SWITCH", switch)
+
+
 @pytest.mark.parametrize("iterations", [3, 7, 15])
 @pytest.mark.parametrize(
     "make_input",
     [lambda: three_clusters(per=6)[0], separated_clusters],
     ids=["three_clusters", "separated_clusters"],
 )
-def test_run_tsne_matches_two_kernel_reference_bitwise(make_input, iterations):
+def test_run_tsne_matches_two_kernel_reference_bitwise(monkeypatch, make_input, iterations):
     # 3 stays inside exaggeration, 7 crosses it, 15 also crosses the momentum switch
     X = make_input()
-    cfg = TsneConfig(
-        perplexity=3, iterations=iterations, exaggeration_until=5, momentum_switch=10, seed=2
-    )
+    shorten_schedule(monkeypatch, exaggerated=5, switch=10)
+    cfg = TsneConfig(perplexity=3, iterations=iterations, seed=2)
     Y, trace = run_tsne(X, cfg)
     Y_ref, trace_ref = reference_tsne(X, cfg)
     assert Y.tobytes() == Y_ref.tobytes()
@@ -444,7 +451,8 @@ def two_cpus(monkeypatch):
 )
 def test_kl_child_matches_in_process_bitwise(monkeypatch, two_cpus, make_input, dense):
     X = make_input()
-    cfg = TsneConfig(perplexity=10, iterations=30, exaggeration_until=10, momentum_switch=20, seed=3)
+    shorten_schedule(monkeypatch, exaggerated=10, switch=20)
+    cfg = TsneConfig(perplexity=10, iterations=30, seed=3)
     assert (tsne_module._positive_mask(joint_affinities(X, cfg.perplexity).P) is None) == dense
     forks = []
     original = tsne_module.forked
@@ -485,7 +493,8 @@ def test_forked_descent_holds_one_traced_n_by_n_array(monkeypatch, two_cpus):
     affinity = joint_affinities(X, 10.0)
     assert tsne_module._positive_mask(affinity.P) is None
     monkeypatch.setattr(tsne_module, "joint_affinities", lambda X, perplexity: affinity)
-    cfg = TsneConfig(perplexity=10, iterations=6, exaggeration_until=3)
+    monkeypatch.setattr(tsne_module, "EXAGGERATION_UNTIL", 3)
+    cfg = TsneConfig(perplexity=10, iterations=6)
     with deadline(60):
         assert traced_peak(run_tsne, X, cfg)[1] <= 1.5 * 8 * n * n
 
@@ -496,7 +505,8 @@ def test_slow_q_derivation_in_the_child_holds_the_shared_kernel(monkeypatch, two
     # holds this process back, through the exaggerated iterations and
     # after them, and the results do not change
     X = clustered(7, 120, 5, spread=1.0)
-    cfg = TsneConfig(perplexity=10, iterations=30, exaggeration_until=10, momentum_switch=20, seed=3)
+    shorten_schedule(monkeypatch, exaggerated=10, switch=20)
+    cfg = TsneConfig(perplexity=10, iterations=30, seed=3)
     monkeypatch.setattr(tsne_module, "_KL_FORK_MIN_POINTS", len(X) + 1)
     Y_ref, trace_ref = run_tsne(X, cfg)
     monkeypatch.setattr(tsne_module, "_KL_FORK_MIN_POINTS", 4)
@@ -517,7 +527,8 @@ def test_slow_kl_child_leaves_the_kl_to_the_parent(monkeypatch, two_cpus):
     # a child that takes 20 ms per KL takes few of the offers; the parent
     # computes the rest, and the trace does not depend on who did which
     X, _ = three_clusters(per=6)
-    cfg = TsneConfig(perplexity=3, iterations=30, exaggeration_until=10, momentum_switch=20)
+    shorten_schedule(monkeypatch, exaggerated=10, switch=20)
+    cfg = TsneConfig(perplexity=3, iterations=30)
     monkeypatch.setattr(tsne_module, "_KL_FORK_MIN_POINTS", len(X) + 1)
     Y_ref, trace_ref = run_tsne(X, cfg)
     monkeypatch.setattr(tsne_module, "_KL_FORK_MIN_POINTS", 4)
@@ -646,10 +657,6 @@ def test_config_validation():
         TsneConfig(iterations=0)
     with pytest.raises(ConfigError):
         TsneConfig(learning_rate=0.0)
-    with pytest.raises(ConfigError):
-        TsneConfig(early_exaggeration=0.5)
-    with pytest.raises(ConfigError):
-        TsneConfig(momentum_final=1.0)
 
 
 # -------------------------------------------------------------------- csv
