@@ -24,7 +24,12 @@ from .dataset_io import FORMATS
 from .embeddings import METHOD_BY_NAME, METHOD_NAMES, MIN_DIM, Method
 from .errors import ConfigError
 from .losses import LOSS_NAMES, MarginConfig, TripletConfig, margin_preset
-from .protocol import AGGREGATIONS, DEFAULT_GALLERY_SIZE, DEFAULT_PROBE_CAP
+from .protocol import (
+    AGGREGATIONS,
+    DEFAULT_AGGREGATION,
+    DEFAULT_GALLERY_SIZE,
+    DEFAULT_PROBE_CAP,
+)
 from .synthetic import SwapSpec, SyntheticSpec
 from .trainer import DEFAULT_EMBED_DIM, DEFAULT_HIDDEN, TrainConfig
 from .tsne import TsneConfig
@@ -38,6 +43,12 @@ def child_seed(seed: int, stage: str) -> int:
     """Deterministic per-stage seed: low 64 bits of SHA-256("{seed}:{stage}")."""
     digest = hashlib.sha256(f"{seed}:{stage}".encode("utf-8")).digest()
     return int.from_bytes(digest[-8:], "big")
+
+
+def _check_loss_name(name: str) -> None:
+    """A ConfigError under `run.loss` unless `name` is a loss name."""
+    if name not in LOSS_NAMES:
+        raise ConfigError(f"unknown loss {name!r}; expected one of {LOSS_NAMES}", field="run.loss")
 
 
 def _keyed(section: str, renamed: dict, build, *args, **kwargs):
@@ -103,7 +114,7 @@ class PipelineConfig:
 
     gallery_size: int = DEFAULT_GALLERY_SIZE
     probe_cap: int = DEFAULT_PROBE_CAP
-    aggregation: str = "mean"
+    aggregation: str = DEFAULT_AGGREGATION
 
     tsne_enabled: bool = True
     tsne_perplexity: float = TsneConfig.perplexity
@@ -114,11 +125,7 @@ class PipelineConfig:
     raw_text: str = ""
 
     def __post_init__(self):
-        if self.loss_name not in LOSS_NAMES:
-            raise ConfigError(
-                f"unknown loss {self.loss_name!r}; expected one of {LOSS_NAMES}",
-                field="run.loss",
-            )
+        _check_loss_name(self.loss_name)
         if self.file_format not in FORMATS:
             raise ConfigError(
                 f"format must be one of {FORMATS}, got {self.file_format!r}",
@@ -305,12 +312,15 @@ def parse_config(text: str) -> PipelineConfig:
     loss_name = values.get("loss_name", PipelineConfig.loss_name)
     margin = None
     if margin_overrides:
+        _check_loss_name(loss_name)
         if loss_name in ("softmax", "triplet"):
             raise ConfigError(
                 "loss.m1/m2/m3/scale only apply to margin losses",
                 field="loss",
             )
-        margin = replace(margin_preset(loss_name), **margin_overrides)
+        margin = _keyed(
+            "loss", {"s": "scale"}, replace, margin_preset(loss_name), **margin_overrides
+        )
     triplet = TripletConfig(triplet_margin) if triplet_margin is not None else TripletConfig()
 
     swaps = [

@@ -160,12 +160,23 @@ def first_fault(masks):
     return min(hits) if hits else None
 
 
+def run_starts(sorted_keys: np.ndarray) -> np.ndarray:
+    """The position where each run of equal values starts in a sorted 1-D
+    array: np.unique's return_index on sorted input, without the import of
+    numpy.ma that np.unique makes on its first call."""
+    boundary = np.empty(len(sorted_keys), dtype=bool)
+    boundary[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=boundary[1:])
+    return np.flatnonzero(boundary)
+
+
 def row_groups(keys: np.ndarray):
     """(key, positions) for each distinct key of a 1-D array, keys
     ascending as Python ints; the positions of a key keep input order."""
     order = np.argsort(keys, kind="stable")
-    uniq, starts = np.unique(keys[order], return_index=True)
-    return zip(uniq.tolist(), np.split(order, starts[1:]))
+    ordered = keys[order]
+    starts = run_starts(ordered)
+    return zip(ordered[starts].tolist(), np.split(order, starts[1:]))
 
 
 def _real_rows_by_subject(dataset: EmbeddingDataset) -> dict:

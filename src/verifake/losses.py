@@ -45,13 +45,13 @@ class MarginConfig:
 
     def __post_init__(self):
         if self.m1 < 1.0:
-            raise ConfigError(f"m1 must be >= 1, got {self.m1}")
+            raise ConfigError(f"m1 must be >= 1, got {self.m1}", field="m1")
         if not 0.0 <= self.m2 < math.pi:
-            raise ConfigError(f"m2 must be in [0, pi), got {self.m2}")
+            raise ConfigError(f"m2 must be in [0, pi), got {self.m2}", field="m2")
         if not 0.0 <= self.m3 < 1.0:
-            raise ConfigError(f"m3 must be in [0, 1), got {self.m3}")
+            raise ConfigError(f"m3 must be in [0, 1), got {self.m3}", field="m3")
         if self.s < 0.0:
-            raise ConfigError(f"s must be >= 0, got {self.s}")
+            raise ConfigError(f"s must be >= 0, got {self.s}", field="s")
 
 
 # (m1, m2, m3) presets; the combined values are the ones used throughout,

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .embeddings import METHOD_NAMES, method_group, row_groups
+from .embeddings import METHOD_NAMES, method_group, row_groups, run_starts
 from .errors import EmptyScores, RangeError
 
 HISTOGRAM_BINS = 50
@@ -70,7 +70,8 @@ def roc_curve(genuine, imposter) -> RocCurve:
 
     # descending distinct thresholds; at each, counts of scores >= t via
     # searchsorted on the ascending sorted arrays
-    thresholds = np.unique(np.concatenate([gen, imp]))[::-1]
+    scores = np.sort(np.concatenate([gen, imp]))
+    thresholds = scores[run_starts(scores)][::-1]
     gen_sorted = np.sort(gen)
     imp_sorted = np.sort(imp)
     gar = (gen.size - np.searchsorted(gen_sorted, thresholds, side="left")) / gen.size
@@ -127,14 +128,12 @@ class ReportRow:
 
 @dataclass
 class EvalReport:
-    """Per-method AUC/EER table plus score histograms and metadata;
-    `curves` holds each method's ROC, which the JSON leaves out."""
+    """Per-method AUC/EER table plus score histograms and metadata."""
 
     rows: list = field(default_factory=list)
     histograms: dict = field(default_factory=dict)
     counts: dict = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
-    curves: dict = field(default_factory=dict, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -167,12 +166,14 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def build_report(scores, metadata: dict | None = None) -> EvalReport:
+def build_report(scores, metadata: dict | None = None, curves: dict | None = None) -> EvalReport:
     """Aggregate a ScoreSet into a per-method AUC/EER report.
 
     Every method's metrics pit all genuine scores against that method's
     imposter scores and are read off one ROC curve per method; rows are
-    ordered by method code.
+    ordered by method code. Each curve goes into `curves` under its
+    method's name when that dict is given (for roc_to_csv), and is
+    dropped once read otherwise.
     """
     genuine = scores.score[scores.genuine]
     if not genuine.size:
@@ -188,7 +189,9 @@ def build_report(scores, metadata: dict | None = None) -> EvalReport:
     report.histograms["genuine"] = histogram(genuine)
     for method, pos in row_groups(scores.method[~scores.genuine]):
         name, values = METHOD_NAMES[method], imposter[pos]
-        curve = report.curves[name] = roc_curve(genuine, values)
+        curve = roc_curve(genuine, values)
+        if curves is not None:
+            curves[name] = curve
         report.histograms[name] = histogram(values)
         report.rows.append(
             ReportRow(

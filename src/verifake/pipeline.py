@@ -37,6 +37,7 @@ from .metrics import (
     roc_to_csv,
 )
 from .protocol import (
+    DEFAULT_AGGREGATION,
     DEFAULT_PROBE_CAP,
     ScoreSet,
     assert_subject_disjoint,
@@ -274,13 +275,15 @@ def train_command(cfg: PipelineConfig, out: Path, artifacts: dict):
     return dataset, curve, path
 
 
-def eval_command(cfg: PipelineConfig, out: Path, artifacts: dict, dataset, metadata=None):
+def eval_command(cfg: PipelineConfig, out: Path, artifacts: dict, dataset, metadata=None,
+                 curves=None):
     """`verifake eval`: protocol and report -> (report, scores). `run`
     shares the gallery seed, so evaluating the embeddings a run wrote
-    reproduces that run's report."""
+    reproduces that run's report; it passes `curves`, a dict that receives
+    each method's ROC curve (see build_report)."""
     report, scores = evaluate_dataset(
         dataset, cfg.gallery_size, child_seed(cfg.seed, "gallery"),
-        cfg.aggregation, cfg.probe_cap, metadata,
+        cfg.aggregation, cfg.probe_cap, metadata, curves,
     )
     path = out / "scores.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -310,11 +313,12 @@ def report_command(cfg: PipelineConfig, out: Path, artifacts: dict, scores: Scor
 def _run_command(cfg: PipelineConfig, out: Path, artifacts: dict) -> RunResult:
     """`verifake run`: the train, eval and tsne commands in one directory."""
     dataset, curve, _ = train_command(cfg, out, artifacts)
+    curves: dict = {}
     report, scores = eval_command(
-        cfg, out, artifacts, dataset, metadata={"loss": cfg.loss_name, "seed": cfg.seed}
+        cfg, out, artifacts, dataset, {"loss": cfg.loss_name, "seed": cfg.seed}, curves
     )
     # run-only artifacts; roc.csv has a row per distinct score
-    _write_text(out, "roc.csv", roc_to_csv(report.curves), artifacts)
+    _write_text(out, "roc.csv", roc_to_csv(curves), artifacts)
     _write_text(out, "histograms.csv", histograms_to_csv(report), artifacts)
     if cfg.tsne_enabled:
         tsne_command(cfg, out, artifacts, dataset)
@@ -337,19 +341,20 @@ def evaluate_dataset(
     dataset: EmbeddingDataset,
     g: int,
     seed: int,
-    aggregation: str = "mean",
+    aggregation: str = DEFAULT_AGGREGATION,
     probe_cap: int = DEFAULT_PROBE_CAP,
     metadata: dict | None = None,
+    curves: dict | None = None,
 ):
     """The protocol and report stages on an embedding dataset -> (report,
     scores). The report's metadata is the aggregation, the gallery size and
-    the gallery seed, updated by `metadata`."""
+    the gallery seed, updated by `metadata`; `curves` is build_report's."""
     scores = _run_stage("protocol", lambda: run_protocol(
         *build_gallery(dataset, g=g, seed=seed, probe_cap=probe_cap), dataset, aggregation
     ))
     meta = {"aggregation": aggregation, "gallery_size": g, "seed": seed}
     meta.update(metadata or {})
-    return _run_stage("report", build_report, scores, meta), scores
+    return _run_stage("report", build_report, scores, meta, curves), scores
 
 
 def synth_embedding_dataset(cfg: PipelineConfig) -> EmbeddingDataset:

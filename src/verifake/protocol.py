@@ -26,6 +26,7 @@ from .errors import ConfigError, InsufficientEnrollment, SubjectOverlap, Unknown
 DEFAULT_GALLERY_SIZE = 20
 DEFAULT_PROBE_CAP = 1000
 AGGREGATIONS = ("mean", "max")
+DEFAULT_AGGREGATION = "mean"
 
 
 @dataclass
@@ -135,7 +136,7 @@ def build_gallery(
 
 
 def run_protocol(
-    gallery: Gallery, rows, dataset: EmbeddingDataset, aggregation: str = "mean"
+    gallery: Gallery, rows, dataset: EmbeddingDataset, aggregation: str = DEFAULT_AGGREGATION
 ) -> ScoreSet:
     """Score the probes, the records `rows` (row indices) of `dataset`,
     against their host subjects' galleries.

@@ -27,7 +27,7 @@ CALIBRATION_REFINE = 1e-8  # keep bisecting well past the declared tolerance
 CALIBRATION_MAX_ITER = 200
 DUPLICATE_JITTER = 1e-10
 _CALIBRATION_BLOCK = 64  # rows calibrated together; temporaries are O(block x n)
-_EXAGGERATION_BLOCK = 64  # rows of exaggeration * P - Q formed together
+_STRIP_ROWS = 128  # rows per strip of the pairs j >= i that the descent holds
 # layouts from this many points on compute their KL trace in a forked child
 _KL_FORK_MIN_POINTS = 100
 # what the KL child writes to its file per KL it computes: (iteration, KL)
@@ -252,64 +252,141 @@ def joint_affinities(X, perplexity: float) -> AffinityMatrix:
     return AffinityMatrix(P, sigmas)
 
 
-def _student_q(Y: np.ndarray, w=None, Q=None, scratch=None):
-    """Student-t kernel weights and normalized Q for a 2-D layout.
-
-    Optional n x n buffers receive w and Q; `scratch` holds Y Y^T while
-    the kernel is built and is free again afterwards, so it may be Q."""
-    w = _pairwise_sq_dists(Y, out=w, scratch=scratch)
-    np.add(1.0, w, out=w)
-    np.divide(1.0, w, out=w)
-    np.fill_diagonal(w, 0.0)
-    return w, _q_from_w(w, Q)
-
-
-def _q_from_w(w, Q=None) -> np.ndarray:
-    """Q = max(w / sum(w), eps) from the kernel weights w, into `Q` if given."""
-    Q = np.divide(w, w.sum(), out=Q)
-    np.maximum(Q, MACHINE_EPSILON, out=Q)
-    return Q
+def _strips(n, alloc=np.empty):
+    """An n x n symmetric array held by its pairs j >= i: a list of
+    contiguous row strips, one after another in one 1-D buffer of float64
+    made by `alloc(size)`. Strip k covers rows [a, b) x columns [a, n), with
+    a = k * _STRIP_ROWS and b = min(a + _STRIP_ROWS, n); its first b - a
+    columns are the diagonal block, which holds both (i, j) and (j, i)."""
+    shapes = [(min(_STRIP_ROWS, n - a), n - a) for a in range(0, n, _STRIP_ROWS)]
+    flat = alloc(sum(rows * cols for rows, cols in shapes))
+    strips, start = [], 0
+    for rows, cols in shapes:
+        strips.append(flat[start : start + rows * cols].reshape(rows, cols))
+        start += rows * cols
+    return strips
 
 
-def _kl_from_q(P, Q, out, positive=None) -> float:
-    """KL(P || Q) over the off-diagonal entries, summed in row-major order.
+def _upper_strips(A) -> list:
+    """The strips (see _strips) of the pairs j >= i of the n x n array A,
+    with 0 in place of its diagonal, so that its pair sums leave it out."""
+    n = A.shape[0]
+    strips = _strips(n)
+    for s in strips:
+        a = n - s.shape[1]
+        s[...] = A[a : a + s.shape[0], a:]
+        np.fill_diagonal(s, 0.0)
+    return strips
 
-    The terms of all n(n-1) off-diagonal entries go to the front of the
-    n x n buffer `out`. When P has off-diagonal zeros, `positive` is the
-    mask `_off_diagonal(P) > 0` and only the terms it selects are summed."""
-    n = P.shape[0]
-    flat = out.ravel()[: n * (n - 1)]
-    terms = flat.reshape(n - 1, n)
-    P_off = _off_diagonal(P)
-    # a P = 0 term is 0 * log(0) = nan; `positive` keeps it out of the sum
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(P_off, _off_diagonal(Q), out=terms)
+
+def _views(buffer, strips):
+    """A contiguous view of the front of the 1-D `buffer` in the shape of
+    each strip in turn: one scratch strip, reused."""
+    for s in strips:
+        yield buffer[: s.size].reshape(s.shape)
+
+
+def _pair_sum(s):
+    """The sum over the pairs i != j that a strip holds, whose diagonal
+    entries are 0: its diagonal block, which holds both orders of its
+    pairs, once and the rest twice."""
+    return 2.0 * s.sum() - s[:, : s.shape[0]].sum(axis=1).sum()
+
+
+def _kernel_sum(w):
+    """Z, the sum of the kernel weights over all pairs i != j."""
+    return sum(_pair_sum(s) for s in w)
+
+
+def _student_q(Y: np.ndarray, w=None, scratch=None):
+    """Student-t kernel weights w_ij = 1 / ((1 + dx^2) + dy^2) of a 2-D
+    layout, from the coordinate differences dx = y_i0 - y_j0 and
+    dy = y_i1 - y_j1, and their sum Z -> (w, Z).
+
+    w is written into the strips `w` (see _strips) and is exactly
+    symmetric, with w_ii = 0; the 1-D `scratch`, of at least the first
+    strip's size, holds dy^2. Either is allocated when not given."""
+    n = Y.shape[0]
+    w = _strips(n) if w is None else w
+    scratch = np.empty(w[0].size) if scratch is None else scratch
+    # the differences of a strip as one product (u_i, 1) . (1, -u_j): each is
+    # u_i * 1 + 1 * (-u_j), rounded once, so they are the bits of u_i - u_j
+    # whatever the BLAS kernel, without a ufunc loop per row of the strip
+    ones = np.ones(n)
+    left = [np.stack([u, ones], axis=1) for u in Y.T]
+    right = [np.stack([ones, -u]) for u in Y.T]
+    for s, t in zip(w, _views(scratch, w)):
+        a = n - s.shape[1]
+        rows = slice(a, a + s.shape[0])
+        np.matmul(left[0][rows], right[0][:, a:], out=s)
+        np.square(s, out=s)
+        np.add(s, 1.0, out=s)
+        np.matmul(left[1][rows], right[1][:, a:], out=t)
+        np.square(t, out=t)
+        np.add(s, t, out=s)
+        np.divide(1.0, s, out=s)
+        np.fill_diagonal(s, 0.0)
+    return w, _kernel_sum(w)
+
+
+def _q_from_w(w, Z, out):
+    """Q = max(w / Z, eps) strip by strip: yields each strip of Q, written
+    into the next buffer of `out`, an iterable of the strips' shapes."""
+    for s, q in zip(w, out):
+        np.divide(s, Z, out=q)
+        np.maximum(q, MACHINE_EPSILON, out=q)
+        yield q
+
+
+def _p_log_p(P) -> float:
+    """The sum of p log p over the pairs i != j with p > 0, from the strips
+    of P: KL(P || Q) less the sum of p log q."""
+    total = 0.0
+    for p in P:
+        terms = np.where(p > 0.0, p, 1.0)  # a pair with p = 0 adds 0 * log 1
         np.log(terms, out=terms)
-        np.multiply(P_off, terms, out=terms)
-    return float(np.sum(flat if positive is None else terms[positive]))
+        np.multiply(p, terms, out=terms)
+        total += _pair_sum(terms)
+    return float(total)
 
 
-def _positive_mask(P):
-    """`_off_diagonal(P) > 0`, or None when that holds everywhere (the usual
-    case: joint affinities are zero only on the diagonal)."""
-    positive = _off_diagonal(P) > 0.0
-    return None if positive.all() else positive
+def _kl_from_q(P, Q, plogp) -> float:
+    """KL(P || Q) = plogp - sum p log q over the pairs i != j, from the
+    strips of P and of Q, an iterable read once whose strips receive the
+    terms p log q. Every q is at least eps, so a pair with p = 0 adds
+    exactly 0 and needs no mask."""
+    total = 0.0
+    for p, q in zip(P, Q):
+        np.log(q, out=q)
+        np.multiply(p, q, out=q)
+        total += _pair_sum(q)
+    return float(plogp - total)
 
 
-def _gradient_from_q(P, w, Q, Y, coeff, exaggeration=1.0) -> np.ndarray:
-    """Layout gradient of KL(exaggeration * P || Q); `coeff` is an n x n
-    buffer that receives (exaggeration * P - Q) * w, and may be Q."""
-    if exaggeration != 1.0:
-        # a block of rows at a time: exaggeration * P cannot go to coeff
-        # first when coeff holds Q
-        for start in range(0, P.shape[0], _EXAGGERATION_BLOCK):
-            rows = slice(start, start + _EXAGGERATION_BLOCK)
-            np.subtract(np.multiply(P[rows], exaggeration), Q[rows], out=coeff[rows])
-    else:
-        np.subtract(P, Q, out=coeff)
-    np.multiply(coeff, w, out=coeff)
-    # sum_j coeff_ij (y_i - y_j) = rowsum(coeff) y_i - coeff @ Y
-    return 4.0 * (coeff.sum(axis=1)[:, None] * Y - coeff @ Y)
+def _gradient_from_q(P, w, Z, Y, scratch, exaggeration=1.0) -> np.ndarray:
+    """Layout gradient of KL(exaggeration * P || Q) from the strips of P
+    and of the kernel w, whose sum is Z. `scratch` is two 1-D buffers of
+    at least the first strip's size: per strip, the first receives Q and
+    the second the coefficients c = (exaggeration * p - q) * w."""
+    n = Y.shape[0]
+    # c @ [Y, 1] gives sum_j c_ij y_j and the row sums of c in one product
+    Y1 = np.concatenate([Y, np.ones((n, 1))], axis=1)
+    acc = np.zeros((n, 3))
+    coefficients = _views(scratch[1], w)
+    for p, s, q, c in zip(P, w, _q_from_w(w, Z, _views(scratch[0], w)), coefficients):
+        m = s.shape[0]
+        a, b = n - s.shape[1], n - s.shape[1] + m
+        if exaggeration != 1.0:
+            np.multiply(p, exaggeration, out=c)
+            np.subtract(c, q, out=c)
+        else:
+            np.subtract(p, q, out=c)
+        np.multiply(c, s, out=c)
+        # rows [a, b) against every j >= a, then the mirrored pairs (j, i) for j >= b
+        acc[a:b] += c @ Y1[a:]
+        acc[b:] += c[:, m:].T @ Y1[a:b]
+    # sum_j c_ij (y_i - y_j) = rowsum(c) y_i - c @ Y
+    return 4.0 * (acc[:, 2:] * Y - acc[:, :2])
 
 
 def kl_divergence(P, Y) -> float:
@@ -319,10 +396,10 @@ def kl_divergence(P, Y) -> float:
     (1/2, 1/2) and the divergence is exactly zero. The sum runs over the
     pairs i != j with p_ij > 0; the diagonal of P is not read.
     """
-    P = np.asarray(P, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    w, Q = _student_q(Y)
-    return _kl_from_q(P, Q, w, _positive_mask(P))
+    P = _upper_strips(np.asarray(P, dtype=np.float64))
+    plogp = _p_log_p(P)
+    w, Z = _student_q(np.asarray(Y, dtype=np.float64))
+    return _kl_from_q(P, _q_from_w(w, Z, w), plogp)
 
 
 def kl_gradient(P, Y) -> np.ndarray:
@@ -330,36 +407,40 @@ def kl_gradient(P, Y) -> np.ndarray:
 
         dKL/dy_i = 4 * sum_j (p_ij - q_ij) * (1 + |y_i - y_j|^2)^-1 * (y_i - y_j)
     """
-    P = np.asarray(P, dtype=np.float64)
+    P = _upper_strips(np.asarray(P, dtype=np.float64))
     Y = np.asarray(Y, dtype=np.float64)
-    w, Q = _student_q(Y)
-    return _gradient_from_q(P, w, Q, Y, np.empty_like(w))
+    w, Z = _student_q(Y)
+    return _gradient_from_q(P, w, Z, Y, np.empty((2, w[0].size)))
 
 
-def _descend(P, positive, Y, cfg, w, Q, coeff, kl_trace, child=None):
-    """The gradient descent of run_tsne from layout Y, whose kernel is in
-    (w, Q) -> the final layout.
+def _descend(P, plogp, Y, cfg, w, scratch, kl_trace, child=None):
+    """The gradient descent of run_tsne from layout Y -> the final layout.
 
-    kl_trace[it] receives the KL after iteration it. With `child`, the
-    _KlOffers of a forked _kl_child, each new kernel w is offered to the
-    child instead, and Q is the scratch `coeff`, which the gradient
-    overwrites. Before w is overwritten, this process computes the KL of
-    a w the child has not taken, deriving its Q again into the scratch
-    and the KL terms into w, or waits until the child has derived Q."""
+    P and the kernel w are strips (see _strips), plogp is _p_log_p(P) and
+    `scratch` is two 1-D buffers of the first strip's size. kl_trace[it]
+    receives the KL after iteration it. With `child`, the _KlOffers of a
+    forked _kl_child, each new kernel w is offered to the child instead.
+    Before w is overwritten, this process computes the KL of a w the child
+    has not taken, or waits until the child has derived its Q."""
+
+    def kl():  # of the current w, its Q strip by strip in the scratch
+        return _kl_from_q(P, _q_from_w(w, Z, _views(scratch[0], w)), plogp)
+
     velocity = np.zeros_like(Y)
+    w, Z = _student_q(Y, w, scratch[0])
     for it in range(cfg.iterations):
         exaggeration = EARLY_EXAGGERATION if it < EXAGGERATION_UNTIL else 1.0
-        grad = _gradient_from_q(P, w, Q, Y, coeff, exaggeration)
+        grad = _gradient_from_q(P, w, Z, Y, scratch, exaggeration)
         momentum = MOMENTUM_START if it < MOMENTUM_SWITCH else MOMENTUM_FINAL
         velocity = momentum * velocity - cfg.learning_rate * grad
         Y = Y + velocity
         if child and it and child.take_back():
-            kl_trace[it - 1] = _kl_from_q(P, _q_from_w(w, coeff), w, positive)
-        _student_q(Y, w, Q, coeff)
+            kl_trace[it - 1] = kl()
+        w, Z = _student_q(Y, w, scratch[0])
         if child:
             child.offer(it)
         else:
-            kl_trace[it] = _kl_from_q(P, Q, coeff, positive)
+            kl_trace[it] = kl()
     return Y
 
 
@@ -387,14 +468,15 @@ class _KlOffers:
         return False
 
 
-def _kl_child(P, w, positive, out, ready, released) -> None:
+def _kl_child(P, w, plogp, out, ready, released) -> None:
     """Forked child of run_tsne: for each offer on `ready` that it reads
-    before its parent takes it back, derive Q from the shared kernel w,
-    say so on `released` and write the iteration and its KL to the file
-    `out` as a _KL_RECORD. Returns when `ready` ends."""
+    before its parent takes it back, derive Q from the shared kernel
+    strips w into its own strips, say so on `released` and write the
+    iteration and its KL to the file `out` as a _KL_RECORD. Returns when
+    `ready` ends."""
     import select
 
-    Q, terms = np.empty_like(w), np.empty_like(w)
+    Q = _strips(w[0].shape[1])
     while True:
         select.select([ready], [], [])
         offer = ready.read(8)
@@ -402,17 +484,16 @@ def _kl_child(P, w, positive, out, ready, released) -> None:
             continue
         if not offer:
             return
-        _q_from_w(w, Q)
+        taken = list(_q_from_w(w, _kernel_sum(w), Q))
         released.write(b"\1")
-        kl = _kl_from_q(P, Q, terms, positive)
+        kl = _kl_from_q(P, taken, plogp)
         out.write(np.array((int.from_bytes(offer, "little"), kl), dtype=_KL_RECORD).tobytes())
 
 
-def _descend_with_kl_child(P, positive, Y, cfg, w, coeff, kl_trace):
-    """_descend with a forked _kl_child computing the KL terms it takes.
-    w must be in memory the child shares, and Q is in the scratch `coeff`;
-    the KLs the child computed are written into kl_trace once it has
-    exited."""
+def _descend_with_kl_child(P, plogp, Y, cfg, w, scratch, kl_trace):
+    """_descend with a forked _kl_child computing the KLs it takes. The
+    strips w must be in memory the child shares; the KLs the child
+    computed are written into kl_trace once it has exited."""
     with contextlib.ExitStack() as stack:
         ready_r, ready_w, released_r, released_w = (
             stack.enter_context(open(fd, mode, buffering=0))
@@ -422,13 +503,13 @@ def _descend_with_kl_child(P, positive, Y, cfg, w, coeff, kl_trace):
 
         def child(out):
             ready_w.close()  # so that the child reads EOF once the parent closes its end
-            _kl_child(P, w, positive, out, ready_r, released_w)
+            _kl_child(P, w, plogp, out, ready_r, released_w)
 
         def own():
             released_w.close()  # so that a child that died reads as EOF
             with ready_w:  # closed before the child is waited for
                 offers = _KlOffers(ready_r, ready_w, released_r)
-                return _descend(P, positive, Y, cfg, w, coeff, coeff, kl_trace, offers)
+                return _descend(P, plogp, Y, cfg, w, scratch, kl_trace, offers)
 
         with forked([child], own) as (Y, (out,)):
             taken = np.frombuffer(out.read(), dtype=_KL_RECORD)
@@ -451,39 +532,36 @@ def run_tsne(X, cfg: TsneConfig):
     the true (unexaggerated) P after iteration k+1. Deterministic for a
     fixed config.
 
-    Each iteration builds the Student-t kernel once: the (w, Q) that
-    gives the KL after step k is the one the gradient of step k+1 needs.
-    All n x n work runs in three buffers allocated up front: w, Q and a
-    scratch that holds the Gram matrix, then the KL terms, then the
-    gradient coefficients.
+    P, Q, the kernel w and the gradient coefficients are symmetric, so
+    the descent computes each pair once: P and w are held only for the
+    pairs j >= i, as row strips of _STRIP_ROWS rows (see _strips), and
+    the sums count each pair off a strip's diagonal block twice. Each
+    iteration builds the kernel once: the w that gives the KL after step
+    k is the one the gradient of step k+1 needs. Q and the coefficients
+    are formed a strip at a time in two scratch strips; the KL is the
+    constant sum of p log p less the sum of p log q.
 
     From _KL_FORK_MIN_POINTS points on, with more than one usable CPU, a
-    forked child computes the KL terms while this process goes on with
-    the next step. w is then an anonymous shared mapping from which the
-    child derives its own Q, and this process keeps Q in the scratch,
-    so it holds two n x n buffers besides P.
-    The results do not depend on where each KL is computed.
+    forked child computes the KLs while this process goes on with the
+    next step. w is then an anonymous shared mapping from which the child
+    derives its own Q. The results do not depend on where each KL is
+    computed.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 4:
         raise ConfigError("run_tsne needs at least 4 points")
     n = X.shape[0]
 
-    affinity = joint_affinities(X, cfg.perplexity)
-    P = affinity.P
-    positive = _positive_mask(P)
-
+    P = _upper_strips(joint_affinities(X, cfg.perplexity).P)
+    plogp = _p_log_p(P)
     rng = np.random.default_rng(cfg.seed)
     Y = rng.normal(0.0, INIT_STD, size=(n, 2))
     kl_trace = np.zeros(cfg.iterations)
-    coeff = np.empty((n, n), dtype=np.float64)
+    scratch = np.empty((2, P[0].size))
     if worker_count(n, _KL_FORK_MIN_POINTS) > 1:
-        w = _shared_zeros(n * n).reshape(n, n)
-        _student_q(Y, w, coeff, coeff)
-        return _descend_with_kl_child(P, positive, Y, cfg, w, coeff, kl_trace), kl_trace
-    w, Q = (np.empty((n, n), dtype=np.float64) for _ in range(2))
-    _student_q(Y, w, Q, coeff)
-    return _descend(P, positive, Y, cfg, w, Q, coeff, kl_trace), kl_trace
+        w = _strips(n, _shared_zeros)
+        return _descend_with_kl_child(P, plogp, Y, cfg, w, scratch, kl_trace), kl_trace
+    return _descend(P, plogp, Y, cfg, _strips(n), scratch, kl_trace), kl_trace
 
 
 def layout_to_csv(Y, dataset) -> str:

@@ -41,12 +41,10 @@ from verifake.tsne import (
     CALIBRATION_REFINE,
     CALIBRATION_TOL,
     DUPLICATE_JITTER,
+    MACHINE_EPSILON,
     AffinityMatrix,
     _pairwise_sq_dists,
-    _student_q,
     joint_affinities,
-    kl_divergence,
-    kl_gradient,
 )
 
 
@@ -104,11 +102,28 @@ def unit_cols(rng: np.random.Generator, d: int, c: int) -> np.ndarray:
     return W / np.linalg.norm(W, axis=0, keepdims=True)
 
 
+def reference_student_q(Y):
+    """The full-matrix Student-t kernel w = 1 / (1 + d^2), from the Gram-form
+    squared distances with a zero diagonal, and Q = max(w / sum(w), eps)."""
+    w = 1.0 / (1.0 + _pairwise_sq_dists(Y))
+    np.fill_diagonal(w, 0.0)
+    return w, np.maximum(w / w.sum(), MACHINE_EPSILON)
+
+
+def reference_kl_gradient(P, Y) -> np.ndarray:
+    """The layout gradient of KL(P || Q) over full n x n matrices."""
+    P = np.asarray(P, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.float64)
+    w, Q = reference_student_q(Y)
+    coeff = (P - Q) * w
+    return 4.0 * (coeff.sum(axis=1)[:, None] * Y - coeff @ Y)
+
+
 def reference_tsne(X, cfg):
-    """The two-kernel t-SNE loop, built from the public gradient and KL:
-    every iteration builds the Student-t kernel once for the gradient and
-    once more for the KL of the updated layout. `run_tsne` must match it
-    bit for bit."""
+    """The two-kernel t-SNE loop over full n x n matrices: every iteration
+    builds the Student-t kernel once for the gradient and once more for
+    the KL of the updated layout. `run_tsne`, which computes each pair
+    once and so sums in another order, must agree with it to rounding."""
     X = np.asarray(X, dtype=np.float64)
     P = joint_affinities(X, cfg.perplexity).P
     rng = np.random.default_rng(cfg.seed)
@@ -118,11 +133,11 @@ def reference_tsne(X, cfg):
     kl_trace = np.zeros(cfg.iterations, dtype=np.float64)
     for it in range(cfg.iterations):
         P_eff = P * t.EARLY_EXAGGERATION if it < t.EXAGGERATION_UNTIL else P
-        grad = kl_gradient(P_eff, Y)
+        grad = reference_kl_gradient(P_eff, Y)
         momentum = t.MOMENTUM_START if it < t.MOMENTUM_SWITCH else t.MOMENTUM_FINAL
         velocity = momentum * velocity - cfg.learning_rate * grad
         Y = Y + velocity
-        kl_trace[it] = kl_divergence(P, Y)
+        kl_trace[it] = reference_kl_divergence(P, Y)
     return Y, kl_trace
 
 
@@ -232,7 +247,7 @@ def reference_kl_divergence(P, Y) -> float:
     """KL(P || Q(Y)) with the KL terms gathered by np.compress."""
     P = np.asarray(P, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
-    _, Q = _student_q(Y)
+    _, Q = reference_student_q(Y)
     mask = P > 0.0
     P_pos = P[mask]
     terms = np.empty_like(P_pos)

@@ -5,11 +5,14 @@ the sha256 of each file written against the digests of the initial import
 (commit 4314888). The subcommands' own `manifest.json` files came later,
 when every subcommand began to end with one, and so did the `train-*`
 files of the six losses, recorded before the margin loss's forward and
-backward passes became one call. The files that forked code writes are
-checked again with every fork run in this process and with the CSV codec
-cut into 3 parts. Reruns are byte-identical on one machine; a BLAS kernel
-with another FMA order may change the bytes on another, so a mismatch names
-the numpy version and the BLAS core it ran on.
+backward passes became one call. The four t-SNE files (`tsne.csv` and
+`kl_trace.csv` of `run` and `tsne`) were pinned again when the descent began
+to compute each pair once, which sums in another order. The files that
+forked code writes are checked again with every fork run in this process
+and with the CSV codec cut into 3 parts. Reruns are byte-identical for one
+numpy version, SIMD tier and BLAS core; numpy's vector loops and a BLAS
+kernel with another FMA order may change the bytes on another host, so a
+mismatch names all three.
 """
 
 import ctypes
@@ -55,21 +58,21 @@ DIGESTS = {
     "report/report.txt": "0c1ff3ad4c16805caf263c16a0cd6cd616f38f5bdbdb235e6db5f3db8d36d8f4",
     "run/embeddings.emb1": "15c7ab8274e1b8ba6e5da14df528b9333eab9e8fcca8a1308153ebac1af142a1",
     "run/histograms.csv": "6bf98fa3aae38d4cc03bfdf5eb83eeba7acafee2d652df144550b675daa37cb3",
-    "run/kl_trace.csv": "e6ff54817ee930968946c2e4f6bd21e25be113936d390dff45a3cad1ddb730eb",
+    "run/kl_trace.csv": "a92af813dd348866f4b165bf9f4c277c1a3bd8dcbd423169132f4e9492f34bad",
     "run/manifest.json": "75a0a9e32cfd4c0095df33fe21a162c6267645ec53cc2aa70b3af7a7c430cc39",
     "run/report.json": "3dfda45a4856b2462448613f115e481c56949ffab4ea1a9595271937768d346d",
     "run/report.txt": "cf6b53eb9fd5b626ffce71502254ba3ebc6a20de157bb0477ffc6705d5839594",
     "run/roc.csv": "ac81cc6a1f0663bdd3fde0c8022d9ae2c67dcf1b87d86e4763e9a0841f635461",
     "run/scores.csv": "0cf9f2f4a85066a47ed5b48787a946cbb4d781ee3bd0ca4dd6da7bdcef022fae",
     "run/train_curve.csv": "ecb77fa3b0b7092e98a3debbe7fbdf60766bed717cc25e7bd37f3f6ce1df3dac",
-    "run/tsne.csv": "66322b9ce7b7f069a5b193588f26484ed35c5325a624f293cb3eaba836536625",
+    "run/tsne.csv": "b4dc93ec083d79538ecb3d20e231efd961aea863305a932cb394ccb7e28955e0",
     "synth-csv/manifest.json": "c2c76b7a3b1a422e9530ca09b43534d0b3063772721aab41fad3cd63a09d4312",
     "synth-csv/synth.csv": "2e0487f3fd861e54c1f063d5f1600aa0cb8fef3ae274e0fda1c4325ebb4fbbae",
     "synth-emb1/manifest.json": "75127cdeced431c99b4e5157bd28035ffb2717d5ba1ddc7216cd06383cb50521",
     "synth-emb1/synth.emb1": "e8a4132cad3603d8f25416e89d1db7eb815e1445b2003cdd6ac9ade5832d8cec",
-    "tsne/kl_trace.csv": "e6ff54817ee930968946c2e4f6bd21e25be113936d390dff45a3cad1ddb730eb",
+    "tsne/kl_trace.csv": "a92af813dd348866f4b165bf9f4c277c1a3bd8dcbd423169132f4e9492f34bad",
     "tsne/manifest.json": "ba3e237e6dbe4e5f678a4a08442f69d0672920d10cb9f3bcfcc1fa3d888eb980",
-    "tsne/tsne.csv": "66322b9ce7b7f069a5b193588f26484ed35c5325a624f293cb3eaba836536625",
+    "tsne/tsne.csv": "b4dc93ec083d79538ecb3d20e231efd961aea863305a932cb394ccb7e28955e0",
     "train-arcface/embeddings.emb1": "e23156708c6c723101cdf562f45be45d53acc46fe8d0a2afb4b0ba8a98d61b00",
     "train-arcface/manifest.json": "3c77f7531e4113446ccfc8582cc816704d9b0301af8015ef8be53fc2e43763e2",
     "train-arcface/train_curve.csv": "f90db5b58886050ba5b252f05a16a38e4808d4333f1aa8a0b46750df6082de52",
@@ -114,6 +117,17 @@ def blas_core() -> str:
     return build
 
 
+def simd_tier() -> str:
+    """The highest SIMD target numpy dispatches to on this CPU, or its
+    baseline when it dispatches to none."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    usable = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
+    return (usable or umath.__cpu_baseline__ or ["no SIMD"])[-1]
+
+
 def check_digests(root, commands, prefixes=("",)):
     """Run `commands` in `root`, then compare the files written whose names
     start with one of `prefixes` against the pinned ones: the same names
@@ -130,7 +144,7 @@ def check_digests(root, commands, prefixes=("",)):
     changed = [name for name in pinned if written[name] != DIGESTS[name]]
     assert not changed, (
         f"artifact bytes changed: {', '.join(changed)} "
-        f"(numpy {np.__version__}, {blas_core()})"
+        f"(numpy {np.__version__}, SIMD {simd_tier()}, {blas_core()})"
     )
 
 

@@ -1,18 +1,25 @@
 """CLI subcommands, exit codes, and artifact behavior."""
 
 import argparse
+import dataclasses
+import gc
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 from helpers import deadline
 
-from verifake import dataset_io, pipeline, tsne
+from verifake import dataset_io, metrics, pipeline, tsne
 from verifake.cli import EXIT_CONFIG, EXIT_FAILURE, EXIT_OK, build_parser, main
+from verifake.config import load_config
+from verifake.dataset_io import read_dataset
 from verifake.errors import DegenerateVector
 from verifake.losses import LOSS_NAMES
 from verifake.protocol import AGGREGATIONS
@@ -123,6 +130,43 @@ def test_eval_matches_run_report(cfg_path, run_dir, tmp_path, capsys):
     assert eval_report["rows"] == run_report["rows"]
     assert eval_report["counts"] == run_report["counts"]
     assert (out / "scores.csv").read_bytes() == (run_dir / "scores.csv").read_bytes()
+
+
+def test_eval_does_not_import_numpy_ma(run_dir, tmp_path):
+    # np.unique imports numpy.ma on its first call, which an eval pays for
+    # in every fresh interpreter; the CLI reaches its distinct values another way
+    demo = Path(__file__).resolve().parents[1] / "demo.cfg"
+    argv = ["eval", str(run_dir / "embeddings.emb1"), "--config", str(demo), "--out", str(tmp_path)]
+    script = (
+        "import sys\n"
+        "from verifake.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(code, 'numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.stdout.split("\n")[-2] == f"{EXIT_OK} False", result.stderr
+
+
+def test_eval_report_holds_no_roc_curves(cfg_path, run_dir, tmp_path, monkeypatch):
+    # `eval` writes no roc.csv, so each curve is dropped once its AUC and
+    # EER are read; `run` keeps them for roc.csv (pinned in the digest test)
+    made = []
+    original = metrics.roc_curve
+
+    def recorded(genuine, imposter):
+        curve = original(genuine, imposter)
+        made.append(weakref.ref(curve))
+        return curve
+
+    monkeypatch.setattr(metrics, "roc_curve", recorded)
+    cfg = dataclasses.replace(load_config(cfg_path), out_dir=str(tmp_path))
+    report, _ = pipeline.execute(cfg, pipeline.eval_command, read_dataset(run_dir / "embeddings.emb1"))
+    gc.collect()
+    assert len(made) == len(report.rows) == 2
+    assert all(ref() is None for ref in made)
 
 
 def test_eval_does_not_mutate_input(cfg_path, run_dir, tmp_path):
@@ -310,6 +354,24 @@ def test_bad_stage_setting_exits_2_before_any_stage(tmp_path, capsys, key, value
     cfg = tmp_path / "bad_stage.cfg"
     cfg.write_text(_with_setting(key, value))
     out = tmp_path / "bad_stage_out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert f"field '{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "settings, key",
+    [({"loss.m2": "5.0"}, "loss.m2"), ({"run.loss": "nosuch", "loss.m3": "0.1"}, "run.loss")],
+    ids=["bad_margin", "unknown_loss_with_margin"],
+)
+def test_margin_setting_errors_name_their_key(tmp_path, capsys, settings, key):
+    text = CLI_CFG
+    for name, value in settings.items():
+        text = "\n".join(line for line in text.split("\n") if not line.startswith(f"{name} "))
+        text += f"\n{name} = {value}\n"
+    cfg = tmp_path / "bad_margin.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "bad_margin_out"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
     assert f"field '{key}'" in capsys.readouterr().err
     assert not out.exists()
