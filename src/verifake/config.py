@@ -17,6 +17,7 @@ splitting scheme: the child seed for a named stage is the low 64 bits
 """
 
 import hashlib
+import math
 import re
 from dataclasses import dataclass, field, replace
 
@@ -212,6 +213,15 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+def _parse_float(raw: str) -> float:
+    """A finite float: a range check such as `x <= 0` lets NaN through, and
+    infinity through one bound."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
+
+
 def _parse_marks(raw: str) -> tuple:
     parts = [p.strip() for p in raw.split(",")]
     if len(parts) != 2:
@@ -232,12 +242,12 @@ _SCHEMA = {
     ("synth", "eval_identities"): ("eval_identities", int),
     ("synth", "samples_per_identity"): ("samples_per_identity", int),
     ("synth", "raw_dim"): ("raw_dim", int),
-    ("synth", "concentration"): ("concentration", float),
+    ("synth", "concentration"): ("concentration", _parse_float),
     ("train", "batch_size"): ("batch_size", int),
     ("train", "epochs"): ("epochs", int),
-    ("train", "lr"): ("lr", float),
-    ("train", "momentum"): ("momentum", float),
-    ("train", "weight_decay"): ("weight_decay", float),
+    ("train", "lr"): ("lr", _parse_float),
+    ("train", "momentum"): ("momentum", _parse_float),
+    ("train", "weight_decay"): ("weight_decay", _parse_float),
     ("train", "lr_marks"): ("lr_marks", _parse_marks),
     ("train", "embed_dim"): ("embed_dim", int),
     ("train", "hidden"): ("hidden_dims", _parse_dims),
@@ -245,14 +255,14 @@ _SCHEMA = {
     ("protocol", "probe_cap"): ("probe_cap", int),
     ("protocol", "aggregation"): ("aggregation", str),
     ("tsne", "enabled"): ("tsne_enabled", _parse_bool),
-    ("tsne", "perplexity"): ("tsne_perplexity", float),
+    ("tsne", "perplexity"): ("tsne_perplexity", _parse_float),
     ("tsne", "iterations"): ("tsne_iterations", int),
-    ("tsne", "learning_rate"): ("tsne_learning_rate", float),
+    ("tsne", "learning_rate"): ("tsne_learning_rate", _parse_float),
     ("tsne", "max_points"): ("tsne_max_points", int),
 }
 
 _MARGIN_KEYS = {"m1": "m1", "m2": "m2", "m3": "m3", "scale": "s"}
-_SWAP_KEYS = {"alpha": float, "sigma": float, "per_subject": int}
+_SWAP_KEYS = {"alpha": _parse_float, "sigma": _parse_float, "per_subject": int}
 
 
 def parse_config(text: str) -> PipelineConfig:
@@ -285,9 +295,9 @@ def parse_config(text: str) -> PipelineConfig:
         try:
             if section == "loss":
                 if key in _MARGIN_KEYS:
-                    margin_overrides[_MARGIN_KEYS[key]] = float(raw)
+                    margin_overrides[_MARGIN_KEYS[key]] = _parse_float(raw)
                 elif key == "triplet_margin":
-                    triplet_margin = float(raw)
+                    triplet_margin = _parse_float(raw)
                 else:
                     raise ConfigError(f"unknown key {full}", line=ln, field=full)
             elif section.startswith("swap."):
@@ -321,7 +331,11 @@ def parse_config(text: str) -> PipelineConfig:
         margin = _keyed(
             "loss", {"s": "scale"}, replace, margin_preset(loss_name), **margin_overrides
         )
-    triplet = TripletConfig(triplet_margin) if triplet_margin is not None else TripletConfig()
+    triplet = (
+        TripletConfig()
+        if triplet_margin is None
+        else _keyed("loss", {"margin": "triplet_margin"}, TripletConfig, triplet_margin)
+    )
 
     swaps = [
         SwapSettings(METHOD_BY_NAME[name], **swap_raw[name])

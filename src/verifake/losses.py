@@ -84,7 +84,9 @@ class TripletConfig:
 
     def __post_init__(self):
         if not 0.0 < self.margin < math.pi:
-            raise ConfigError(f"triplet margin must be in (0, pi), got {self.margin}")
+            raise ConfigError(
+                f"triplet margin must be in (0, pi), got {self.margin}", field="margin"
+            )
 
 
 @dataclass

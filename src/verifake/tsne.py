@@ -4,22 +4,19 @@ Input affinities use per-point Gaussian kernels whose bandwidths are
 calibrated by binary search so every point sees the same effective
 neighbor count (the perplexity). The low-dimensional layout minimizes
 KL(P || Q) where Q is a Student-t kernel, by gradient descent with
-momentum and an early exaggeration phase.
+momentum and an early exaggeration phase, all in this process.
 
 No tree or interpolation approximations: desk-scale inputs (n up to a
 few thousand) keep the O(n^2) computation cheap and make the analytic
 gradient directly checkable against finite differences.
 """
 
-import contextlib
-import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CalibrationWarning, ConfigError
-from .workers import forked, worker_count
 
 MACHINE_EPSILON = np.finfo(np.float64).eps
 CALIBRATION_TOL = 1e-5
@@ -28,10 +25,6 @@ CALIBRATION_MAX_ITER = 200
 DUPLICATE_JITTER = 1e-10
 _CALIBRATION_BLOCK = 64  # rows calibrated together; temporaries are O(block x n)
 _STRIP_ROWS = 128  # rows per strip of the pairs j >= i that the descent holds
-# layouts from this many points on compute their KL trace in a forked child
-_KL_FORK_MIN_POINTS = 100
-# what the KL child writes to its file per KL it computes: (iteration, KL)
-_KL_RECORD = np.dtype([("iteration", "<i8"), ("kl", "<f8")])
 
 # the optimization schedule of van der Maaten & Hinton (JMLR 2008)
 EARLY_EXAGGERATION = 4.0  # P's factor for the first EXAGGERATION_UNTIL iterations
@@ -252,14 +245,14 @@ def joint_affinities(X, perplexity: float) -> AffinityMatrix:
     return AffinityMatrix(P, sigmas)
 
 
-def _strips(n, alloc=np.empty):
+def _strips(n):
     """An n x n symmetric array held by its pairs j >= i: a list of
-    contiguous row strips, one after another in one 1-D buffer of float64
-    made by `alloc(size)`. Strip k covers rows [a, b) x columns [a, n), with
-    a = k * _STRIP_ROWS and b = min(a + _STRIP_ROWS, n); its first b - a
-    columns are the diagonal block, which holds both (i, j) and (j, i)."""
+    contiguous row strips, one after another in one 1-D buffer of float64.
+    Strip k covers rows [a, b) x columns [a, n), with a = k * _STRIP_ROWS
+    and b = min(a + _STRIP_ROWS, n); its first b - a columns are the
+    diagonal block, which holds both (i, j) and (j, i)."""
     shapes = [(min(_STRIP_ROWS, n - a), n - a) for a in range(0, n, _STRIP_ROWS)]
-    flat = alloc(sum(rows * cols for rows, cols in shapes))
+    flat = np.empty(sum(rows * cols for rows, cols in shapes))
     strips, start = [], 0
     for rows, cols in shapes:
         strips.append(flat[start : start + rows * cols].reshape(rows, cols))
@@ -293,11 +286,6 @@ def _pair_sum(s):
     return 2.0 * s.sum() - s[:, : s.shape[0]].sum(axis=1).sum()
 
 
-def _kernel_sum(w):
-    """Z, the sum of the kernel weights over all pairs i != j."""
-    return sum(_pair_sum(s) for s in w)
-
-
 def _student_q(Y: np.ndarray, w=None, scratch=None):
     """Student-t kernel weights w_ij = 1 / ((1 + dx^2) + dy^2) of a 2-D
     layout, from the coordinate differences dx = y_i0 - y_j0 and
@@ -326,7 +314,7 @@ def _student_q(Y: np.ndarray, w=None, scratch=None):
         np.add(s, t, out=s)
         np.divide(1.0, s, out=s)
         np.fill_diagonal(s, 0.0)
-    return w, _kernel_sum(w)
+    return w, sum(_pair_sum(s) for s in w)
 
 
 def _q_from_w(w, Z, out):
@@ -350,28 +338,19 @@ def _p_log_p(P) -> float:
     return float(total)
 
 
-def _kl_from_q(P, Q, plogp) -> float:
-    """KL(P || Q) = plogp - sum p log q over the pairs i != j, from the
-    strips of P and of Q, an iterable read once whose strips receive the
-    terms p log q. Every q is at least eps, so a pair with p = 0 adds
-    exactly 0 and needs no mask."""
-    total = 0.0
-    for p, q in zip(P, Q):
-        np.log(q, out=q)
-        np.multiply(p, q, out=q)
-        total += _pair_sum(q)
-    return float(plogp - total)
-
-
-def _gradient_from_q(P, w, Z, Y, scratch, exaggeration=1.0) -> np.ndarray:
-    """Layout gradient of KL(exaggeration * P || Q) from the strips of P
+def _gradient_from_q(P, w, Z, Y, scratch, exaggeration=1.0):
+    """Layout gradient of KL(exaggeration * P || Q) and the sum of p log q
+    over the pairs i != j -> (gradient, sum p log q), from the strips of P
     and of the kernel w, whose sum is Z. `scratch` is two 1-D buffers of
     at least the first strip's size: per strip, the first receives Q and
-    the second the coefficients c = (exaggeration * p - q) * w."""
+    then the terms p log q, the second the coefficients
+    c = (exaggeration * p - q) * w. Every q is at least eps, so a pair with
+    p = 0 adds exactly 0 to the sum and needs no mask."""
     n = Y.shape[0]
     # c @ [Y, 1] gives sum_j c_ij y_j and the row sums of c in one product
     Y1 = np.concatenate([Y, np.ones((n, 1))], axis=1)
     acc = np.zeros((n, 3))
+    p_log_q = 0.0
     coefficients = _views(scratch[1], w)
     for p, s, q, c in zip(P, w, _q_from_w(w, Z, _views(scratch[0], w)), coefficients):
         m = s.shape[0]
@@ -385,8 +364,11 @@ def _gradient_from_q(P, w, Z, Y, scratch, exaggeration=1.0) -> np.ndarray:
         # rows [a, b) against every j >= a, then the mirrored pairs (j, i) for j >= b
         acc[a:b] += c @ Y1[a:]
         acc[b:] += c[:, m:].T @ Y1[a:b]
+        np.log(q, out=q)
+        np.multiply(p, q, out=q)
+        p_log_q += _pair_sum(q)
     # sum_j c_ij (y_i - y_j) = rowsum(c) y_i - c @ Y
-    return 4.0 * (acc[:, 2:] * Y - acc[:, :2])
+    return 4.0 * (acc[:, 2:] * Y - acc[:, :2]), p_log_q
 
 
 def kl_divergence(P, Y) -> float:
@@ -398,8 +380,9 @@ def kl_divergence(P, Y) -> float:
     """
     P = _upper_strips(np.asarray(P, dtype=np.float64))
     plogp = _p_log_p(P)
-    w, Z = _student_q(np.asarray(Y, dtype=np.float64))
-    return _kl_from_q(P, _q_from_w(w, Z, w), plogp)
+    Y = np.asarray(Y, dtype=np.float64)
+    w, Z = _student_q(Y)
+    return float(plogp - _gradient_from_q(P, w, Z, Y, np.empty((2, w[0].size)))[1])
 
 
 def kl_gradient(P, Y) -> np.ndarray:
@@ -410,119 +393,7 @@ def kl_gradient(P, Y) -> np.ndarray:
     P = _upper_strips(np.asarray(P, dtype=np.float64))
     Y = np.asarray(Y, dtype=np.float64)
     w, Z = _student_q(Y)
-    return _gradient_from_q(P, w, Z, Y, np.empty((2, w[0].size)))
-
-
-def _descend(P, plogp, Y, cfg, w, scratch, kl_trace, child=None):
-    """The gradient descent of run_tsne from layout Y -> the final layout.
-
-    P and the kernel w are strips (see _strips), plogp is _p_log_p(P) and
-    `scratch` is two 1-D buffers of the first strip's size. kl_trace[it]
-    receives the KL after iteration it. With `child`, the _KlOffers of a
-    forked _kl_child, each new kernel w is offered to the child instead.
-    Before w is overwritten, this process computes the KL of a w the child
-    has not taken, or waits until the child has derived its Q."""
-
-    def kl():  # of the current w, its Q strip by strip in the scratch
-        return _kl_from_q(P, _q_from_w(w, Z, _views(scratch[0], w)), plogp)
-
-    velocity = np.zeros_like(Y)
-    w, Z = _student_q(Y, w, scratch[0])
-    for it in range(cfg.iterations):
-        exaggeration = EARLY_EXAGGERATION if it < EXAGGERATION_UNTIL else 1.0
-        grad = _gradient_from_q(P, w, Z, Y, scratch, exaggeration)
-        momentum = MOMENTUM_START if it < MOMENTUM_SWITCH else MOMENTUM_FINAL
-        velocity = momentum * velocity - cfg.learning_rate * grad
-        Y = Y + velocity
-        if child and it and child.take_back():
-            kl_trace[it - 1] = kl()
-        w, Z = _student_q(Y, w, scratch[0])
-        if child:
-            child.offer(it)
-        else:
-            kl_trace[it] = kl()
-    return Y
-
-
-class _KlOffers:
-    """This process's ends of the pipes to a forked _kl_child. Each new w
-    is offered as its iteration number on the `ready` pipe, whose read end
-    both processes hold in non-blocking mode: whoever reads an offer
-    computes that KL, so a child that is slow to run costs no waiting. The
-    child says on `released` when it has derived its Q from a w it took."""
-
-    def __init__(self, ready_r, ready_w, released_r):
-        self.ready_r, self.ready_w, self.released_r = ready_r, ready_w, released_r
-
-    def offer(self, it) -> None:
-        self.ready_w.write(it.to_bytes(8, "little"))
-
-    def take_back(self) -> bool:
-        """True if the child had not taken the last offer, which is then
-        this process's to compute; else waits until the child has derived
-        Q from that w."""
-        if self.ready_r.read(8):  # None: the child has it
-            return True
-        if not self.released_r.read(1):
-            raise ChildProcessError("the t-SNE KL worker process ended early")
-        return False
-
-
-def _kl_child(P, w, plogp, out, ready, released) -> None:
-    """Forked child of run_tsne: for each offer on `ready` that it reads
-    before its parent takes it back, derive Q from the shared kernel
-    strips w into its own strips, say so on `released` and write the
-    iteration and its KL to the file `out` as a _KL_RECORD. Returns when
-    `ready` ends."""
-    import select
-
-    Q = _strips(w[0].shape[1])
-    while True:
-        select.select([ready], [], [])
-        offer = ready.read(8)
-        if offer is None:  # the parent took it back first
-            continue
-        if not offer:
-            return
-        taken = list(_q_from_w(w, _kernel_sum(w), Q))
-        released.write(b"\1")
-        kl = _kl_from_q(P, taken, plogp)
-        out.write(np.array((int.from_bytes(offer, "little"), kl), dtype=_KL_RECORD).tobytes())
-
-
-def _descend_with_kl_child(P, plogp, Y, cfg, w, scratch, kl_trace):
-    """_descend with a forked _kl_child computing the KLs it takes. The
-    strips w must be in memory the child shares; the KLs the child
-    computed are written into kl_trace once it has exited."""
-    with contextlib.ExitStack() as stack:
-        ready_r, ready_w, released_r, released_w = (
-            stack.enter_context(open(fd, mode, buffering=0))
-            for fd, mode in zip((*os.pipe(), *os.pipe()), ("rb", "wb") * 2)
-        )
-        os.set_blocking(ready_r.fileno(), False)
-
-        def child(out):
-            ready_w.close()  # so that the child reads EOF once the parent closes its end
-            _kl_child(P, w, plogp, out, ready_r, released_w)
-
-        def own():
-            released_w.close()  # so that a child that died reads as EOF
-            with ready_w:  # closed before the child is waited for
-                offers = _KlOffers(ready_r, ready_w, released_r)
-                return _descend(P, plogp, Y, cfg, w, scratch, kl_trace, offers)
-
-        with forked([child], own) as (Y, (out,)):
-            taken = np.frombuffer(out.read(), dtype=_KL_RECORD)
-            kl_trace[taken["iteration"]] = taken["kl"]
-            return Y
-
-
-def _shared_zeros(size) -> np.ndarray:
-    """`size` float64 zeros in an anonymous shared mapping: a forked child
-    reads and writes the same memory as this process."""
-    import mmap
-
-    return np.frombuffer(mmap.mmap(-1, 8 * size), dtype=np.float64)
+    return _gradient_from_q(P, w, Z, Y, np.empty((2, w[0].size)))[0]
 
 
 def run_tsne(X, cfg: TsneConfig):
@@ -536,16 +407,11 @@ def run_tsne(X, cfg: TsneConfig):
     the descent computes each pair once: P and w are held only for the
     pairs j >= i, as row strips of _STRIP_ROWS rows (see _strips), and
     the sums count each pair off a strip's diagonal block twice. Each
-    iteration builds the kernel once: the w that gives the KL after step
-    k is the one the gradient of step k+1 needs. Q and the coefficients
-    are formed a strip at a time in two scratch strips; the KL is the
-    constant sum of p log p less the sum of p log q.
-
-    From _KL_FORK_MIN_POINTS points on, with more than one usable CPU, a
-    forked child computes the KLs while this process goes on with the
-    next step. w is then an anonymous shared mapping from which the child
-    derives its own Q. The results do not depend on where each KL is
-    computed.
+    iteration builds the kernel once and derives Q from it once, a strip
+    at a time in two scratch strips. The Q that the gradient of step k+1
+    forms is the Q after step k, so that pass also sums the KL after step
+    k: the constant sum of p log p less the sum of p log q. One more pass
+    after the last step gives the last KL.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 4:
@@ -558,10 +424,19 @@ def run_tsne(X, cfg: TsneConfig):
     Y = rng.normal(0.0, INIT_STD, size=(n, 2))
     kl_trace = np.zeros(cfg.iterations)
     scratch = np.empty((2, P[0].size))
-    if worker_count(n, _KL_FORK_MIN_POINTS) > 1:
-        w = _strips(n, _shared_zeros)
-        return _descend_with_kl_child(P, plogp, Y, cfg, w, scratch, kl_trace), kl_trace
-    return _descend(P, plogp, Y, cfg, _strips(n), scratch, kl_trace), kl_trace
+    velocity = np.zeros_like(Y)
+    w, Z = _student_q(Y, scratch=scratch[0])
+    for it in range(cfg.iterations):
+        exaggeration = EARLY_EXAGGERATION if it < EXAGGERATION_UNTIL else 1.0
+        grad, p_log_q = _gradient_from_q(P, w, Z, Y, scratch, exaggeration)
+        if it:
+            kl_trace[it - 1] = plogp - p_log_q
+        momentum = MOMENTUM_START if it < MOMENTUM_SWITCH else MOMENTUM_FINAL
+        velocity = momentum * velocity - cfg.learning_rate * grad
+        Y = Y + velocity
+        w, Z = _student_q(Y, w, scratch[0])
+    kl_trace[-1] = plogp - _gradient_from_q(P, w, Z, Y, scratch)[1]
+    return Y, kl_trace
 
 
 def layout_to_csv(Y, dataset) -> str:

@@ -1,8 +1,6 @@
 """Shared numeric helpers for the test suite."""
 
-import contextlib
 import math
-import signal
 import struct
 import tracemalloc
 import warnings
@@ -644,20 +642,3 @@ def reference_run_protocol(gallery, probes, aggregation="mean") -> list:
         else:
             records.append(ScoreRow(score, "genuine", Method.NONE, host))
     return records
-
-
-@contextlib.contextmanager
-def deadline(seconds):
-    """Raise TimeoutError in this process if the block runs `seconds`
-    long, so that a wait for a blocked child fails instead of hanging."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)

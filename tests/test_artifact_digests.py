@@ -8,8 +8,8 @@ files of the six losses, recorded before the margin loss's forward and
 backward passes became one call. The four t-SNE files (`tsne.csv` and
 `kl_trace.csv` of `run` and `tsne`) were pinned again when the descent began
 to compute each pair once, which sums in another order. The files that
-forked code writes are checked again with every fork run in this process
-and with the CSV codec cut into 3 parts. Reruns are byte-identical for one
+the forked CSV codec writes are checked twice more: with the codec run in
+this process, and with it cut into 3 parts. Reruns are byte-identical for one
 numpy version, SIMD tier and BLAS core; numpy's vector loops and a BLAS
 kernel with another FMA order may change the bytes on another host, so a
 mismatch names all three.
@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from verifake import dataset_io, tsne
+from verifake import dataset_io
 from verifake.cli import EXIT_OK, main
 from verifake.losses import LOSS_NAMES
 
@@ -40,9 +40,9 @@ COMMANDS = [
         for loss in LOSS_NAMES
     ),
 ]
-RUN, SYNTH_CSV, EVAL_CSV, TSNE = (COMMANDS[i] for i in (0, 3, 4, 5))
-# the pinned files that forked code writes: the CSV codec's and the KL trace
-FORKED = ("synth-csv/", "eval-csv/", "run/kl_trace.csv", "tsne/")
+SYNTH_CSV, EVAL_CSV = COMMANDS[3:5]
+# the pinned files that forked code writes: the CSV codec's
+FORKED = ("synth-csv/", "eval-csv/")
 
 DIGESTS = {
     "eval-csv/manifest.json": "a7a4b50ba9f84ef5e17b82653672eae81550372baf86dea72ef44e7308e38034",
@@ -156,16 +156,14 @@ def test_artifact_bytes_match_pinned_digests(tmp_path, monkeypatch, capsys):
 
 def test_forked_paths_in_process_match_pinned_digests(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    for module in (dataset_io, tsne):
-        monkeypatch.setattr(module, "worker_count", lambda size, minimum: 1)
-    check_digests(tmp_path, [RUN, SYNTH_CSV, EVAL_CSV, TSNE], FORKED)
+    monkeypatch.setattr(dataset_io, "worker_count", lambda size, minimum: 1)
+    check_digests(tmp_path, [SYNTH_CSV, EVAL_CSV], FORKED)
     capsys.readouterr()
 
 
 def test_csv_codec_in_3_parts_matches_pinned_digests(tmp_path, monkeypatch, capsys):
-    # demo.cfg's CSV is below _SPLIT_MIN_VALUES, so on its own it is one part;
-    # the t-SNE KL child is all or nothing, so it has no split to force
+    # demo.cfg's CSV is below _SPLIT_MIN_VALUES, so on its own it is one part
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(dataset_io, "worker_count", lambda size, minimum: 3)
-    check_digests(tmp_path, [SYNTH_CSV, EVAL_CSV], FORKED[:2])
+    check_digests(tmp_path, [SYNTH_CSV, EVAL_CSV], FORKED)
     capsys.readouterr()

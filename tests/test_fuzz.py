@@ -1,20 +1,28 @@
-"""Seeded mutation fuzzing of the three input files: EMB1, CSV and
-scores.csv.
+"""Seeded mutation fuzzing of the three input files (EMB1, CSV and
+scores.csv) and of the config file.
 
-Each case flips, truncates, deletes, duplicates or inserts one token of a
-small valid file and runs `eval` (on an embedding file) or `report` (on a
-scores file) in this process. Every case must end in a documented exit
-code with no traceback, and every failure must say where: a line, a byte
-offset or a stage.
+Each input case flips, truncates, deletes, duplicates or inserts one token
+of a small valid file and runs `eval` (on an embedding file) or `report`
+(on a scores file) in this process. Every case must end in a documented
+exit code with no traceback, and every failure must say where: a line, a
+byte offset or a stage. Each config case replaces, deletes, duplicates or
+inserts one token of `demo.cfg` and parses it, which builds every stage's
+settings; a rejection must name its key or line, and no accepted config
+may hold a non-finite float.
 """
 
+import dataclasses
+import math
 import random
 import re
 import struct
+from pathlib import Path
 
 import pytest
 
 from verifake.cli import main
+from verifake.config import parse_config
+from verifake.errors import ConfigError
 
 CASES_PER_FORMAT = 100
 SEED = 20261019
@@ -124,3 +132,65 @@ def test_mutated_input_fails_cleanly_and_says_where(inputs, tmp_path, capsys, fm
             faults.append(f"case {case} ({name}): exit {code} names no line, offset or stage: {err!r}")
     assert not faults, "\n".join(faults)
     assert codes - {0}, "no mutation was rejected"
+
+
+DEMO_CFG = Path(__file__).resolve().parents[1] / "demo.cfg"
+CONFIG_CASES = 300
+# half of them non-finite, each spelled as float() reads it
+CONFIG_TOKENS = [
+    "nan", "-nan", "NaN", "inf", "-inf", "+inf", "Infinity", "1e999", "-1e999",
+    "0", "-1", "0.5", "1e-300", "", "=", "#", "true", "csv", "x",
+]
+
+
+def mutate_config(text: str, rng: random.Random):
+    """One mutation of config `text` -> (its name, the mutated text): a
+    replaced value, or a deleted, duplicated or inserted word."""
+    tokens = re.split(r"(\s+)", text)
+    kind = rng.choice(["replace", "delete", "duplicate", "insert"])
+    if kind == "replace":
+        i = rng.choice([k + 2 for k, t in enumerate(tokens) if t == "="])
+        tokens[i] = rng.choice(CONFIG_TOKENS)
+        return f"value token {i} -> {tokens[i]!r}", "".join(tokens)
+    i = rng.choice([k for k, t in enumerate(tokens) if t and not t.isspace()])
+    if kind == "delete":
+        tokens[i] = ""
+    elif kind == "duplicate":
+        tokens.insert(i, tokens[i] + " ")
+    else:
+        tokens.insert(i, rng.choice(CONFIG_TOKENS) + " ")
+    return f"{kind} token {i}", "".join(tokens)
+
+
+def _float_settings(cfg):
+    """(name, value) of every float setting of a parsed config."""
+    for part in (cfg, cfg.margin, cfg.triplet, *cfg.swaps):
+        if part is not None:
+            for f in dataclasses.fields(part):
+                value = getattr(part, f.name)
+                if isinstance(value, float):
+                    yield f"{type(part).__name__}.{f.name}", value
+
+
+def test_mutated_config_fails_cleanly_and_names_its_key():
+    text = DEMO_CFG.read_text()
+    rng = random.Random(f"{SEED}-config")
+    faults, non_finite = [], 0
+    for case in range(CONFIG_CASES):
+        name, mutated = mutate_config(text, rng)
+        try:
+            cfg = parse_config(mutated)
+            cfg.tsne_config()  # as `verifake tsne` checks it with tsne.enabled = false
+        except ConfigError as exc:
+            non_finite += "not a finite number" in exc.reason
+            if exc.field is None and exc.line is None:
+                faults.append(f"case {case} ({name}): names no key or line: {exc}")
+            continue
+        except Exception as exc:  # what a user would see as a traceback
+            faults.append(f"case {case} ({name}): {type(exc).__name__}: {exc}")
+            continue
+        bad = [f"{key} = {value}" for key, value in _float_settings(cfg) if not math.isfinite(value)]
+        if bad:
+            faults.append(f"case {case} ({name}): accepted {', '.join(bad)}")
+    assert not faults, "\n".join(faults)
+    assert non_finite, "no mutation put a non-finite value into a float key"

@@ -1,16 +1,11 @@
 """Perplexity calibration, joint affinities, and the t-SNE optimizer."""
 
-import contextlib
 import os
-import select
-import tempfile
-import time
 import warnings
 
 import numpy as np
 import pytest
 from helpers import (
-    deadline,
     fd_grad,
     reference_calibrate_sigma,
     reference_joint_affinities,
@@ -442,87 +437,53 @@ def test_separated_clusters_have_exact_zero_affinities():
     assert np.any(P[off_diag] > 0.0)
 
 
-def test_run_tsne_builds_one_kernel_per_iteration(monkeypatch):
-    calls = []
-    original = tsne_module._student_q
+def count_calls(monkeypatch, name):
+    """A list that receives one entry per call of the tsne function `name`."""
+    calls, original = [], getattr(tsne_module, name)
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(tsne_module, "_student_q", counting)
+    monkeypatch.setattr(tsne_module, name, counting)
+    return calls
+
+
+def test_run_tsne_builds_one_kernel_per_iteration(monkeypatch):
+    calls = count_calls(monkeypatch, "_student_q")
     X, _ = three_clusters(per=5)
     run_tsne(X, TsneConfig(perplexity=3, iterations=12, seed=1))
     assert len(calls) == 12 + 1
 
 
-def test_in_process_tsne_working_set_is_four_n_by_n_arrays(monkeypatch):
+def test_each_kernel_gives_one_q(monkeypatch):
+    # the Q that the next gradient forms also gives the KL, and one more
+    # pass after the last step gives the last KL
+    calls = count_calls(monkeypatch, "_q_from_w")
+    X, _ = three_clusters(per=5)
+    run_tsne(X, TsneConfig(perplexity=3, iterations=12, seed=1))
+    assert len(calls) == 12 + 1
+
+
+def test_in_process_tsne_working_set_is_four_n_by_n_arrays():
     # P > 0 off the diagonal, as on real embeddings: the affinities' two
     # n x n arrays set the peak; the loop holds the strips of P and w, each
     # about half of an n x n array, and two scratch strips
     X = clustered(7, 300, 5, spread=1.0)
     n = len(X)
-    monkeypatch.setattr(tsne_module, "_KL_FORK_MIN_POINTS", n + 1)
     P = joint_affinities(X, 10.0).P
     assert np.all(P[~np.eye(n, dtype=bool)] > 0.0)
     Y = np.random.default_rng(7).normal(size=(n, 2))
     n_by_n = 8 * n * n
     assert traced_peak(run_tsne, X, TsneConfig(perplexity=10, iterations=5))[1] <= 4.5 * n_by_n
-    # the strips of P and of w, which receives Q and then the KL terms
+    # the strips of P and of w, and the two scratch strips of the gradient's pass
     assert traced_peak(kl_divergence, P, Y)[1] <= 2.5 * n_by_n
 
 
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """worker_count as on a host with two usable CPUs and os.fork."""
-    monkeypatch.setattr(tsne_module, "worker_count", lambda size, minimum: 2 if size >= minimum else 1)
-
-
-@pytest.mark.parametrize(
-    "make_input, dense",
-    [(lambda: clustered(7, 120, 5, spread=1.0), True), (lambda: clustered(7, 300, 5), False)],
-    ids=["dense_P", "sparse_P"],
-)
-def test_kl_child_matches_in_process_bitwise(monkeypatch, two_cpus, make_input, dense):
-    X = make_input()
-    shorten_schedule(monkeypatch, exaggerated=10, switch=20)
-    cfg = TsneConfig(perplexity=10, iterations=30, seed=3)
-    P = joint_affinities(X, cfg.perplexity).P
-    assert np.all(P[~np.eye(len(X), dtype=bool)] > 0.0) == dense
-    forks = []
-    original = tsne_module.forked
-
-    def counting(*args):
-        forks.append(1)
-        return original(*args)
-
-    monkeypatch.setattr(tsne_module, "forked", counting)
-    outputs = []
-    for minimum in (len(X) + 1, 4):  # in this process, then with a forked child
-        monkeypatch.setattr(tsne_module, "_KL_FORK_MIN_POINTS", minimum)
-        with deadline(60):
-            Y, trace = run_tsne(X, cfg)
-        outputs.append((Y.tobytes(), trace.tobytes()))
-    assert len(forks) == 1
-    assert outputs[0] == outputs[1]
-
-
-def _in_child_only(fn, name="_kl_from_q"):
-    """`fn` in a forked child, the original tsne function `name` in this
-    process."""
-    parent, original = os.getpid(), getattr(tsne_module, name)
-
-    def call(*args):
-        return original(*args) if os.getpid() == parent else fn(*args)
-
-    return call
-
-
-def test_forked_descent_holds_one_traced_n_by_n_array(monkeypatch, two_cpus):
-    # with P computed beforehand, tracemalloc sees what the forked descent
-    # allocates in this process: the strips of P (0.65 of an n x n array at
-    # n = 400) and two scratch strips of _STRIP_ROWS rows (0.64). It does not
-    # see w in the shared mapping, nor the child's own arrays
+def test_descent_holds_two_traced_n_by_n_arrays(monkeypatch):
+    # with P computed beforehand, tracemalloc sees what the descent
+    # allocates: the strips of P and of w (each 0.65 of an n x n array at
+    # n = 400) and two scratch strips of _STRIP_ROWS rows (0.64)
     X = clustered(7, 400, 5, spread=1.0)
     n = len(X)
     affinity = joint_affinities(X, 10.0)
@@ -530,142 +491,19 @@ def test_forked_descent_holds_one_traced_n_by_n_array(monkeypatch, two_cpus):
     monkeypatch.setattr(tsne_module, "joint_affinities", lambda X, perplexity: affinity)
     monkeypatch.setattr(tsne_module, "EXAGGERATION_UNTIL", 3)
     cfg = TsneConfig(perplexity=10, iterations=6)
-    with deadline(60):
-        assert traced_peak(run_tsne, X, cfg)[1] <= 1.5 * 8 * n * n
+    assert traced_peak(run_tsne, X, cfg)[1] <= 2.1 * 8 * n * n
 
 
-def test_slow_q_derivation_in_the_child_holds_the_shared_kernel(monkeypatch, two_cpus):
-    # the child reads the shared w for three passes (sum, divide, max)
-    # before it releases it; a child that takes 20 ms to derive each Q
-    # holds this process back, through the exaggerated iterations and
-    # after them, and the results do not change
+def test_run_tsne_forks_no_child_with_two_cpus(monkeypatch):
+    # the whole descent, KL trace included, runs in this process at any size
+    def no_fork():
+        raise AssertionError("run_tsne forked")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
     X = clustered(7, 120, 5, spread=1.0)
-    shorten_schedule(monkeypatch, exaggerated=10, switch=20)
-    cfg = TsneConfig(perplexity=10, iterations=30, seed=3)
-    monkeypatch.setattr(tsne_module, "_KL_FORK_MIN_POINTS", len(X) + 1)
-    Y_ref, trace_ref = run_tsne(X, cfg)
-    monkeypatch.setattr(tsne_module, "_KL_FORK_MIN_POINTS", 4)
-    original = tsne_module._q_from_w
-
-    def slow(*args):
-        time.sleep(0.02)
-        return original(*args)
-
-    monkeypatch.setattr(tsne_module, "_q_from_w", _in_child_only(slow, "_q_from_w"))
-    with deadline(20):
-        Y, trace = run_tsne(X, cfg)
-    assert Y.tobytes() == Y_ref.tobytes()
-    assert trace.tobytes() == trace_ref.tobytes()
-
-
-def test_slow_kl_child_leaves_the_kl_to_the_parent(monkeypatch, two_cpus):
-    # a child that takes 20 ms per KL takes few of the offers; the parent
-    # computes the rest, and the trace does not depend on who did which
-    X, _ = three_clusters(per=6)
-    shorten_schedule(monkeypatch, exaggerated=10, switch=20)
-    cfg = TsneConfig(perplexity=3, iterations=30)
-    monkeypatch.setattr(tsne_module, "_KL_FORK_MIN_POINTS", len(X) + 1)
-    Y_ref, trace_ref = run_tsne(X, cfg)
-    monkeypatch.setattr(tsne_module, "_KL_FORK_MIN_POINTS", 4)
-    original, here = tsne_module._kl_from_q, []
-
-    def slow(*args):
-        time.sleep(0.02)
-        return original(*args)
-
-    def counting(*args):
-        here.append(1)
-        return slow_in_child(*args)
-
-    slow_in_child = _in_child_only(slow)
-    monkeypatch.setattr(tsne_module, "_kl_from_q", counting)
-    with deadline(20):
-        Y, trace = run_tsne(X, cfg)
-    assert 0 < len(here) < cfg.iterations  # the last offer, at least, is left to the child
-    assert Y.tobytes() == Y_ref.tobytes()
-    assert trace.tobytes() == trace_ref.tobytes()
-
-
-def test_kl_child_hands_its_values_back_through_its_file(monkeypatch, two_cpus):
-    # forked makes one temp file per job, and the KL child writes each
-    # (iteration, KL) it computes there: the last offer's at least
-    monkeypatch.setattr(tsne_module, "_KL_FORK_MIN_POINTS", 4)
-    made, sizes, taken_back = [], [], []
-    original_file, original_forked = tempfile.TemporaryFile, tsne_module.forked
-    original_take_back = tsne_module._KlOffers.take_back
-
-    def counting_file(*args, **kwargs):
-        made.append(1)
-        return original_file(*args, **kwargs)
-
-    @contextlib.contextmanager
-    def sizing(jobs, own):
-        with original_forked(jobs, own) as (result, files):
-            sizes.extend(os.fstat(out.fileno()).st_size for out in files)
-            yield result, files
-
-    def recording(self):
-        taken_back.append(original_take_back(self))
-        return taken_back[-1]
-
-    monkeypatch.setattr(tempfile, "TemporaryFile", counting_file)
-    monkeypatch.setattr(tsne_module, "forked", sizing)
-    monkeypatch.setattr(tsne_module._KlOffers, "take_back", recording)
-    X, _ = three_clusters(per=6)
-    with deadline(20):
-        run_tsne(X, TsneConfig(perplexity=3, iterations=30))
-    assert len(made) == 1
-    assert len(taken_back) == 29
-    by_child = 1 + taken_back.count(False)
-    assert sizes == [tsne_module._KL_RECORD.itemsize * by_child]
-
-
-def test_parent_fault_mid_loop_leaves_no_child(monkeypatch, two_cpus):
-    # the child waits for the next Q when the loop stops; it must read EOF
-    # and exit, and be waited for (the autouse no_child_left fixture checks)
-    monkeypatch.setattr(tsne_module, "_KL_FORK_MIN_POINTS", 4)
-    original = tsne_module._gradient_from_q
-    calls = []
-
-    def failing(*args):
-        calls.append(1)
-        if len(calls) == 5:
-            raise RuntimeError("parent fault")
-        return original(*args)
-
-    monkeypatch.setattr(tsne_module, "_gradient_from_q", failing)
-    X, _ = three_clusters(per=6)
-    with deadline(20), pytest.raises(RuntimeError, match="parent fault"):
-        run_tsne(X, TsneConfig(perplexity=3, iterations=20))
-
-
-@pytest.mark.parametrize("iterations", [1, 20], ids=["last_offer", "mid_loop"])
-def test_kl_child_fault_raises_os_error(monkeypatch, two_cpus, iterations):
-    monkeypatch.setattr(tsne_module, "_KL_FORK_MIN_POINTS", 4)
-
-    def failing(*args):
-        raise RuntimeError("child fault")
-
-    monkeypatch.setattr(tsne_module, "_kl_from_q", _in_child_only(failing))
-    X, _ = three_clusters(per=6)
-    with deadline(20), pytest.raises(OSError, match="worker process"):
-        run_tsne(X, TsneConfig(perplexity=3, iterations=iterations))
-
-
-def test_kl_child_that_dies_holding_a_q_raises_os_error(monkeypatch, two_cpus):
-    # the parent waits for the Q to be released and reads EOF instead
-    monkeypatch.setattr(tsne_module, "_KL_FORK_MIN_POINTS", 4)
-
-    def dies_holding_a_q(P, w, plogp, out, ready, released):
-        while True:
-            select.select([ready], [], [])
-            if ready.read(8) is not None:
-                raise RuntimeError("child fault")
-
-    monkeypatch.setattr(tsne_module, "_kl_child", dies_holding_a_q)
-    X, _ = three_clusters(per=6)
-    with deadline(20), pytest.raises(OSError, match="worker process"):
-        run_tsne(X, TsneConfig(perplexity=3, iterations=20))
+    Y, trace = run_tsne(X, TsneConfig(perplexity=10, iterations=5))
+    assert Y.shape == (120, 2) and np.all(np.isfinite(trace))
 
 
 def test_kl_of_zero_affinities_gathers_nothing():
@@ -679,9 +517,11 @@ def test_kl_of_zero_affinities_gathers_nothing():
     Y = np.random.default_rng(7).normal(size=(n, 2))
     strips = tsne_module._upper_strips(P)
     w, Z = tsne_module._student_q(Y)
-    Q = list(tsne_module._q_from_w(w, Z, w))
-    kl, peak = traced_peak(tsne_module._kl_from_q, strips, Q, tsne_module._p_log_p(strips))
-    # numpy's 64 KiB reduction buffer, against 0.78 x 8n^2 for a copy of the kept terms
+    scratch = np.empty((2, w[0].size))
+    (_, p_log_q), peak = traced_peak(tsne_module._gradient_from_q, strips, w, Z, Y, scratch)
+    kl = tsne_module._p_log_p(strips) - p_log_q
+    # numpy's 64 KiB reduction buffer and the n x 3 sums, against 0.78 x 8n^2
+    # for a copy of the kept terms
     assert peak <= 0.2 * 8 * n * n
     ref = reference_kl_divergence(P, Y)
     assert abs(kl - ref) <= 1e-12 * ref
