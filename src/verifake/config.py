@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 from .dataset_io import FORMATS
 from .embeddings import METHOD_BY_NAME, METHOD_NAMES, MIN_DIM, Method
-from .errors import ConfigError
+from .errors import ConfigError, check_finite
 from .losses import LOSS_NAMES, MarginConfig, TripletConfig, margin_preset
 from .protocol import (
     AGGREGATIONS,
@@ -31,7 +31,7 @@ from .protocol import (
     DEFAULT_GALLERY_SIZE,
     DEFAULT_PROBE_CAP,
 )
-from .synthetic import SwapSpec, SyntheticSpec
+from .synthetic import SyntheticSpec
 from .trainer import DEFAULT_EMBED_DIM, DEFAULT_HIDDEN, TrainConfig
 from .tsne import TsneConfig
 
@@ -69,19 +69,19 @@ class SwapSettings:
     its swap.<Method>.* field."""
 
     method: Method
-    alpha: float = SwapSpec.alpha
-    sigma: float = SwapSpec.noise_sigma
+    alpha: float = 0.8
+    sigma: float = 0.05
     per_subject: int = 40
 
     def __post_init__(self):
         section = f"swap.{METHOD_NAMES[self.method]}"
         if self.per_subject < 1:
             raise ConfigError("per_subject must be >= 1", field=f"{section}.per_subject")
-        _keyed(section, {"noise_sigma": "sigma"}, self.spec)
-
-    def spec(self) -> SwapSpec:
-        """The simulator's blend weight and noise level."""
-        return SwapSpec(alpha=self.alpha, noise_sigma=self.sigma)
+        _keyed(section, {}, check_finite, self, "alpha", "sigma")
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ConfigError("alpha must lie in [0, 1]", field=f"{section}.alpha")
+        if self.sigma < 0:
+            raise ConfigError("sigma must be >= 0", field=f"{section}.sigma")
 
 
 @dataclass
@@ -142,6 +142,11 @@ class PipelineConfig:
         # fail before any stage runs
         for part in ("train", "eval"):
             self.synthetic_spec(part)
+        if self.loss_name == "triplet" and self.samples_per_identity < 2:
+            raise ConfigError(
+                "triplet training needs >= 2 samples per identity",
+                field="synth.samples_per_identity",
+            )
         self.train_config()
         if self.embed_dim < MIN_DIM:
             raise ConfigError(f"embed_dim must be >= {MIN_DIM}", field="train.embed_dim")

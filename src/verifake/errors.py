@@ -1,4 +1,6 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types, and the settings' finite-value check."""
+
+import math
 
 
 class VerifakeError(Exception):
@@ -57,6 +59,16 @@ class ConfigError(VerifakeError):
         self.reason = message
         self.line = line
         self.field = field
+
+
+def check_finite(settings, *names) -> None:
+    """A ConfigError naming the first of the float fields `names` of
+    `settings` that is NaN or infinite: a range check such as `x <= 0`
+    lets NaN through, and infinity through one bound."""
+    for name in names:
+        value = getattr(settings, name)
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value!r}", field=name)
 
 
 class InsufficientEnrollment(VerifakeError):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, LabelError, NormalizationError
+from .errors import ConfigError, DimensionMismatch, LabelError, NormalizationError, check_finite
 
 ARCCOS_EPS = 1e-7
 # Gate for "approximately unit" inputs; loose enough that finite-difference
@@ -44,6 +44,7 @@ class MarginConfig:
     s: float = DEFAULT_SCALE
 
     def __post_init__(self):
+        check_finite(self, "m1", "m2", "m3", "s")
         if self.m1 < 1.0:
             raise ConfigError(f"m1 must be >= 1, got {self.m1}", field="m1")
         if not 0.0 <= self.m2 < math.pi:
@@ -124,40 +125,47 @@ class ClassHead:
         return ClassHead(W)
 
 
-def target_logit(cos_theta: float, cfg: MarginConfig) -> float:
-    """Margin-penalized target logit psi = cos(m1*theta + m2) - m3.
+def _margin_map(raw_target, cfg: MarginConfig):
+    """The margin map psi = cos(m1*theta + m2) - m3 of the (N,) target
+    cosines a, and dpsi/da: (psi, dpsi_da).
 
-    cos_theta is clamped to [-1 + 1e-7, 1 - 1e-7] before arccos, and for
-    m1*theta + m2 beyond pi the value continues linearly with slope -m1
-    in theta, keeping psi monotone and its gradient finite.  With m1 = 1
-    and m2 = 0 the angular map is the identity, so psi is computed
-    directly as cos_theta - m3 without the arccos round trip.
+    a is clamped to [-1 + 1e-7, 1 - 1e-7] before arccos, and for
+    m1*theta + m2 beyond pi psi continues linearly with slope -m1 in
+    theta, keeping it monotone and its gradient finite; dpsi/da is 0
+    where the clamp was engaged. With m1 = 1 and m2 = 0 the angular map
+    is the identity, so psi is a - m3 without the arccos round trip.
     """
     if cfg.m1 == 1.0 and cfg.m2 == 0.0:
-        return float(cos_theta) - cfg.m3
-    a = min(1.0 - ARCCOS_EPS, max(-1.0 + ARCCOS_EPS, float(cos_theta)))
-    u = cfg.m1 * math.acos(a) + cfg.m2
-    if u <= math.pi:
-        return math.cos(u) - cfg.m3
-    return -1.0 - cfg.m3 - (u - math.pi)
+        # trivial angular map: stay exact at cosines of +-1 and keep the
+        # gradient free of the clamp's dead zone
+        return raw_target - cfg.m3, 1.0
+    a = np.clip(raw_target, -1.0 + ARCCOS_EPS, 1.0 - ARCCOS_EPS)
+    u = cfg.m1 * np.arccos(a) + cfg.m2
+    in_range = u <= math.pi
+    psi = np.where(in_range, np.cos(u) - cfg.m3, -1.0 - cfg.m3 - (u - math.pi))
+    root = np.sqrt(1.0 - a**2)
+    dpsi_da = np.where(in_range, cfg.m1 * np.sin(u) / root, cfg.m1 / root)
+    dpsi_da = np.where(np.abs(raw_target) < 1.0 - ARCCOS_EPS, dpsi_da, 0.0)
+    return psi, dpsi_da
 
 
-def _unit_rows(X, what):
+def target_logit(cos_theta: float, cfg: MarginConfig) -> float:
+    """Margin-penalized target logit psi = cos(m1*theta + m2) - m3 of one
+    cosine: the map margin_loss applies (see _margin_map), bit for bit."""
+    psi, _ = _margin_map(np.array([cos_theta], dtype=np.float64), cfg)
+    return float(psi[0])
+
+
+def _unit_vectors(X, axis, what):
+    """X as float64 with each vector along `axis` renormalized exactly,
+    plus the norms; a NormalizationError unless each is approximately unit."""
     X = np.asarray(X, dtype=np.float64)
-    norms = np.linalg.norm(X, axis=1)
+    norms = np.linalg.norm(X, axis=axis)
     if np.any(np.abs(norms - 1.0) > INPUT_NORM_TOL):
         worst = float(np.max(np.abs(norms - 1.0)))
-        raise NormalizationError(f"{what} rows must be unit-norm (max |norm-1| = {worst:.3e})")
-    return X / norms[:, None], norms
-
-
-def _unit_cols(W, what):
-    W = np.asarray(W, dtype=np.float64)
-    norms = np.linalg.norm(W, axis=0)
-    if np.any(np.abs(norms - 1.0) > INPUT_NORM_TOL):
-        worst = float(np.max(np.abs(norms - 1.0)))
-        raise NormalizationError(f"{what} columns must be unit-norm (max |norm-1| = {worst:.3e})")
-    return W / norms[None, :], norms
+        kind = "rows" if axis == 1 else "columns"
+        raise NormalizationError(f"{what} {kind} must be unit-norm (max |norm-1| = {worst:.3e})")
+    return X / np.expand_dims(norms, axis), norms
 
 
 def _check_labels(labels, num_classes):
@@ -183,8 +191,8 @@ def margin_loss(X, labels, head: ClassHead, cfg: MarginConfig):
     if head.num_classes < 2:
         raise ConfigError("margin losses require at least 2 classes")
     labels = _check_labels(labels, head.num_classes)
-    Xh, xnorms = _unit_rows(X, "input")
-    Wh, wnorms = _unit_cols(head.W, "class-center")
+    Xh, xnorms = _unit_vectors(X, 1, "input")
+    Wh, wnorms = _unit_vectors(head.W, 0, "class-center")
     N = labels.shape[0]
     if Xh.shape[0] != N:
         raise LabelError("batch size and label count differ")
@@ -192,20 +200,7 @@ def margin_loss(X, labels, head: ClassHead, cfg: MarginConfig):
     cosines = Xh @ Wh  # (N, C)
     n = np.arange(N)
     raw_target = cosines[n, labels]
-    if cfg.m1 == 1.0 and cfg.m2 == 0.0:
-        # trivial angular map: stay exact at cosines of +-1 and keep the
-        # gradient free of the clamp's dead zone
-        psi = raw_target - cfg.m3
-        dpsi_da = 1.0
-    else:
-        a = np.clip(raw_target, -1.0 + ARCCOS_EPS, 1.0 - ARCCOS_EPS)
-        u = cfg.m1 * np.arccos(a) + cfg.m2
-        in_range = u <= math.pi
-        psi = np.where(in_range, np.cos(u) - cfg.m3, -1.0 - cfg.m3 - (u - math.pi))
-        # dpsi/da, 0 where the arccos clamp was engaged
-        root = np.sqrt(1.0 - a**2)
-        dpsi_da = np.where(in_range, cfg.m1 * np.sin(u) / root, cfg.m1 / root)
-        dpsi_da = np.where(np.abs(raw_target) < 1.0 - ARCCOS_EPS, dpsi_da, 0.0)
+    psi, dpsi_da = _margin_map(raw_target, cfg)
 
     logits = cfg.s * cosines
     logits[n, labels] = cfg.s * psi
@@ -281,7 +276,7 @@ def triplet_loss_batch(E, cfg: TripletConfig):
     E = np.asarray(E, dtype=np.float64)
     if E.ndim != 2 or E.shape[0] == 0 or E.shape[0] % 3:
         raise DimensionMismatch(f"triplet batch must be (3B, d), got shape {E.shape}")
-    En, norms = _unit_rows(E, "triplet")
+    En, norms = _unit_vectors(E, 1, "triplet")
     A, P, Ng = En[0::3], En[1::3], En[2::3]
 
     cap_raw = _row_dots(A, P)

@@ -156,8 +156,7 @@ def simulate_fakes(real_subject, real_vectors, swaps, seed: int) -> EmbeddingDat
             raise ConfigError("identity swaps need at least 2 subjects")
         if not identity_swap and code not in EXPRESSION_SWAP_METHODS:
             raise ConfigError(f"{code!r} is not a manipulation method")
-        spec = settings.spec()
-        noisy = draws_noise(spec, identity_swap)
+        noisy = draws_noise(settings.alpha, settings.sigma, identity_swap)
         k = n_subjects * settings.per_subject
         host[start : start + k] = np.repeat(subjects, settings.per_subject)
         method[start : start + k] = code
@@ -175,16 +174,16 @@ def simulate_fakes(real_subject, real_vectors, swaps, seed: int) -> EmbeddingDat
                         d = rng.integers(n_subjects)
                     donor_rows[i] = pools[d][rng.integers(len(pools[d]))]
                 if noisy:
-                    noise[i] = swap_noise(rng, spec.noise_sigma, dim)
+                    noise[i] = swap_noise(rng, settings.sigma, dim)
 
             rows = slice(start + first, start + first + b)
             hosts = vectors[host_rows].astype(np.float64)
             if identity_swap:
                 donors = vectors[donor_rows].astype(np.float64)
-                vectors[rows] = identity_swap_rows(donors, hosts, spec, noise)
+                vectors[rows] = identity_swap_rows(donors, hosts, settings.alpha, noise)
                 subject[rows] = subject[donor_rows]
             else:
-                vectors[rows] = expression_swap_rows(hosts, spec, noise)
+                vectors[rows] = expression_swap_rows(hosts, noise)
                 subject[rows] = subject[host_rows]
         start += k
     return EmbeddingDataset(vectors, subject, host, fake, method)
@@ -327,11 +326,12 @@ def _run_command(cfg: PipelineConfig, out: Path, artifacts: dict) -> RunResult:
 
 def run_pipeline(cfg: PipelineConfig) -> RunResult:
     """Execute every stage and write all artifacts under cfg.out_dir."""
-    # each eval subject has samples_per_identity real records to enroll
-    if cfg.gallery_size > cfg.samples_per_identity:
+    # each eval subject has samples_per_identity real records: the gallery
+    # enrolls gallery_size of them and the rest are its genuine probes
+    if cfg.gallery_size >= cfg.samples_per_identity:
         raise ConfigError(
-            f"gallery_size {cfg.gallery_size} exceeds the {cfg.samples_per_identity} "
-            "samples per identity",
+            f"gallery_size {cfg.gallery_size} leaves no genuine probe among the "
+            f"{cfg.samples_per_identity} samples per identity",
             field="protocol.gallery_size",
         )
     return execute(cfg, _run_command)

@@ -29,13 +29,6 @@ AGGREGATIONS = ("mean", "max")
 DEFAULT_AGGREGATION = "mean"
 
 
-@dataclass
-class Gallery:
-    """Enrolled real embeddings: subject id -> (g, dim) float64 matrix."""
-
-    entries: dict
-
-
 # the fields of a scores.csv row, one ScoreSet column each
 _ROW = np.dtype([("score", "f8"), ("genuine", "?"), ("method", "u1"), ("subject", "u4")])
 
@@ -98,7 +91,8 @@ def build_gallery(
     seed: int = 0,
     probe_cap: int = DEFAULT_PROBE_CAP,
 ):
-    """Split a dataset into (Gallery, probe rows).
+    """Split a dataset into (gallery, probe rows), the gallery a dict
+    mapping each subject id to its (g, dim) float64 templates.
 
     For every subject, g of its real records are enrolled by seeded
     uniform sampling without replacement; everything else (including all
@@ -120,11 +114,11 @@ def build_gallery(
 
     rng = np.random.default_rng(seed)
     enrolled = np.zeros(len(dataset), dtype=bool)
-    entries = {}
+    gallery = {}
     for subject, rows in by_subject:
         chosen = np.sort(rows[rng.choice(len(rows), size=g, replace=False)])
         enrolled[chosen] = True
-        entries[subject] = dataset.vectors[chosen].astype(np.float64)
+        gallery[subject] = dataset.vectors[chosen].astype(np.float64)
 
     probe_rows = np.flatnonzero(~enrolled)
     keep = np.ones(len(probe_rows), dtype=bool)
@@ -132,14 +126,14 @@ def build_gallery(
         if len(pos) > probe_cap:
             keep[pos] = False
             keep[pos[rng.choice(len(pos), size=probe_cap, replace=False)]] = True
-    return Gallery(entries), probe_rows[keep]
+    return gallery, probe_rows[keep]
 
 
 def run_protocol(
-    gallery: Gallery, rows, dataset: EmbeddingDataset, aggregation: str = DEFAULT_AGGREGATION
+    gallery: dict, rows, dataset: EmbeddingDataset, aggregation: str = DEFAULT_AGGREGATION
 ) -> ScoreSet:
     """Score the probes, the records `rows` (row indices) of `dataset`,
-    against their host subjects' galleries.
+    against their host subjects' templates in `gallery` (see build_gallery).
 
     Score i belongs to record rows[i]: real probes are genuine, fakes
     imposters carrying their method, and the subject is the probe's host.
@@ -149,7 +143,7 @@ def run_protocol(
         raise ConfigError(f"aggregation must be one of {AGGREGATIONS}")
     rows = np.asarray(rows, dtype=np.int64)
     hosts = dataset.host[rows]
-    unknown = ~np.isin(hosts, list(gallery.entries))
+    unknown = ~np.isin(hosts, list(gallery))
     if unknown.any():
         host = int(hosts[np.argmax(unknown)])
         raise UnknownSubject(f"probe host subject {host} is not enrolled")
@@ -158,7 +152,7 @@ def run_protocol(
         vectors = dataset.vectors[rows[pos]].astype(np.float64)
         # one gemv per probe row, the same BLAS call as `templates @ probe`,
         # so each score is bitwise what scoring that probe alone gives
-        cosines = np.matmul(gallery.entries[host][None], vectors[:, :, None])[:, :, 0]
+        cosines = np.matmul(gallery[host][None], vectors[:, :, None])[:, :, 0]
         values = cosines.mean(axis=1) if aggregation == "mean" else cosines.max(axis=1)
         scores[pos] = np.clip(values, -1.0, 1.0)
     return ScoreSet(scores, ~dataset.fake[rows], dataset.method[rows], hosts)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateVector
+from .errors import ConfigError, DegenerateVector, check_finite
 
 
 @dataclass(frozen=True)
@@ -25,6 +25,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_finite(self, "concentration")
         if self.num_identities < 2:
             raise ConfigError("need at least 2 identities", field="num_identities")
         if self.samples_per_identity < 1:
@@ -35,20 +36,6 @@ class SyntheticSpec:
             raise ConfigError("raw_dim must be >= 2", field="raw_dim")
         if self.concentration <= 0:
             raise ConfigError("concentration must be positive", field="concentration")
-
-
-@dataclass(frozen=True)
-class SwapSpec:
-    """Blend weight and noise level of the identity-swap simulator."""
-
-    alpha: float = 0.8
-    noise_sigma: float = 0.05
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigError("alpha must lie in [0, 1]", field="alpha")
-        if self.noise_sigma < 0:
-            raise ConfigError("noise_sigma must be >= 0", field="noise_sigma")
 
 
 @dataclass
@@ -104,13 +91,14 @@ def swap_noise(gen: np.random.Generator, sigma: float, dim: int) -> np.ndarray:
     return gen.normal(0.0, sigma / np.sqrt(dim), size=dim)
 
 
-def draws_noise(spec: SwapSpec, identity_swap: bool) -> bool:
-    """Whether each fake of a swap draws noise. Noise-free expression swaps
-    and degenerate identity blends (no noise, alpha 0 or 1) reproduce a
-    source sample bit for bit and draw nothing."""
-    if spec.noise_sigma != 0.0:
+def draws_noise(alpha: float, sigma: float, identity_swap: bool) -> bool:
+    """Whether each fake of a swap with blend weight `alpha` and noise
+    level `sigma` draws noise. Noise-free expression swaps and degenerate
+    identity blends (no noise, alpha 0 or 1) reproduce a source sample bit
+    for bit and draw nothing."""
+    if sigma != 0.0:
         return True
-    return identity_swap and spec.alpha not in (0.0, 1.0)
+    return identity_swap and alpha not in (0.0, 1.0)
 
 
 def _normalize_rows(V: np.ndarray) -> np.ndarray:
@@ -123,30 +111,30 @@ def _normalize_rows(V: np.ndarray) -> np.ndarray:
     return V
 
 
-def identity_swap_rows(donor, host, spec: SwapSpec, noise) -> np.ndarray:
+def identity_swap_rows(donor, host, alpha: float, noise) -> np.ndarray:
     """Identity-swap fakes for aligned (k, d) float64 donor and host rows:
 
         fake = normalize(alpha * donor + (1 - alpha) * host + noise)
 
-    `noise` has one `swap_noise` row per fake; it is ignored (and may be
-    None) when `draws_noise(spec, True)` is false.
+    `noise` has one `swap_noise` row per fake. With `noise` None (a swap
+    that draws none, see draws_noise) alpha is 0 or 1 and the host or the
+    donor rows are returned.
     """
-    if not draws_noise(spec, True):
-        return donor if spec.alpha == 1.0 else host
-    fakes = spec.alpha * donor
-    fakes += (1.0 - spec.alpha) * host
+    if noise is None:
+        return donor if alpha == 1.0 else host
+    fakes = alpha * donor
+    fakes += (1.0 - alpha) * host
     fakes += noise
     return _normalize_rows(fakes)
 
 
-def expression_swap_rows(host, spec: SwapSpec, noise) -> np.ndarray:
+def expression_swap_rows(host, noise) -> np.ndarray:
     """Expression-swap fakes for (k, d) float64 host rows:
 
         fake = normalize(host + noise)
 
-    With spec.noise_sigma 0 the host rows are returned and `noise` is
-    ignored.
+    With `noise` None (a swap that draws none) the host rows are returned.
     """
-    if not draws_noise(spec, False):
+    if noise is None:
         return host
     return _normalize_rows(host + noise)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddingDataset
-from .errors import ConfigError, DegenerateVector, DimensionMismatch, VerifakeError
+from .errors import ConfigError, DegenerateVector, DimensionMismatch, VerifakeError, check_finite
 from .losses import (
     LOSS_NAMES,
     ClassHead,
@@ -51,6 +51,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_finite(self, "lr", "momentum", "weight_decay")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1", field="batch_size")
         if self.epochs < 1:

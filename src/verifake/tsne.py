@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CalibrationWarning, ConfigError
+from .errors import CalibrationWarning, ConfigError, check_finite
 
 MACHINE_EPSILON = np.finfo(np.float64).eps
 CALIBRATION_TOL = 1e-5
@@ -46,6 +46,7 @@ class TsneConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_finite(self, "perplexity", "learning_rate")
         if self.perplexity <= 1.0:
             raise ConfigError("perplexity must exceed 1", field="perplexity")
         if self.iterations < 1:

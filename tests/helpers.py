@@ -31,9 +31,8 @@ from verifake.errors import (
     NormalizationError,
     UnknownSubject,
 )
-from verifake.losses import ARCCOS_EPS, TripletConfig, _unit_rows
-from verifake.protocol import AGGREGATIONS, Gallery, ScoreSet
-from verifake.synthetic import SwapSpec
+from verifake.losses import ARCCOS_EPS, TripletConfig, _unit_vectors
+from verifake.protocol import AGGREGATIONS, ScoreSet
 from verifake.tsne import (
     CALIBRATION_MAX_ITER,
     CALIBRATION_REFINE,
@@ -260,9 +259,9 @@ def reference_triplet_loss(anchor, positive, negative, cfg: TripletConfig):
     """The one-triple angular triplet loss as it was written before the
     batched form: (loss, (da, dp, dn)) for max(0, theta(a,p) - theta(a,n)
     + margin), gradients through the renormalization."""
-    A, na = _unit_rows(np.asarray(anchor, dtype=np.float64)[None, :], "anchor")
-    P, npos = _unit_rows(np.asarray(positive, dtype=np.float64)[None, :], "positive")
-    Ng, nneg = _unit_rows(np.asarray(negative, dtype=np.float64)[None, :], "negative")
+    A, na = _unit_vectors(np.asarray(anchor, dtype=np.float64)[None, :], 1, "anchor")
+    P, npos = _unit_vectors(np.asarray(positive, dtype=np.float64)[None, :], 1, "positive")
+    Ng, nneg = _unit_vectors(np.asarray(negative, dtype=np.float64)[None, :], 1, "negative")
     a, p, ng = A[0], P[0], Ng[0]
     if not (a.shape == p.shape == ng.shape):
         raise NormalizationError("triplet vectors must share one dimension")
@@ -459,34 +458,34 @@ def _reference_noise(gen, sigma, dim):
     return gen.normal(0.0, sigma / np.sqrt(dim), size=dim)
 
 
-def reference_identity_swap(donor_sample, donor_id, host_sample, host_id, spec, method, rng):
+def reference_identity_swap(donor_sample, donor_id, host_sample, host_id, settings, method, rng):
     assert donor_id != host_id, "identity swap needs distinct donor and host"
     if Method(method) not in IDENTITY_SWAP_METHODS:
         raise ConfigError(f"{method!r} is not an identity-swap method")
     donor = np.asarray(donor_sample, dtype=np.float64)
     host = np.asarray(host_sample, dtype=np.float64)
 
-    if spec.noise_sigma == 0.0 and spec.alpha in (0.0, 1.0):
-        blended = donor if spec.alpha == 1.0 else host
+    if settings.sigma == 0.0 and settings.alpha in (0.0, 1.0):
+        blended = donor if settings.alpha == 1.0 else host
     else:
-        noise = _reference_noise(rng, spec.noise_sigma, donor.shape[0])
+        noise = _reference_noise(rng, settings.sigma, donor.shape[0])
         blended = l2_normalize(
-            spec.alpha * donor + (1.0 - spec.alpha) * host + noise
+            settings.alpha * donor + (1.0 - settings.alpha) * host + noise
         )
     return Record(donor_id, host_id, True, method, blended.astype(np.float32))
 
 
-def reference_expression_swap(host_sample, host_id, noise_sigma, method, rng):
-    if noise_sigma < 0:
-        raise ConfigError("noise_sigma must be >= 0", field="noise_sigma")
+def reference_expression_swap(host_sample, host_id, sigma, method, rng):
+    if sigma < 0:
+        raise ConfigError("sigma must be >= 0", field="sigma")
     if Method(method) not in EXPRESSION_SWAP_METHODS:
         raise ConfigError(f"{method!r} is not an expression-swap method")
     host = np.asarray(host_sample, dtype=np.float64)
 
-    if noise_sigma == 0.0:
+    if sigma == 0.0:
         vector = host
     else:
-        vector = l2_normalize(host + _reference_noise(rng, noise_sigma, host.shape[0]))
+        vector = l2_normalize(host + _reference_noise(rng, sigma, host.shape[0]))
     return Record(host_id, host_id, True, method, vector.astype(np.float32))
 
 
@@ -506,7 +505,6 @@ def reference_simulate_fakes(records, swaps, seed: int) -> list:
         identity_swap = method in IDENTITY_SWAP_METHODS
         if identity_swap and len(subjects) < 2:
             raise ConfigError("identity swaps need at least 2 subjects")
-        spec = SwapSpec(alpha=settings.alpha, noise_sigma=settings.sigma)
         for host in subjects:
             host_pool = by_subject[host]
             for _ in range(settings.per_subject):
@@ -523,7 +521,7 @@ def reference_simulate_fakes(records, swaps, seed: int) -> list:
                             donor,
                             host_rec.vector.astype(np.float64),
                             host,
-                            spec,
+                            settings,
                             method=method,
                             rng=rng,
                         )
@@ -542,8 +540,8 @@ def reference_simulate_fakes(records, swaps, seed: int) -> list:
 
 
 def reference_build_gallery(records, g, seed, probe_cap):
-    """`protocol.build_gallery` as it was over a record list: (Gallery,
-    probe Records)."""
+    """`protocol.build_gallery` as it was over a record list: (gallery
+    dict, probe Records)."""
     real_by_subject: dict = {}
     for i, rec in enumerate(records):
         if not rec.fake:
@@ -580,7 +578,7 @@ def reference_build_gallery(records, g, seed, probe_cap):
             keep.update(idx)
 
     probes = [records[i] for i in probe_indices if i in keep]
-    return Gallery(entries), probes
+    return entries, probes
 
 
 def reference_match_probe(probe, subject_gallery, aggregation="mean") -> float:
@@ -632,10 +630,10 @@ def reference_run_protocol(gallery, probes, aggregation="mean") -> list:
     records = []
     for rec in probes:
         host = rec.host_subject_id
-        if host not in gallery.entries:
+        if host not in gallery:
             raise UnknownSubject(f"probe host subject {host} is not enrolled")
         score = reference_match_probe(
-            rec.vector.astype(np.float64), gallery.entries[host], aggregation
+            rec.vector.astype(np.float64), gallery[host], aggregation
         )
         if rec.fake:
             records.append(ScoreRow(score, "imposter", rec.method, host))

@@ -340,6 +340,7 @@ BAD_STAGE_SETTINGS = [
     ("train.hidden", "128, 0"),
     ("protocol.gallery_size", "0"),
     ("protocol.gallery_size", "15"),  # above synth.samples_per_identity
+    ("protocol.gallery_size", "14"),  # every real record enrolled: no genuine probe
     ("protocol.probe_cap", "0"),
     ("swap.Deepfakes.alpha", "1.5"),
     ("swap.Face2Face.sigma", "-0.1"),
@@ -391,6 +392,24 @@ def test_margin_setting_errors_name_their_key(tmp_path, capsys, settings, key):
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
     assert f"field '{key}'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "run"])
+@pytest.mark.parametrize("loss_flag", [False, True], ids=["config", "flag"])
+def test_triplet_with_one_sample_per_identity_exits_2_before_any_stage(
+    tmp_path, capsys, command, loss_flag
+):
+    # one sample per identity leaves no triplet a positive
+    text = _with_setting("synth.samples_per_identity", "1")
+    argv = [command, "--config", str(tmp_path / "triplet.cfg"), "--out", str(tmp_path / "out")]
+    if loss_flag:
+        argv += ["--loss", "triplet"]
+    else:
+        text = text.replace("run.loss = cosface", "run.loss = triplet")
+    (tmp_path / "triplet.cfg").write_text(text)
+    assert main(argv) == EXIT_CONFIG
+    assert "field 'synth.samples_per_identity'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_gallery_size_limit_is_for_run_only(tmp_path):

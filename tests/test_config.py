@@ -1,9 +1,13 @@
 """Config parsing, defaults, and the seed-splitting scheme."""
 
+import dataclasses
 import hashlib
+import re
+from pathlib import Path
 
 import pytest
 
+from verifake import config
 from verifake.config import (
     FORMAT_VERSIONS,
     PipelineConfig,
@@ -14,7 +18,8 @@ from verifake.config import (
 )
 from verifake.embeddings import Method
 from verifake.errors import ConfigError
-from verifake.losses import margin_preset
+from verifake.losses import MarginConfig, margin_preset
+from verifake.synthetic import SyntheticSpec
 from verifake.trainer import TrainConfig
 from verifake.tsne import TsneConfig
 
@@ -234,3 +239,81 @@ def test_tsne_config_built_from_the_run_settings():
     assert cfg.tsne_config() == TsneConfig(
         perplexity=12.0, iterations=7, learning_rate=200.0, seed=child_seed(9, "tsne")
     )
+
+
+NAN, INF = float("nan"), float("inf")
+SPEC = {"num_identities": 4, "samples_per_identity": 5, "raw_dim": 8}
+# (class, arguments, the field its ConfigError names); the bad value is last
+NON_FINITE = [
+    (TsneConfig, {"learning_rate": NAN}, "learning_rate"),
+    (TsneConfig, {"learning_rate": INF}, "learning_rate"),
+    (TsneConfig, {"perplexity": NAN}, "perplexity"),
+    (TrainConfig, {"lr": NAN}, "lr"),
+    (TrainConfig, {"lr": INF}, "lr"),
+    (TrainConfig, {"momentum": NAN}, "momentum"),
+    (TrainConfig, {"weight_decay": NAN}, "weight_decay"),
+    (SyntheticSpec, {**SPEC, "concentration": NAN}, "concentration"),
+    (SyntheticSpec, {**SPEC, "concentration": INF}, "concentration"),
+    (SwapSettings, {"method": Method.FACESWAP, "sigma": NAN}, "swap.FaceSwap.sigma"),
+    (SwapSettings, {"method": Method.FACESWAP, "sigma": INF}, "swap.FaceSwap.sigma"),
+    (SwapSettings, {"method": Method.DEEPFAKES, "alpha": NAN}, "swap.Deepfakes.alpha"),
+    (MarginConfig, {"m1": NAN}, "m1"),
+    (MarginConfig, {"m1": INF}, "m1"),
+    (MarginConfig, {"m2": NAN}, "m2"),
+    (MarginConfig, {"m3": -INF}, "m3"),
+    (MarginConfig, {"s": NAN}, "s"),
+    (MarginConfig, {"s": INF}, "s"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, kwargs, field",
+    NON_FINITE,
+    ids=[f"{cls.__name__}-{field}={list(kw.values())[-1]}" for cls, kw, field in NON_FINITE],
+)
+def test_settings_built_in_code_reject_non_finite_values(cls, kwargs, field):
+    # a range check such as `x <= 0` lets NaN through, and inf through one
+    # bound: `run_tsne` with learning_rate nan returned an all-nan layout
+    with pytest.raises(ConfigError, match="must be finite") as info:
+        cls(**kwargs)
+    assert info.value.field == field
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+# `key (default)` or a bare key; swap.<Method>.* stands for every method
+_README_ENTRY = re.compile(r"([a-z]+(?:\.<Method>)?\.[a-z0-9_]+)(?: \(([^)]*)\))?")
+
+
+def readme_defaults() -> dict:
+    """The keys of README's "Config format" block, each mapped to the
+    default it states, or None where it states none."""
+    section = README.read_text(encoding="utf-8").split("## Config format", 1)[1]
+    block = section.split("```", 2)[1]
+    return {
+        key.replace("<Method>", "FaceSwap"): default
+        for key, default in _README_ENTRY.findall(block)
+    }
+
+
+def test_readme_config_keys_are_the_parsed_keys():
+    accepted = {f"{section}.{key}" for section, key in config._SCHEMA}
+    accepted |= {f"loss.{key}" for key in config._MARGIN_KEYS} | {"loss.triplet_margin"}
+    accepted |= {f"swap.FaceSwap.{key}" for key in config._SWAP_KEYS}
+    documented = readme_defaults()
+    assert set(documented) == accepted
+    assert [key for key, default in documented.items() if not default] == [
+        "loss.m1", "loss.m2", "loss.m3", "loss.scale"
+    ]
+
+
+def test_readme_config_defaults_are_the_built_in_defaults():
+    default = PipelineConfig()
+    assert default.lr_marks is None  # README states it in words
+    for key, value in readme_defaults().items():
+        if not value or key == "train.lr_marks":
+            continue
+        parsed = parse_config(f"{key} = {value}\n")
+        if key.startswith("swap."):
+            assert parsed.swaps == default.swaps[:1], key
+        else:
+            assert dataclasses.replace(parsed, raw_text="") == default, key

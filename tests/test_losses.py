@@ -113,6 +113,40 @@ def test_target_logit_monotone_in_margins():
         assert b < a
 
 
+class _RecordingScale(float):
+    """A logit scale that records each array it multiplies from the left:
+    margin_loss forms `s * cosines`, then `s * psi` for the target logits."""
+
+    def __new__(cls, value):
+        scale = super().__new__(cls, value)
+        scale.operands = []
+        return scale
+
+    def __mul__(self, other):
+        self.operands.append(other)
+        return float(self) * other
+
+
+@pytest.mark.parametrize("name", sorted(MARGIN_PRESETS))
+def test_margin_loss_target_logits_are_target_logit(name):
+    # the map training runs is the one the target_logit tests above check:
+    # target cosines from 1 to -1 reach the arccos clamp at both ends and,
+    # for every angular margin, the linear region where u > pi
+    theta = np.linspace(0.0, math.pi, 20001)
+    X = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    scale = _RecordingScale(DEFAULT_SCALE)
+    cfg = MarginConfig(*MARGIN_PRESETS[name], s=scale)
+    margin_loss(X, np.zeros(len(X), dtype=np.int64), ClassHead(np.eye(2)), cfg)
+    cosines, psi = scale.operands
+    target = cosines[:, 0]
+    assert np.abs(target).max() >= 1.0 - ARCCOS_EPS
+    if (cfg.m1, cfg.m2) != (1.0, 0.0):
+        assert np.any(cfg.m1 * np.arccos(target.clip(-1.0, 1.0)) + cfg.m2 > math.pi)
+    s = float(scale)
+    expected = np.array([s * target_logit(c, cfg) for c in target.tolist()])
+    assert (s * psi).tobytes() == expected.tobytes()
+
+
 def head_and_batch(seed, d=16, c=5, n=8):
     rng = np.random.default_rng(seed)
     X = unit_rows(rng, n, d)

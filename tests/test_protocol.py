@@ -19,7 +19,6 @@ from verifake.embeddings import EmbeddingDataset, Method, l2_normalize
 from verifake.errors import ConfigError, InsufficientEnrollment, SubjectOverlap, UnknownSubject
 from verifake.metrics import eer, roc_curve
 from verifake.protocol import (
-    Gallery,
     ScoreSet,
     assert_subject_disjoint,
     build_gallery,
@@ -28,7 +27,6 @@ from verifake.protocol import (
     scores_to_csv,
 )
 from verifake.synthetic import (
-    SwapSpec,
     SyntheticSpec,
     generate_identities,
     identity_swap_rows,
@@ -58,7 +56,7 @@ def test_gallery_exhaustion_leaves_no_real_probes():
     ds = toy_dataset(subjects=2, per_subject=5)
     gallery, rows = build_gallery(ds, g=5, seed=0)
     probes = ds.take(rows)
-    assert gallery.entries.keys() == {0, 1}
+    assert gallery.keys() == {0, 1}
     assert probes.fake.all()
     assert len(probes) == 0
 
@@ -68,13 +66,13 @@ def test_gallery_probe_partition():
     gallery, rows = build_gallery(ds, g=5, seed=1)
     probes = ds.take(rows)
     for s in range(3):
-        assert gallery.entries[s].shape == (5, 4)
+        assert gallery[s].shape == (5, 4)
     # every record is either enrolled or a probe, never both
     probe_keys = [row.tobytes() for row in probes.vectors]
     enrolled_keys = [
         row.astype(np.float32).tobytes()
         for s in range(3)
-        for row in gallery.entries[s]
+        for row in gallery[s]
     ]
     all_keys = [row.tobytes() for row in ds.vectors]
     assert sorted(probe_keys + enrolled_keys) == sorted(all_keys)
@@ -100,8 +98,8 @@ def test_gallery_deterministic():
     ds = toy_dataset(subjects=3, per_subject=9, seed=3)
     g1, rows1 = build_gallery(ds, g=4, seed=9)
     g2, rows2 = build_gallery(ds, g=4, seed=9)
-    for s in g1.entries:
-        assert np.array_equal(g1.entries[s], g2.entries[s])
+    for s in g1:
+        assert np.array_equal(g1[s], g2[s])
     assert ds.take(rows1) == ds.take(rows2)
 
 
@@ -129,7 +127,7 @@ def test_gallery_size_validated():
 
 def match_one(probe, templates, aggregation="mean"):
     """run_protocol's score for one probe against a hand-built gallery."""
-    gallery = Gallery({0: np.array(templates, dtype=np.float64)})
+    gallery = {0: np.array(templates, dtype=np.float64)}
     probes = EmbeddingDataset.reals([0], [probe])
     return float(run_protocol(gallery, [0], probes, aggregation).score[0])
 
@@ -205,16 +203,15 @@ def test_identity_swaps_score_below_genuine():
     # host gallery than the host's own real probes
     raw = generate_identities(SyntheticSpec(4, 30, 16, concentration=12.0, seed=11))
     ds = EmbeddingDataset.reals(raw.labels, raw.features)
-    swap = SwapSpec(alpha=0.8, noise_sigma=0.05)
     rng = np.random.default_rng(13)
     donors = np.arange(40) % 4
     hosts = (donors + 1) % 4
     pick = np.arange(40) % 5
-    noise = np.stack([swap_noise(rng, swap.noise_sigma, 16) for _ in range(40)])
+    noise = np.stack([swap_noise(rng, 0.05, 16) for _ in range(40)])
     fakes = identity_swap_rows(
         np.stack([raw.features[raw.labels == d][k] for d, k in zip(donors, pick)]),
         np.stack([raw.features[raw.labels == h][k] for h, k in zip(hosts, pick)]),
-        swap,
+        0.8,
         noise,
     )
     ds = concat(ds, EmbeddingDataset(fakes, donors, hosts, [True] * 40, [Method.FACESWAP] * 40))
@@ -266,9 +263,9 @@ def test_protocol_matches_per_record_reference_bitwise(seed, g, aggregation):
     gallery, rows = build_gallery(ds, g=g, seed=seed, probe_cap=13)
     probes = ds.take(rows)
     ref_gallery, ref_probes = reference_build_gallery(records_of(ds), g, seed, 13)
-    assert gallery.entries.keys() == ref_gallery.entries.keys()
-    for subject, templates in gallery.entries.items():
-        assert templates.tobytes() == ref_gallery.entries[subject].tobytes()
+    assert gallery.keys() == ref_gallery.keys()
+    for subject, templates in gallery.items():
+        assert templates.tobytes() == ref_gallery[subject].tobytes()
     assert record_keys(records_of(probes)) == record_keys(ref_probes)
 
     counts = np.bincount(probes.host).tolist()

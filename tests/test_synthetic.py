@@ -6,11 +6,10 @@ import pytest
 from helpers import traced_peak
 
 from verifake import synthetic
-from verifake.config import PipelineConfig
-from verifake.embeddings import l2_normalize
+from verifake.config import PipelineConfig, SwapSettings
+from verifake.embeddings import Method, l2_normalize
 from verifake.errors import ConfigError
 from verifake.synthetic import (
-    SwapSpec,
     SyntheticSpec,
     draws_noise,
     expression_swap_rows,
@@ -32,10 +31,10 @@ def test_spec_validation():
 
 
 def test_swap_spec_validation():
-    with pytest.raises(ConfigError):
-        SwapSpec(alpha=1.5)
-    with pytest.raises(ConfigError):
-        SwapSpec(noise_sigma=-0.1)
+    with pytest.raises(ConfigError, match="field 'swap.Deepfakes.alpha'"):
+        SwapSettings(Method.DEEPFAKES, alpha=1.5)
+    with pytest.raises(ConfigError, match="field 'swap.Face2Face.sigma'"):
+        SwapSettings(Method.FACE2FACE, sigma=-0.1)
 
 
 def test_generate_counts_and_labels():
@@ -115,8 +114,8 @@ def test_identity_swap_degenerate_blends_exact():
     rng = np.random.default_rng(5)
     donor = l2_normalize(rng.normal(size=16))[None]
     host = l2_normalize(rng.normal(size=16))[None]
-    pure_donor = identity_swap_rows(donor, host, SwapSpec(1.0, 0.0), None)
-    pure_host = identity_swap_rows(donor, host, SwapSpec(0.0, 0.0), None)
+    pure_donor = identity_swap_rows(donor, host, 1.0, None)
+    pure_host = identity_swap_rows(donor, host, 0.0, None)
     assert pure_donor.tobytes() == donor.tobytes()
     assert pure_host.tobytes() == host.tobytes()
 
@@ -128,7 +127,7 @@ def test_identity_swap_labeling():
     # the labels (donor as subject, host) are the caller's; the kernel
     # returns one unit float64 row per fake
     noise = noise_rows(np.random.default_rng(1), 0.05, 1, 8)
-    fake = identity_swap_rows(donor, host, SwapSpec(0.8, 0.05), noise)
+    fake = identity_swap_rows(donor, host, 0.8, noise)
     assert fake.shape == (1, 8) and fake.dtype == np.float64
     assert abs(np.linalg.norm(fake[0]) - 1.0) < 1e-12
 
@@ -139,14 +138,14 @@ def test_identity_swap_lands_nearer_donor_center():
     donor = raw.features[raw.labels == 0][:1]
     host = raw.features[raw.labels == 1][:1]
     noise = noise_rows(np.random.default_rng(7), 0.05, 1, 64)
-    fake = identity_swap_rows(donor, host, SwapSpec(0.8, 0.05), noise)[0]
+    fake = identity_swap_rows(donor, host, 0.8, noise)[0]
     assert float(fake @ raw.means[0]) > float(fake @ raw.means[1])
 
 
 def test_expression_swap_sigma_zero_exact():
     rng = np.random.default_rng(8)
     host = l2_normalize(rng.normal(size=8))[None]
-    fake = expression_swap_rows(host, SwapSpec(noise_sigma=0.0), None)
+    fake = expression_swap_rows(host, None)
     assert fake.tobytes() == host.tobytes()
 
 
@@ -154,7 +153,7 @@ def test_expression_swap_stays_near_host():
     # derived: sigma 0.05 at d=64 keeps cosine above 0.99 on seed 7
     host = l2_normalize(np.random.default_rng(3).normal(size=64))
     noise = noise_rows(np.random.default_rng(7), 0.05, 1, 64)
-    fake = expression_swap_rows(host[None], SwapSpec(noise_sigma=0.05), noise)[0]
+    fake = expression_swap_rows(host[None], noise)[0]
     assert float(fake @ host) > 0.99
 
 
@@ -162,7 +161,7 @@ def test_expression_swap_mean_direction():
     # derived: the average of 1000 fakes recovers the host direction
     host = l2_normalize(np.random.default_rng(3).normal(size=64))
     noise = noise_rows(np.random.default_rng(7), 0.05, 1000, 64)
-    fakes = expression_swap_rows(np.tile(host, (1000, 1)), SwapSpec(noise_sigma=0.05), noise)
+    fakes = expression_swap_rows(np.tile(host, (1000, 1)), noise)
     assert float(l2_normalize(fakes.sum(axis=0)) @ host) > 0.999
 
 
@@ -170,15 +169,13 @@ def test_simulators_deterministic_for_seed():
     rng = np.random.default_rng(10)
     donor = l2_normalize(rng.normal(size=8))[None]
     host = l2_normalize(rng.normal(size=8))[None]
-    spec = SwapSpec(0.8, 0.05)
-
     def noise():
         return noise_rows(np.random.default_rng(3), 0.05, 1, 8)
 
-    a = identity_swap_rows(donor, host, spec, noise())
-    assert a.tobytes() == identity_swap_rows(donor, host, spec, noise()).tobytes()
-    c = expression_swap_rows(host, spec, noise())
-    assert c.tobytes() == expression_swap_rows(host, spec, noise()).tobytes()
+    a = identity_swap_rows(donor, host, 0.8, noise())
+    assert a.tobytes() == identity_swap_rows(donor, host, 0.8, noise()).tobytes()
+    c = expression_swap_rows(host, noise())
+    assert c.tobytes() == expression_swap_rows(host, noise()).tobytes()
 
 
 def test_row_kernels_match_one_fake_at_a_time_bitwise():
@@ -189,10 +186,9 @@ def test_row_kernels_match_one_fake_at_a_time_bitwise():
     hosts = rng.normal(size=(200, 32))
     donors /= np.linalg.norm(donors, axis=1, keepdims=True)
     hosts /= np.linalg.norm(hosts, axis=1, keepdims=True)
-    spec = SwapSpec(0.7, 0.3)
     noise = np.stack([swap_noise(np.random.default_rng(k), 0.3, 32) for k in range(200)])
-    blended = identity_swap_rows(donors, hosts, spec, noise)
-    perturbed = expression_swap_rows(hosts, spec, noise)
+    blended = identity_swap_rows(donors, hosts, 0.7, noise)
+    perturbed = expression_swap_rows(hosts, noise)
     for k in range(200):
         expect = l2_normalize(0.7 * donors[k] + (1.0 - 0.7) * hosts[k] + noise[k])
         assert blended[k].tobytes() == expect.tobytes()
@@ -200,9 +196,9 @@ def test_row_kernels_match_one_fake_at_a_time_bitwise():
 
 
 def test_noise_draw_rule():
-    assert draws_noise(SwapSpec(0.8, 0.05), identity_swap=True)
-    assert draws_noise(SwapSpec(0.5, 0.0), identity_swap=True)  # zero-scale draws
-    assert not draws_noise(SwapSpec(1.0, 0.0), identity_swap=True)
-    assert not draws_noise(SwapSpec(0.0, 0.0), identity_swap=True)
-    assert draws_noise(SwapSpec(noise_sigma=0.05), identity_swap=False)
-    assert not draws_noise(SwapSpec(noise_sigma=0.0), identity_swap=False)
+    assert draws_noise(0.8, 0.05, identity_swap=True)
+    assert draws_noise(0.5, 0.0, identity_swap=True)  # zero-scale draws
+    assert not draws_noise(1.0, 0.0, identity_swap=True)
+    assert not draws_noise(0.0, 0.0, identity_swap=True)
+    assert draws_noise(0.8, 0.05, identity_swap=False)
+    assert not draws_noise(0.8, 0.0, identity_swap=False)
