@@ -16,9 +16,15 @@ EMB1 layout (all little-endian):
 The CSV alternative has header `subject,host,realness,method,v0..v{d-1}`,
 realness spelled `real`/`fake` and the method by name. Both formats
 round-trip datasets bit-exactly (vectors are float32).
+
+Large CSV files are split across forked children, which read the parent's
+dataset or parse into their copy of its columns and hand their rows back
+through temp files. A child never runs BLAS, whose threads die in a fork.
 """
 
+import contextlib
 import os
+import sys
 from functools import partial
 
 import numpy as np
@@ -34,7 +40,6 @@ from .embeddings import (
 )
 from .errors import FormatError
 from .losses import INPUT_NORM_TOL
-from .workers import forked, read_exactly, worker_count
 
 MAGIC = b"EMB1"
 FORMATS = ("emb1", "csv")  # the names write_dataset takes
@@ -161,6 +166,63 @@ def read_emb1(path) -> EmbeddingDataset:
     return EmbeddingDataset(*columns)
 
 
+def _worker_count(values) -> int:
+    """The number of processes to split the CSV codec's work on `values`
+    vector components across: the usable CPUs from _SPLIT_MIN_VALUES on,
+    where os.fork and os.sched_getaffinity exist; else 1."""
+    if values >= _SPLIT_MIN_VALUES and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+@contextlib.contextmanager
+def _forked(jobs, own):
+    """Run each of `jobs` in a forked child on an anonymous temp file it
+    writes its output to, and own() here meanwhile. Yields own()'s result
+    and the children's files, rewound and in job order, once every child
+    has exited. A child that fails raises OSError."""
+    import tempfile
+
+    with contextlib.ExitStack() as stack:
+        # made before the forks, so that each child inherits its file
+        files = [stack.enter_context(tempfile.TemporaryFile()) for _ in jobs]
+        pids = []
+        try:
+            for job, out in zip(jobs, files):
+                pid = os.fork()
+                if pid == 0:  # os._exit: never the parent's cleanup or buffers
+                    code = 1
+                    try:
+                        job(out)
+                        out.flush()
+                        code = 0
+                    except Exception:
+                        import traceback
+
+                        traceback.print_exc()
+                        sys.stderr.flush()
+                    finally:
+                        os._exit(code)
+                pids.append(pid)
+            result = own()
+        finally:
+            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+        failed = [code for code in codes if code]
+        if failed:
+            raise OSError(
+                f"{len(failed)} of {len(jobs)} worker processes failed (exit codes {failed})"
+            )
+        for out in files:
+            out.seek(0)
+        yield result, files
+
+
+def _read_exactly(fh, buffer) -> None:
+    """Fill `buffer` from what a worker wrote to `fh`."""
+    if fh.readinto(buffer) != memoryview(buffer).nbytes:
+        raise OSError("a worker process wrote a truncated result")
+
+
 def _write_csv_rows(dataset, lo, hi, fh) -> None:
     """Write rows [lo, hi) of `dataset` to binary file `fh` as CSV lines."""
     labels = zip(
@@ -190,13 +252,13 @@ def write_csv(path, dataset: EmbeddingDataset) -> None:
     import shutil
 
     n = len(dataset)
-    parts = worker_count(n * dataset.dim, _SPLIT_MIN_VALUES)
+    parts = _worker_count(n * dataset.dim)
     bounds = [n * i // parts for i in range(parts + 1)]
     header = "subject,host,realness,method," + ",".join(f"v{i}" for i in range(dataset.dim))
     jobs = [partial(_write_csv_rows, dataset, lo, hi) for lo, hi in zip(bounds[1:], bounds[2:])]
     with open(path, "wb") as fh:
         fh.write(f"{header}\n".encode("ascii"))
-        with forked(jobs, partial(_write_csv_rows, dataset, 0, bounds[1], fh)) as (_, files):
+        with _forked(jobs, partial(_write_csv_rows, dataset, 0, bounds[1], fh)) as (_, files):
             for part in files:
                 shutil.copyfileobj(part, fh)
 
@@ -241,14 +303,12 @@ def _line_end(fh, pos, hi) -> int:
     return hi
 
 
-def _csv_columns(fh, lo, hi, dim):
-    """Empty dataset columns and line numbers with room for every row in
-    bytes [lo, hi) of binary file `fh`: a row, like the header, holds
-    3 + dim commas."""
-    fh.seek(lo)
+def _csv_columns(fh, dim):
+    """Empty dataset columns and line numbers with room for every row of
+    binary file `fh`: a row, like the header, holds 3 + dim commas."""
+    fh.seek(0)
     commas = 0
-    while lo < hi and (chunk := fh.read(min(hi - lo, 1 << 16))):
-        lo += len(chunk)
+    while chunk := fh.read(1 << 16):
         commas += int(np.count_nonzero(np.frombuffer(chunk, dtype=np.uint8) == ord(",")))
     rows = commas // (3 + dim)
     columns = (
@@ -310,13 +370,12 @@ def _parse_csv_rows(lines, dim, columns, linenos):
     return row, lineno, None
 
 
-def _parse_csv_part(path, lo, hi, dim, out) -> None:
-    """Child job of read_csv: parse bytes [lo, hi) of `path` and write to
-    `out` the row count, the line count and the fault message's length
-    (0 for none) as int64, the message, then the rows' columns and line
-    numbers as raw bytes."""
+def _parse_csv_part(path, lo, hi, dim, columns, linenos, out) -> None:
+    """Child job of read_csv: parse bytes [lo, hi) of `path` into rows 0..
+    of `columns` and `linenos`, the child's copy of the parent's, and write
+    to `out` the row count, the line count and the fault message's length
+    (0 for none) as int64, the message, then those rows as raw bytes."""
     with open(path, "rb") as fh:
-        columns, linenos = _csv_columns(fh, lo, hi, dim)
         fh.seek(lo)
         rows, lines, fault = _parse_csv_rows(_csv_lines(fh, hi - lo), dim, columns, linenos)
     message = (fault or "").encode("utf-8", "surrogatepass")
@@ -330,11 +389,11 @@ def _read_csv_part(fh, columns, linenos, start):
     """Read what _parse_csv_part wrote into rows `start`.. of `columns` and
     `linenos` -> what _parse_csv_rows returned there."""
     head = np.empty(3, dtype=np.int64)
-    read_exactly(fh, head)
+    _read_exactly(fh, head)
     rows, lines, size = head.tolist()
     message = fh.read(size).decode("utf-8", "surrogatepass")
     for column in (*columns, linenos):
-        read_exactly(fh, column[start : start + rows])
+        _read_exactly(fh, column[start : start + rows])
     return rows, lines, message or None
 
 
@@ -364,8 +423,8 @@ def read_csv(path) -> EmbeddingDataset:
         # the body starts after the header's physical line; the rows that
         # follow the header on that line are this process's to parse
         body = _line_end(fh, 0, size)
-        columns, linenos = _csv_columns(fh, 0, size, dim)
-        cuts = _csv_cuts(fh, body, size, worker_count(len(linenos) * dim, _SPLIT_MIN_VALUES))
+        columns, linenos = _csv_columns(fh, dim)
+        cuts = _csv_cuts(fh, body, size, _worker_count(len(linenos) * dim))
 
         def own():
             fh.seek(0)
@@ -373,8 +432,9 @@ def read_csv(path) -> EmbeddingDataset:
             next(lines)  # the header
             return _parse_csv_rows(lines, dim, columns, linenos)
 
-        jobs = [partial(_parse_csv_part, path, lo, hi, dim) for lo, hi in zip(cuts[1:], cuts[2:])]
-        with forked(jobs, own) as (result, files):
+        ranges = zip(cuts[1:], cuts[2:])
+        jobs = [partial(_parse_csv_part, path, lo, hi, dim, columns, linenos) for lo, hi in ranges]
+        with _forked(jobs, own) as (result, files):
             n, line = 0, 1  # rows and lines so far, the header first
             for part in [None, *files]:
                 if part is not None:

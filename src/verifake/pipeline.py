@@ -197,6 +197,8 @@ def embed_stage(cfg: PipelineConfig, network, eval_raw: RawDataset) -> Embedding
 def tsne_stage(cfg: PipelineConfig, dataset: EmbeddingDataset):
     """Seeded subsample (if needed) plus the 2-D layout and KL trace."""
     tsne_cfg = cfg.tsne_config()
+    if len(dataset) < 4:
+        raise VerifakeError(f"t-SNE needs at least 4 records, the dataset has {len(dataset)}")
     rng = np.random.default_rng(child_seed(cfg.seed, "tsne"))
     if len(dataset) > cfg.tsne_max_points:
         chosen = rng.choice(len(dataset), size=cfg.tsne_max_points, replace=False)

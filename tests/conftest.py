@@ -8,8 +8,8 @@ import pytest
 @pytest.fixture(autouse=True)
 def no_child_left():
     """Fail a test that leaves a child process running or unwaited for: the
-    CSV codec forks workers, and each must be gone when its call returns
-    or raises."""
+    CSV codec (dataset_io._forked, the only code that forks) starts its
+    children, and each must be gone when its call returns or raises."""
     yield
     try:
         pid, status = os.waitpid(-1, os.WNOHANG)

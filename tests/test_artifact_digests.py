@@ -158,6 +158,6 @@ def test_artifact_bytes_match_pinned_digests(tmp_path, monkeypatch, capsys):
 def test_csv_codec_in_3_parts_matches_pinned_digests(tmp_path, monkeypatch, capsys):
     # demo.cfg's CSV is below _SPLIT_MIN_VALUES, so on its own it is one part
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(dataset_io, "worker_count", lambda size, minimum: 3)
+    monkeypatch.setattr(dataset_io, "_worker_count", lambda values: 3)
     check_digests(tmp_path, [SYNTH_CSV, EVAL_CSV], FORKED)
     capsys.readouterr()

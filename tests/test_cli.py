@@ -333,6 +333,20 @@ def test_tsne_command_checks_its_settings_before_touching_out(run_dir, tmp_path,
     assert (out / "manifest.json").read_text() == "{}\n"
 
 
+def test_tsne_on_fewer_than_4_records_fails_its_stage(run_dir, cfg_path, tmp_path, capsys):
+    # the config is fine; the dataset is too small, so the stage fails
+    small = tmp_path / "small.emb1"
+    dataset_io.write_emb1(small, read_dataset(run_dir / "embeddings.emb1").take(np.arange(3)))
+    out = tmp_path / "tsne_out"
+    argv = ["tsne", str(small), "--config", str(cfg_path), "--out", str(out)]
+    assert main(argv) == EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert "stage 'tsne' failed" in err
+    assert "has 3" in err
+    assert "config error" not in err
+    assert not (out / "manifest.json").exists()
+
+
 BAD_STAGE_SETTINGS = [
     ("train.momentum", "1.0"),
     ("train.embed_dim", "0"),
@@ -455,7 +469,7 @@ def test_failed_rerun_removes_the_old_manifest(cfg_path, tmp_path, monkeypatch, 
 
 
 def test_failed_csv_worker_exits_1(cfg_path, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(dataset_io, "worker_count", lambda size, minimum: 3)
+    monkeypatch.setattr(dataset_io, "_worker_count", lambda values: 3)
     write_rows = dataset_io._write_csv_rows
 
     def failing_in_children(dataset, lo, hi, fh):

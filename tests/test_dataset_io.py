@@ -428,12 +428,12 @@ def test_csv_lines_cut_into_pieces_match_whole_text_reader(tmp_path, monkeypatch
 
 def _split_codec(monkeypatch, parts):
     """Send every CSV file, however small, through `parts` processes."""
-    monkeypatch.setattr(dataset_io_module, "worker_count", lambda size, minimum: parts)
+    monkeypatch.setattr(dataset_io_module, "_worker_count", lambda values: parts)
 
 
 @contextlib.contextmanager
 def _jobs_in_process(jobs, own):
-    """workers.forked without the fork: each job runs here on its own
+    """dataset_io._forked without the fork: each job runs here on its own
     temp file, before own()."""
     with contextlib.ExitStack() as stack:
         files = [stack.enter_context(tempfile.TemporaryFile()) for _ in jobs]
@@ -467,7 +467,7 @@ def test_csv_split_reader_matches_whole_text_reader_at_every_cut(tmp_path, monke
     # the parts run in this process, so that every cut is cheap to try;
     # the next test forks
     _split_codec(monkeypatch, parts)
-    monkeypatch.setattr(dataset_io_module, "forked", _jobs_in_process)
+    monkeypatch.setattr(dataset_io_module, "_forked", _jobs_in_process)
     path = tmp_path / "s.csv"
     for text in _line_break_texts(brk):
         data = text.encode("ascii")
@@ -484,6 +484,29 @@ def test_csv_forked_reader_matches_whole_text_reader(tmp_path, monkeypatch, part
     for text in _line_break_texts("\r\n"):
         path.write_bytes(text.encode("ascii"))
         assert _csv_outcome(read_csv, path) == _csv_outcome(reference_read_csv, path), text
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+def test_csv_split_reader_scans_for_commas_once(tmp_path, monkeypatch, parts):
+    # each part parses into the columns sized by the one scan of the file
+    _split_codec(monkeypatch, parts)
+    monkeypatch.setattr(dataset_io_module, "_forked", _jobs_in_process)
+    scan = dataset_io_module._csv_columns
+    scans = []
+
+    def counted_scan(*args):
+        scans.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(dataset_io_module, "_csv_columns", counted_scan)
+    path = tmp_path / "c.csv"
+    for text in _line_break_texts("\n"):
+        path.write_bytes(text.encode("ascii"))
+        scans.clear()
+        outcome = _csv_outcome(read_csv, path)
+        assert outcome == _csv_outcome(reference_read_csv, path), text
+        header_fault = isinstance(outcome, tuple) and outcome[1] == 1
+        assert len(scans) == (0 if header_fault else 1), text
 
 
 def test_csv_row_on_the_header_line_is_read(tmp_path):
