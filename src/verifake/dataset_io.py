@@ -17,15 +17,16 @@ The CSV alternative has header `subject,host,realness,method,v0..v{d-1}`,
 realness spelled `real`/`fake` and the method by name. Both formats
 round-trip datasets bit-exactly (vectors are float32).
 
-Large CSV files are split across forked children, which read the parent's
-dataset or parse into their copy of its columns and hand their rows back
-through temp files. A child never runs BLAS, whose threads die in a fork.
+The CSV codec runs in this process on blocks of rows, in numpy, with the
+bytes, values, errors and line numbers of a line-at-a-time codec. The
+writer computes repr's digits of each value from 1e-4 to 1 exactly (see
+_shortest_digits), and the reader parses a value like "0.123" only where
+float() is sure to give the same float32 (see _parse_csv_block). Other
+values go to repr and float(), and a block of lines that fails a check to
+_parse_csv_rows, the reader of record for odd input and for every error.
 """
 
-import contextlib
 import os
-import sys
-from functools import partial
 
 import numpy as np
 
@@ -47,8 +48,55 @@ _HEADER_SIZE = 12  # magic, u32 record count, u32 dim
 _U32_MAX = 2**32 - 1
 _EMB1_BLOCK_ROWS = 4096  # EMB1 records packed or read together
 _CSV_PIECE_BYTES = 1 << 14  # CSV bytes read at once when no b"\n" comes sooner
-# vector components below which the CSV codec runs in this process only
-_SPLIT_MIN_VALUES = 1 << 17
+# vector components the CSV writer formats at once, and the most vector
+# components and bytes the reader parses at once: blocks of whole lines
+_CSV_WRITE_VALUES = 1 << 13
+_CSV_READ_VALUES = 1 << 11
+_CSV_READ_BYTES = 3 << 14
+_CSV_PAD = 24  # zero bytes before a read block: the words before a field reach back 24
+_CSV_TOKEN = 24  # the most bytes of a written field and its separator
+
+# 10**k for k in [0, 20], and its top 26 significand bits and the rest:
+# either part times a float32 is exact in float64
+_POW10 = np.array([float(10**k) for k in range(21)])
+_POW10_HI = (_POW10.view(np.uint64) & np.uint64(2**64 - 2**27)).view(np.float64)
+_POW10_LO = _POW10 - _POW10_HI
+_HALF_ULP_POW10 = _POW10 * 2.0**-53  # 2**e times this: half an ulp64 of [2**e, 2**(e+1)), scaled
+_F64_EXPONENT = np.uint64(0x7FF0000000000000)
+_F64_FRACTION = np.uint64(0x000FFFFFFFFFFFFF)
+# each 4-digit number as its ASCII digits in one little-endian u32
+_DIGITS4 = sum(
+    (np.arange(10_000, dtype="<u4") // 10**place % 10 + ord("0")) << 8 * (3 - place)
+    for place in range(4)
+)
+# a token's first two words for 0 to 3 zeros after the point, and the
+# last digits its last word keeps with 0 to 2 of its 17 digits dropped
+_TOKEN_LEAD = np.frombuffer(
+    b"".join(b"\0" + b"0." + b"0" * z + b"\0" * (5 - z) for z in range(4)), dtype="<u4"
+).reshape(4, 2)
+_TOKEN_TAIL = np.array([0xFFFFFF, 0xFFFF, 0xFF], dtype=np.uint32)
+# for each of the three words before a number's end, the bytes that
+# _digits_before keeps of it for a number of 0 to 20 digits, and their
+# ASCII zeros
+_WORD_KEEP = np.array(
+    [
+        [(2**64 - 1) << 8 * min(max(back - n, 0), 8) & (2**64 - 1) for n in range(21)]
+        for back in (24, 16, 8)
+    ],
+    dtype=np.uint64,
+)
+_WORD_ZEROS = _WORD_KEEP & np.uint64(0x3030303030303030)
+_SIGNED_POW10 = np.concatenate([_POW10, -_POW10])
+# every known "realness,method" pair, sorted, with its labels
+_LABELS = sorted(
+    (f"{realness},{name}".encode("ascii"), realness == "fake", code)
+    for realness in ("real", "fake")
+    for code, name in METHOD_NAMES.items()
+)
+_LABEL_BYTES = 1 + max(len(pair) for pair, _, _ in _LABELS)
+_LABEL_PAIRS = np.array([pair for pair, _, _ in _LABELS], dtype=f"S{_LABEL_BYTES}")
+_LABEL_FAKE = np.array([fake for _, fake, _ in _LABELS])
+_LABEL_METHOD = np.array([code for _, _, code in _LABELS], dtype=np.uint8)
 
 
 def _record_dtype(dim: int) -> np.dtype:
@@ -166,101 +214,133 @@ def read_emb1(path) -> EmbeddingDataset:
     return EmbeddingDataset(*columns)
 
 
-def _worker_count(values) -> int:
-    """The number of processes to split the CSV codec's work on `values`
-    vector components across: the usable CPUs from _SPLIT_MIN_VALUES on,
-    where os.fork and os.sched_getaffinity exist; else 1."""
-    if values >= _SPLIT_MIN_VALUES and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return 1
+def _shortest_digits(v):
+    """The digits of repr(v) for float64 `v`, each a widened float32 with
+    1e-4 <= v < 1 -> (digits, dropped, zeros, done): where `done`,
+    repr(v) is "0.", `zeros` zeros, then the 17-digit int `digits`
+    without its last `dropped` digits, which are zeros.
+
+    T = v * 10**(17 + zeros) has 17 digits before the point and is exact
+    as an int plus r. Its 17-digit rounding lies in v's float64 rounding
+    interval, which is closed, as a widened float32 has an even
+    significand, and half as deep below a power of two. Like repr, the
+    digits are cut while a multiple of 10 or 100 lies in that interval,
+    keeping the nearer candidate, at a tie the one with an even last
+    digit. Where a multiple of 1000 does too (about 1 value in 200), v is
+    not `done`."""
+    zeros = (v < 0.1).astype(np.int8) + (v < 0.01) + (v < 0.001)
+    k = zeros + 17
+    # T == hi + r exactly: each part of 10**k times v is exact, and
+    # TwoSum adds them without loss
+    a, b = v * _POW10_HI.take(k), v * _POW10_LO.take(k)
+    hi = a + b
+    b_part = hi - a
+    r = (a - (hi - b_part)) + (b - b_part)
+    del a, b, b_part
+    base = hi.astype(np.int64)
+    del hi
+    rounded = np.rint(r)
+    base += rounded.astype(np.int64)
+    r -= rounded  # T == base + r, |r| <= 1/2
+    del rounded
+    bits = v.view(np.uint64)
+    up = (bits & _F64_EXPONENT).view(np.float64)
+    up *= _HALF_ULP_POW10.take(k)
+    del k
+    low = np.where(bits & _F64_FRACTION, up, 0.5 * up)  # both over 1/2
+    digits, dropped = base.copy(), np.zeros(len(v), dtype=np.int8)
+    for step in (10, 100):
+        # the nearest multiples of step lie q + r below T and u - r above
+        quotient = base // step
+        even = quotient & 1 == 0
+        q = base - quotient * step
+        del quotient
+        u = step - q
+        down = q + r <= low
+        rise = u - r <= up
+        # both lie inside only for step 10: then the nearer, at a tie the
+        # one with an even last digit
+        u -= q
+        twice = 2 * r
+        keep_down = down & ((twice < u) | ((twice == u) & even))
+        del u, twice, even
+        q -= step * (rise & ~keep_down)
+        shorter = down | rise
+        np.subtract(base, q, out=digits, where=shorter)
+        dropped += shorter
+    # a multiple of 100 in the interval is the only one, and where it is a
+    # multiple of 1000, repr cuts more digits
+    return digits, dropped, zeros, digits - digits // 1000 * 1000 != 0
 
 
-@contextlib.contextmanager
-def _forked(jobs, own):
-    """Run each of `jobs` in a forked child on an anonymous temp file it
-    writes its output to, and own() here meanwhile. Yields own()'s result
-    and the children's files, rewound and in job order, once every child
-    has exited. A child that fails raises OSError."""
-    import tempfile
+def _csv_tokens(x) -> np.ndarray:
+    """Float32 values `x` as CSV tokens: row i of the (len(x), _CSV_TOKEN)
+    uint8 result holds the characters of repr(float(x[i])) in order, with zero
+    bytes between them, then a comma. From 1e-4 to 1 in magnitude the
+    digits are _shortest_digits'; repr writes the others.
 
-    with contextlib.ExitStack() as stack:
-        # made before the forks, so that each child inherits its file
-        files = [stack.enter_context(tempfile.TemporaryFile()) for _ in jobs]
-        pids = []
-        try:
-            for job, out in zip(jobs, files):
-                pid = os.fork()
-                if pid == 0:  # os._exit: never the parent's cleanup or buffers
-                    code = 1
-                    try:
-                        job(out)
-                        out.flush()
-                        code = 0
-                    except Exception:
-                        import traceback
-
-                        traceback.print_exc()
-                        sys.stderr.flush()
-                    finally:
-                        os._exit(code)
-                pids.append(pid)
-            result = own()
-        finally:
-            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-        failed = [code for code in codes if code]
-        if failed:
-            raise OSError(
-                f"{len(failed)} of {len(jobs)} worker processes failed (exit codes {failed})"
-            )
-        for out in files:
-            out.seek(0)
-        yield result, files
+    A token is six little-endian u32 words: [sign, "0", ".", zero],
+    [zero, zero, 2 digits], three of 4 digits, [3 digits, comma]."""
+    with np.errstate(invalid="ignore"):  # a signaling NaN
+        v = np.abs(x).astype(np.float64)
+    fast = (v >= 1e-4) & (v < 1.0)
+    v[~fast] = np.float32(0.1)  # a stand-in with 17 digits, which repr overwrites
+    digits, dropped, zeros, done = _shortest_digits(v)
+    fast &= done & (digits >= 10**16) & (digits < 10**17)  # always 17 digits; repr writes any other
+    tokens = np.empty((len(x), 6), dtype=np.uint32)
+    tokens[:, :2] = _TOKEN_LEAD.take(zeros, axis=0)
+    tokens[:, 0] |= (x < 0) * np.uint32(ord("-"))
+    top = digits // 10**15
+    rest = digits - top * 10**15
+    tokens[:, 1] |= _DIGITS4.take(top) & 0xFFFF0000
+    for col, scale in enumerate((10**11, 10**7, 10**3), start=2):
+        group = rest // scale
+        rest -= group * scale
+        tokens[:, col] = _DIGITS4.take(group)
+    tokens[:, 5] = (_DIGITS4.take(rest * 10) & _TOKEN_TAIL.take(dropped)) | (ord(",") << 24)
+    tokens = tokens.view(np.uint8)
+    slow = np.flatnonzero(~fast)
+    if slow.size:  # at most 23 characters: a sign, 17 digits, a point and e-45
+        text = np.array([repr(value) for value in x[slow].tolist()], dtype="S23")
+        tokens[slow, :23] = text.view(np.uint8).reshape(-1, 23)
+    return tokens
 
 
-def _read_exactly(fh, buffer) -> None:
-    """Fill `buffer` from what a worker wrote to `fh`."""
-    if fh.readinto(buffer) != memoryview(buffer).nbytes:
-        raise OSError("a worker process wrote a truncated result")
-
-
-def _write_csv_rows(dataset, lo, hi, fh) -> None:
-    """Write rows [lo, hi) of `dataset` to binary file `fh` as CSV lines."""
+def _format_csv_rows(dataset, lo, hi) -> np.ndarray:
+    """Rows [lo, hi) of `dataset` as the bytes of their CSV lines: each
+    line's labels from Python, its values from _csv_tokens, and the zero
+    bytes between them dropped at once."""
     labels = zip(
         dataset.subject[lo:hi].tolist(),
         dataset.host[lo:hi].tolist(),
         dataset.fake[lo:hi].tolist(),
         dataset.method[lo:hi].tolist(),
     )
-    # one row's floats at a time: a whole-matrix tolist() would hold
-    # every component as a Python float at once
-    fh.writelines(
-        f"{subject},{host},{'fake' if fake else 'real'},{METHOD_NAMES[method]},"
-        f"{','.join(map(repr, row.tolist()))}\n".encode("ascii")
-        for (subject, host, fake, method), row in zip(labels, dataset.vectors[lo:hi])
+    heads = np.array(
+        [
+            f"{subject},{host},{'fake' if fake else 'real'},{METHOD_NAMES[method]},"
+            for subject, host, fake, method in labels
+        ],
+        dtype="S",
     )
+    tokens = _csv_tokens(dataset.vectors[lo:hi].ravel()).reshape(hi - lo, -1)
+    tokens[:, -1] = ord("\n")
+    lines = np.concatenate([heads.view(np.uint8).reshape(hi - lo, -1), tokens], axis=1)
+    del tokens
+    return lines[lines != 0]
 
 
 def write_csv(path, dataset: EmbeddingDataset) -> None:
-    """Write `dataset` as CSV. Values use full-precision decimal so the
-    float32 components round-trip exactly.
-
-    From _SPLIT_MIN_VALUES vector components on, the rows are cut into one
-    contiguous range per worker: this process writes the first range
-    straight into the file, forked children format the others into temp
-    files, and those are appended in order. The bytes do not depend on
-    the split."""
-    import shutil
-
+    """Write `dataset` as CSV. Each value is repr(float(value)), the
+    shortest decimal that reads back as the same float32, written
+    _CSV_WRITE_VALUES components at a time (see _csv_tokens)."""
     n = len(dataset)
-    parts = _worker_count(n * dataset.dim)
-    bounds = [n * i // parts for i in range(parts + 1)]
+    rows = max(1, _CSV_WRITE_VALUES // dataset.dim)
     header = "subject,host,realness,method," + ",".join(f"v{i}" for i in range(dataset.dim))
-    jobs = [partial(_write_csv_rows, dataset, lo, hi) for lo, hi in zip(bounds[1:], bounds[2:])]
     with open(path, "wb") as fh:
         fh.write(f"{header}\n".encode("ascii"))
-        with _forked(jobs, partial(_write_csv_rows, dataset, 0, bounds[1], fh)) as (_, files):
-            for part in files:
-                shutil.copyfileobj(part, fh)
+        for lo in range(0, n, rows):
+            fh.write(_format_csv_rows(dataset, lo, min(lo + rows, n)))
 
 
 def _csv_lines(fh, size):
@@ -321,15 +401,6 @@ def _csv_columns(fh, dim):
     return columns, np.empty(rows, dtype=np.int64)
 
 
-def _csv_cuts(fh, lo, hi, parts) -> list:
-    """Offsets [lo, ..., hi] that cut bytes [lo, hi) of binary file `fh`
-    into `parts` ranges of about equal size, each cut just after a b"\\n"."""
-    cuts = [lo]
-    for i in range(1, parts):
-        cuts.append(_line_end(fh, max(lo + (hi - lo) * i // parts - 1, cuts[-1]), hi))
-    return cuts + [hi]
-
-
 def _parse_csv_rows(lines, dim, columns, linenos):
     """Parse CSV data `lines` into rows 0.. of `columns` (vectors, subject,
     host, fake, method), and their line numbers, counted from 1, into
@@ -370,42 +441,157 @@ def _parse_csv_rows(lines, dim, columns, linenos):
     return row, lineno, None
 
 
-def _parse_csv_part(path, lo, hi, dim, columns, linenos, out) -> None:
-    """Child job of read_csv: parse bytes [lo, hi) of `path` into rows 0..
-    of `columns` and `linenos`, the child's copy of the parent's, and write
-    to `out` the row count, the line count and the fault message's length
-    (0 for none) as int64, the message, then those rows as raw bytes."""
-    with open(path, "rb") as fh:
-        fh.seek(lo)
-        rows, lines, fault = _parse_csv_rows(_csv_lines(fh, hi - lo), dim, columns, linenos)
-    message = (fault or "").encode("utf-8", "surrogatepass")
-    out.write(np.array([rows, lines, len(message)], dtype=np.int64))
-    out.write(message)
-    for column in (*columns, linenos):
-        out.write(column[:rows])
+def _digits_before(buf, end, count):
+    """The numbers that the `count` bytes before each offset `end` of
+    buf[_CSV_PAD:] spell in ASCII digits -> (numbers, whether each spells
+    one below 10**17). A count must be 0 to 20.
+
+    Each of the three little-endian words before `end` keeps its digits,
+    as values; its bytes before them become 0. A byte that is not a
+    digit, or the borrow of one, sets a top bit of its word's flags. The
+    first word must hold one digit at most; the other two become numbers
+    by three multiplies each (Lemire's SWAR parse)."""
+    total = np.empty(end.shape, dtype=np.uint64)
+    scratch = np.empty_like(total)
+    ok = None
+    for skip, keep, zeros in zip((0, 8, 16), _WORD_KEEP, _WORD_ZEROS):
+        # element i: the word at byte i + skip of buf, 24 - skip bytes
+        # before byte i of buf[_CSV_PAD:]
+        words = np.ndarray((len(buf) - 31,), dtype="<u8", buffer=buf, offset=skip, strides=(1,))
+        word = words[end]
+        word &= keep.take(count, out=scratch, mode="clip")
+        word -= zeros.take(count, out=scratch, mode="clip")
+        if ok is None:
+            ok = (word & 0x00FFFFFFFFFFFFFF == 0) & (word < 10 << 56)
+            np.right_shift(word, 56, out=total)
+            del word
+            continue
+        np.add(word, 0x7676767676767676, out=scratch)
+        scratch |= word
+        scratch &= 0x8080808080808080
+        ok &= scratch == 0
+        word *= 2561  # 10 << 8 | 1: pairs
+        word >>= 8
+        word &= 0x00FF00FF00FF00FF
+        word *= 6553601  # 100 << 16 | 1: fours
+        word >>= 16
+        word &= 0x0000FFFF0000FFFF
+        word *= 42949672960001  # 10000 << 32 | 1: eight
+        word >>= 32
+        total *= 10**8
+        total += word
+        del word
+    return total, ok
 
 
-def _read_csv_part(fh, columns, linenos, start):
-    """Read what _parse_csv_part wrote into rows `start`.. of `columns` and
-    `linenos` -> what _parse_csv_rows returned there."""
-    head = np.empty(3, dtype=np.int64)
-    _read_exactly(fh, head)
-    rows, lines, size = head.tolist()
-    message = fh.read(size).decode("utf-8", "surrogatepass")
-    for column in (*columns, linenos):
-        _read_exactly(fh, column[start : start + rows])
-    return rows, lines, message or None
+def _parse_csv_block(buf, size, dim, columns, linenos, line):
+    """Parse the lines of the block buf[_CSV_PAD : _CSV_PAD + size], each
+    ending in b"\\n", into rows 0.. of `columns` and `linenos`, numbering
+    them on from `line` -> the row count, or None, having stored nothing,
+    when a check fails:
+
+    - every byte is a b"\\n", a comma, or ASCII from "-" to "~";
+    - each line holds 3 + dim commas, ids of 1 to 10 plain digits that fit
+      u32, and a known realness and method;
+    - float() reads each value as _parse_csv_rows does: a ValueError
+      fails the block.
+
+    A value "0." or "-0." then D, m digits with m <= 20 and D < 10**17,
+    is c = float32(y) for y = D / 10**m in float64, if
+    |y - c| < 1/8 ulp32(c). y is within 2**-52 of D / 10**m and so is
+    float(token), relatively, so float(token) lies strictly within a
+    quarter ulp32 of c, inside c's float32 rounding interval: c is what
+    _parse_csv_rows stores. Any other value goes through float().
+
+    Offsets count from the block's start; 8 bytes of `buf` follow it."""
+    block = buf[_CSV_PAD : _CSV_PAD + size]
+    if block.max() > 0x7E:
+        return None
+    seps = np.flatnonzero(block < ord("-"))  # each must be a comma or a b"\n"
+    if seps.size % (4 + dim):
+        return None
+    rows = seps.size // (4 + dim)
+    grid = seps.reshape(rows, -1)
+    kinds = block.take(grid)
+    kinds[:, -1] ^= ord(",") ^ ord("\n")  # a b"\n" ends each line, commas all else
+    if (kinds != ord(",")).any():
+        return None  # a line of another comma count, or an empty one
+    starts = np.empty_like(grid)
+    starts[0, 0] = 0
+    starts.flat[1:] = seps[:-1] + 1
+    span = starts[:, 2, None] + np.arange(_LABEL_BYTES)
+    pairs = block.take(span, mode="clip")
+    pairs[span >= grid[:, 3, None]] = 0
+    pairs = pairs.view(f"S{_LABEL_BYTES}").ravel()
+    at = np.searchsorted(_LABEL_PAIRS, pairs).clip(max=len(_LABEL_PAIRS) - 1)
+    if not (_LABEL_PAIRS[at] == pairs).all():
+        return None
+    del span, pairs
+
+    # each field as a run of digits before its end, where the ids and,
+    # after "0." or "-0.", the values are
+    point = starts[:, 4:]
+    minus = block.take(point, mode="clip") == ord("-")
+    point += minus
+    fast = block.take(point, mode="clip") == ord("0")
+    point += 1
+    fast &= block.take(point, mode="clip") == ord(".")
+    point += 1
+    count = np.subtract(grid, starts, out=starts)
+    del starts
+    fast &= (count[:, 4:] >= 1) & (count[:, 4:] <= 20)
+    ids_ok = (count[:, :2] >= 1) & (count[:, :2] <= 10)
+    np.minimum(np.maximum(count, 0, out=count), 20, out=count)
+    number, ok = _digits_before(buf, grid, count)
+    ids = number[:, :2].copy()
+    if not (ids_ok & ok[:, :2] & (ids <= _U32_MAX)).all():
+        return None
+    fast &= ok[:, 4:]
+    del ok, ids_ok
+    end, number, count = grid[:, 4:], number[:, 4:], count[:, 4:]
+    count += minus * len(_POW10)
+    y = number.astype(np.float64)
+    del number
+    y /= _SIGNED_POW10.take(count)
+    del count
+    value = y.astype(np.float32)
+    y -= value
+    binade = np.maximum(value.view(np.uint32) & 0x7F800000, 0x00800000).view(np.float32)
+    np.abs(y, out=y)
+    y *= 2.0**26
+    fast &= y < binade  # |y - c| < 2**-3 * 2**-23 * 2**e
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        start = grid[:, 3:-1].flat[slow] + 1
+        try:
+            floats = [
+                float(block[a:b].tobytes().decode("ascii"))
+                for a, b in zip(start.tolist(), end.flat[slow].tolist())
+            ]
+        except ValueError:
+            return None
+        with np.errstate(over="ignore"):  # out-of-range values become inf: a fault
+            value.flat[slow] = floats
+    vectors, subject, host, fake, method = columns
+    vectors[:rows] = value
+    subject[:rows] = ids[:, 0]
+    host[:rows] = ids[:, 1]
+    fake[:rows] = _LABEL_FAKE.take(at)
+    method[:rows] = _LABEL_METHOD.take(at)
+    linenos[:rows] = np.arange(line + 1, line + 1 + rows)
+    return rows
 
 
 def read_csv(path) -> EmbeddingDataset:
     """Read the CSV embedding format; FormatError names the line.
 
     The file is read as a stream of lines, counted as str.splitlines()
-    counts the lines of the whole text, into columns allocated once. From
-    _SPLIT_MIN_VALUES vector components on, the body is cut at b"\\n"
-    boundaries into one range per worker: this process parses the first
-    range, forked children parse the others, and their rows are read
-    straight into the columns. The earliest fault is reported."""
+    counts the lines of the whole text, into columns allocated once. The
+    body goes through _parse_csv_block in blocks of whole b"\\n" lines, at
+    most _CSV_READ_VALUES vector components and _CSV_READ_BYTES bytes (or
+    one written line) each. _parse_csv_rows reads the header's physical
+    line, a longer line and a block that fails a check, and reports the
+    earliest fault."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         header = next(_csv_lines(fh, size), None)
@@ -420,31 +606,42 @@ def read_csv(path) -> EmbeddingDataset:
         if cols[4:] != [f"v{i}" for i in range(dim)]:
             raise FormatError("value columns must be v0..v{d-1}", line=1)
 
-        # the body starts after the header's physical line; the rows that
-        # follow the header on that line are this process's to parse
-        body = _line_end(fh, 0, size)
+        # the rows that follow the header on its physical line are read
+        # line by line, the rest of the body in blocks of whole lines
+        pos = _line_end(fh, 0, size)
         columns, linenos = _csv_columns(fh, dim)
-        cuts = _csv_cuts(fh, body, size, _worker_count(len(linenos) * dim))
-
-        def own():
-            fh.seek(0)
-            lines = _csv_lines(fh, cuts[1])
-            next(lines)  # the header
-            return _parse_csv_rows(lines, dim, columns, linenos)
-
-        ranges = zip(cuts[1:], cuts[2:])
-        jobs = [partial(_parse_csv_part, path, lo, hi, dim, columns, linenos) for lo, hi in ranges]
-        with _forked(jobs, own) as (result, files):
-            n, line = 0, 1  # rows and lines so far, the header first
-            for part in [None, *files]:
-                if part is not None:
-                    result = _read_csv_part(part, columns, linenos, n)
-                rows, lines, fault = result
+        fh.seek(0)
+        lines = _csv_lines(fh, pos)
+        next(lines)  # the header
+        n, line, fault = _parse_csv_rows(lines, dim, columns, linenos)
+        linenos[:n] += 1
+        line += 1
+        room = max(_CSV_READ_BYTES, _CSV_TOKEN * (4 + dim))  # a whole written line fits
+        buf = np.zeros(_CSV_PAD + room + 8, dtype=np.uint8)
+        most = max(1, _CSV_READ_VALUES // dim)
+        while fault is None and pos < size:
+            fh.seek(pos)
+            got = fh.readinto(memoryview(buf)[_CSV_PAD : _CSV_PAD + min(room, size - pos)])
+            breaks = np.flatnonzero(buf[_CSV_PAD : _CSV_PAD + got] == ord("\n"))[:most]
+            rest = tuple(column[n:] for column in columns)
+            rows = None
+            if breaks.size:
+                end = pos + int(breaks[-1]) + 1
+                rows = _parse_csv_block(buf, end - pos, dim, rest, linenos[n:], line)
+            else:  # a line longer than the buffer
+                end = _line_end(fh, pos, size)
+            if rows is None:
+                fh.seek(pos)
+                rows, lines, fault = _parse_csv_rows(
+                    _csv_lines(fh, end - pos), dim, rest, linenos[n:]
+                )
                 linenos[n : n + rows] += line
-                n += rows
-                line += lines
-                if fault is not None:  # on the last line read
-                    break
+            else:
+                lines = rows
+            n += rows
+            line += lines
+            pos = end
+        del buf  # the record checks below peak without it
 
     # the rows before the first syntax fault; an earlier label or vector
     # fault is reported first

@@ -7,6 +7,7 @@ space: an identity swap blends a donor embedding into a host embedding,
 an expression swap perturbs a host embedding in place.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,7 +89,7 @@ def swap_noise(gen: np.random.Generator, sigma: float, dim: int) -> np.ndarray:
     """One fake's noise: isotropic Gaussian whose expected total magnitude
     is sigma (the per-component std is sigma/sqrt(d)), so the perturbation
     strength does not grow with the embedding dimension."""
-    return gen.normal(0.0, sigma / np.sqrt(dim), size=dim)
+    return gen.normal(0.0, sigma / math.sqrt(dim), size=dim)
 
 
 def draws_noise(alpha: float, sigma: float, identity_swap: bool) -> bool:

@@ -7,10 +7,9 @@ when every subcommand began to end with one, and so did the `train-*`
 files of the six losses, recorded before the margin loss's forward and
 backward passes became one call. The four t-SNE files (`tsne.csv` and
 `kl_trace.csv` of `run` and `tsne`) were pinned again when the descent began
-to compute each pair once, which sums in another order. `demo.cfg`'s CSV
-is below the codec's split threshold, so the full run codes it in this
-process; the files that the forked CSV codec writes are checked once more
-with it cut into 3 parts. Reruns are byte-identical for one
+to compute each pair once, which sums in another order. The files that
+go through the CSV codec are checked once more with its blocks cut small,
+so that the reader's cuts fall inside lines. Reruns are byte-identical for one
 numpy version, SIMD tier and BLAS core; numpy's vector loops and a BLAS
 kernel with another FMA order may change the bytes on another host, so a
 mismatch names all three.
@@ -24,6 +23,7 @@ import numpy as np
 
 from verifake import dataset_io
 from verifake.cli import EXIT_OK, main
+from verifake.config import load_config
 from verifake.losses import LOSS_NAMES
 
 DEMO = Path(__file__).resolve().parents[1] / "demo.cfg"
@@ -42,8 +42,8 @@ COMMANDS = [
     ),
 ]
 SYNTH_CSV, EVAL_CSV = COMMANDS[3:5]
-# the pinned files that forked code writes: the CSV codec's
-FORKED = ("synth-csv/", "eval-csv/")
+# the pinned files that the CSV codec writes or reads
+CSV_CODED = ("synth-csv/", "eval-csv/")
 
 DIGESTS = {
     "eval-csv/manifest.json": "a7a4b50ba9f84ef5e17b82653672eae81550372baf86dea72ef44e7308e38034",
@@ -155,9 +155,13 @@ def test_artifact_bytes_match_pinned_digests(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_csv_codec_in_3_parts_matches_pinned_digests(tmp_path, monkeypatch, capsys):
-    # demo.cfg's CSV is below _SPLIT_MIN_VALUES, so on its own it is one part
+def test_csv_codec_in_small_blocks_matches_pinned_digests(tmp_path, monkeypatch, capsys):
+    # the writer's blocks hold 3 rows, the reader's 2, and each read of
+    # 1,000 bytes, a line and a half, ends inside a line
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(dataset_io, "_worker_count", lambda values: 3)
-    check_digests(tmp_path, [SYNTH_CSV, EVAL_CSV], FORKED)
+    dim = load_config(DEMO).raw_dim  # synth writes its samples as they are
+    monkeypatch.setattr(dataset_io, "_CSV_WRITE_VALUES", 3 * dim)
+    monkeypatch.setattr(dataset_io, "_CSV_READ_VALUES", 2 * dim)
+    monkeypatch.setattr(dataset_io, "_CSV_READ_BYTES", 1_000)
+    check_digests(tmp_path, [SYNTH_CSV, EVAL_CSV], CSV_CODED)
     capsys.readouterr()

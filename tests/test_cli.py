@@ -8,7 +8,6 @@ import os
 import re
 import subprocess
 import sys
-import tempfile
 import weakref
 from pathlib import Path
 
@@ -465,27 +464,6 @@ def test_failed_rerun_removes_the_old_manifest(cfg_path, tmp_path, monkeypatch, 
     assert "stage 'embed' failed" in capsys.readouterr().err
     # train_curve.csv was rewritten before the failure, and no manifest vouches for it
     assert (out / "train_curve.csv").is_file()
-    assert not (out / "manifest.json").exists()
-
-
-def test_failed_csv_worker_exits_1(cfg_path, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(dataset_io, "_worker_count", lambda values: 3)
-    write_rows = dataset_io._write_csv_rows
-
-    def failing_in_children(dataset, lo, hi, fh):
-        if lo > 0:  # not the first range, which this process writes
-            raise RuntimeError("worker fault")
-        write_rows(dataset, lo, hi, fh)
-
-    monkeypatch.setattr(dataset_io, "_write_csv_rows", failing_in_children)
-    temp_dir = tmp_path / "temp"
-    temp_dir.mkdir()
-    monkeypatch.setattr(tempfile, "tempdir", str(temp_dir))
-    out = tmp_path / "synth_csv"
-    argv = ["synth", "--config", str(cfg_path), "--out", str(out), "--format", "csv"]
-    assert main(argv) == EXIT_FAILURE
-    assert "2 of 2 worker processes failed" in capsys.readouterr().err
-    assert list(temp_dir.iterdir()) == []
     assert not (out / "manifest.json").exists()
 
 

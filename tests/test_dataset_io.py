@@ -1,9 +1,7 @@
 """EMB1 binary format and CSV twin: round trips and corruption checks."""
 
-import contextlib
-import itertools
+import decimal
 import struct
-import tempfile
 
 import numpy as np
 import pytest
@@ -96,6 +94,68 @@ def test_writers_match_per_record_reference_bytes(tmp_path, monkeypatch, fmt):
     assert read_dataset(ref) == ds
 
 
+def _reference_bytes(tmp_path, ds):
+    ref = tmp_path / "ref.csv"
+    reference_write_csv(ref, ds.dim, records_of(ds))
+    return ref.read_bytes()
+
+
+def _values_dataset(values, dim=64):
+    """`values`, padded with 0.5, as the rows of a dataset of reals."""
+    values = np.asarray(values, dtype=np.float32)
+    rows = np.full(-(-len(values) // dim) * dim, 0.5, dtype=np.float32)
+    rows[: len(values)] = values
+    rows = rows.reshape(-1, dim)
+    return EmbeddingDataset.reals(np.arange(len(rows)), rows)
+
+
+def test_csv_writer_matches_repr_at_the_edges(tmp_path):
+    tiny, huge = np.float32(2.0**-149), np.finfo(np.float32).max
+    edges = [2.0**e for e in range(-149, 128)]  # every float32 power of two
+    edges += [0.0, -0.0, huge, -huge, np.inf, -np.inf, np.nan]
+    edges += [tiny, tiny * 3, np.float32(2.0**-126) - tiny]  # subnormals
+    for point in (1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0):
+        below = above = np.float32(point)
+        for _ in range(3):
+            below, above = np.nextafter(below, np.float32(0)), np.nextafter(above, np.float32(2))
+            edges += [below, above]
+        edges.append(np.float32(point))
+    values = np.array(edges, dtype=np.float32)
+    ds = _values_dataset(np.concatenate([values, -values]))
+    path = tmp_path / "e.csv"
+    write_csv(path, ds)
+    assert path.read_bytes() == _reference_bytes(tmp_path, ds)
+
+
+def test_csv_writer_matches_repr_on_random_bit_patterns(tmp_path):
+    # 1,000,000 float32 bit patterns: half of them anything (NaNs too),
+    # half of them between 1e-4 and 1 in magnitude, where the digits are
+    # computed rather than written by repr
+    rng = np.random.default_rng(2024)
+    low, high = (np.array([1e-4, 1.0], dtype=np.float32)).view(np.uint32)
+    signs = rng.integers(0, 2, 500_000, dtype=np.uint32) << 31
+    bits = np.concatenate([
+        rng.integers(0, 2**32, 500_000, dtype=np.uint32),
+        rng.integers(low, high, 500_000, dtype=np.uint32) | signs,
+    ])
+    ds = _values_dataset(bits.view(np.float32))
+    path = tmp_path / "r.csv"
+    write_csv(path, ds)
+    assert path.read_bytes() == _reference_bytes(tmp_path, ds)
+
+
+def test_csv_empty_dataset_writes_only_the_header(tmp_path):
+    ds = EmbeddingDataset.reals([], np.zeros((0, 3)))
+    path = tmp_path / "empty.csv"
+    write_csv(path, ds)
+    assert path.read_bytes() == b"subject,host,realness,method,v0,v1,v2\n"
+    assert read_csv(path) == ds
+
+
+def _unit_rows(vectors):
+    return vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
+
+
 def _basis_reals(n, dim):
     """n real records whose vectors cycle through the unit basis: cheap to
     write as CSV."""
@@ -134,6 +194,19 @@ def test_csv_reader_streams_lines_ending_in_cr(tmp_path):
     assert back == ds
     columns = sum(column.nbytes for column in back._columns())
     assert peak <= 1.6 * columns, f"peak {peak} bytes is {peak / columns:.2f}x the columns"
+
+
+def test_csv_writer_working_set_is_one_block(tmp_path):
+    # rows are formatted and written a block at a time: at 20,000 rows of
+    # dim 32 the peak is one block's arrays, 8,192 values at about 100
+    # bytes each, under 0.3 of the columns
+    rng = np.random.default_rng(2)
+    ds = EmbeddingDataset.reals(np.arange(20_000) % 40, _unit_rows(rng.normal(size=(20_000, 32))))
+    path = tmp_path / "w.csv"
+    _, peak = traced_peak(write_csv, path, ds)
+    columns = sum(column.nbytes for column in ds._columns())
+    assert peak <= 0.3 * columns, f"peak {peak} bytes is {peak / columns:.2f}x the columns"
+    assert read_csv(path) == ds
 
 
 def test_emb1_reader_working_set_is_bounded(tmp_path):
@@ -426,71 +499,46 @@ def test_csv_lines_cut_into_pieces_match_whole_text_reader(tmp_path, monkeypatch
         assert _csv_outcome(read_csv, path) == _csv_outcome(reference_read_csv, path), repr(text)
 
 
-def _split_codec(monkeypatch, parts):
-    """Send every CSV file, however small, through `parts` processes."""
-    monkeypatch.setattr(dataset_io_module, "_worker_count", lambda values: parts)
-
-
-@contextlib.contextmanager
-def _jobs_in_process(jobs, own):
-    """dataset_io._forked without the fork: each job runs here on its own
-    temp file, before own()."""
-    with contextlib.ExitStack() as stack:
-        files = [stack.enter_context(tempfile.TemporaryFile()) for _ in jobs]
-        for job, out in zip(jobs, files):
-            job(out)
-            out.seek(0)
-        yield own(), files
-
-
-def _every_cut(monkeypatch, data, parts):
-    """Cuts for the reader's 2 or 3 ranges that put each cut at each
-    b"\\n" boundary of the body of `data`; 3 ranges have a middle one that
-    is empty or one physical line long. The reader uses the cuts yielded
-    last."""
-    body = data.find(b"\n") + 1 or len(data)
-    ends = sorted({i + 1 for i in range(body - 1, len(data)) if data[i] == ord("\n")} | {len(data)})
-    if parts == 2:
-        choices = [[end] for end in ends]
-    else:
-        choices = [[a, a] for a in ends] + [[a, b] for a, b in zip(ends, ends[1:])]
-    for cuts in choices:
-        monkeypatch.setattr(
-            dataset_io_module, "_csv_cuts", lambda fh, lo, hi, k, cuts=cuts: [lo, *cuts, hi]
-        )
-        yield cuts
-
-
-@pytest.mark.parametrize("parts", [2, 3])
+@pytest.mark.parametrize("read_bytes", [1, 2, 7, 64])
 @pytest.mark.parametrize("brk", LINE_BREAKS)
-def test_csv_split_reader_matches_whole_text_reader_at_every_cut(tmp_path, monkeypatch, brk, parts):
-    # the parts run in this process, so that every cut is cheap to try;
-    # the next test forks
-    _split_codec(monkeypatch, parts)
-    monkeypatch.setattr(dataset_io_module, "_forked", _jobs_in_process)
+def test_csv_blocks_of_every_size_match_whole_text_reader(tmp_path, monkeypatch, brk, read_bytes):
+    # one-row blocks, and reads that end inside lines and inside "\r\n"
+    monkeypatch.setattr(dataset_io_module, "_CSV_READ_VALUES", 2)
+    monkeypatch.setattr(dataset_io_module, "_CSV_READ_BYTES", read_bytes)
+    monkeypatch.setattr(dataset_io_module, "_CSV_TOKEN", 1)
+    path = tmp_path / "k.csv"
+    for text in _line_break_texts(brk):
+        path.write_bytes(text.encode("ascii"))
+        assert _csv_outcome(read_csv, path) == _csv_outcome(reference_read_csv, path), repr(text)
+
+
+def _split_codec(monkeypatch, rows):
+    """Cut the body of every CSV file, however small, into blocks of at
+    most `rows` rows."""
+    monkeypatch.setattr(dataset_io_module, "_CSV_READ_VALUES", rows * 2)
+    monkeypatch.setattr(dataset_io_module, "_CSV_TOKEN", 1)
+
+
+@pytest.mark.parametrize("rows", [2, 3])
+@pytest.mark.parametrize("brk", LINE_BREAKS)
+def test_csv_split_reader_matches_whole_text_reader_at_every_cut(tmp_path, monkeypatch, brk, rows):
+    # reads of every byte count: each b"\n" boundary of the body ends a
+    # block of one to `rows` rows somewhere
+    _split_codec(monkeypatch, rows)
     path = tmp_path / "s.csv"
     for text in _line_break_texts(brk):
         data = text.encode("ascii")
         path.write_bytes(data)
         expected = _csv_outcome(reference_read_csv, path)
-        for cuts in _every_cut(monkeypatch, data, parts):
-            assert _csv_outcome(read_csv, path) == expected, (text, cuts)
+        for read_bytes in range(1, len(data) + 1):
+            monkeypatch.setattr(dataset_io_module, "_CSV_READ_BYTES", read_bytes)
+            assert _csv_outcome(read_csv, path) == expected, (text, read_bytes)
 
 
-@pytest.mark.parametrize("parts", [2, 3])
-def test_csv_forked_reader_matches_whole_text_reader(tmp_path, monkeypatch, parts):
-    _split_codec(monkeypatch, parts)
-    path = tmp_path / "f.csv"
-    for text in _line_break_texts("\r\n"):
-        path.write_bytes(text.encode("ascii"))
-        assert _csv_outcome(read_csv, path) == _csv_outcome(reference_read_csv, path), text
-
-
-@pytest.mark.parametrize("parts", [2, 3])
-def test_csv_split_reader_scans_for_commas_once(tmp_path, monkeypatch, parts):
-    # each part parses into the columns sized by the one scan of the file
-    _split_codec(monkeypatch, parts)
-    monkeypatch.setattr(dataset_io_module, "_forked", _jobs_in_process)
+@pytest.mark.parametrize("rows", [2, 3])
+def test_csv_split_reader_scans_for_commas_once(tmp_path, monkeypatch, rows):
+    # each block parses into the columns sized by the one scan of the file
+    _split_codec(monkeypatch, rows)
     scan = dataset_io_module._csv_columns
     scans = []
 
@@ -509,6 +557,101 @@ def test_csv_split_reader_scans_for_commas_once(tmp_path, monkeypatch, parts):
         assert len(scans) == (0 if header_fault else 1), text
 
 
+def _line_reader_outcome(monkeypatch, path):
+    """read_csv's outcome with every block sent to the line reader."""
+    with monkeypatch.context() as patch:
+        patch.setattr(dataset_io_module, "_parse_csv_block", lambda *args: None)
+        return _csv_outcome(read_csv, path)
+
+
+def _matches_line_reader(monkeypatch, path):
+    outcome = _csv_outcome(read_csv, path)
+    assert outcome == _line_reader_outcome(monkeypatch, path)
+    assert outcome == _csv_outcome(reference_read_csv, path)
+    return outcome
+
+
+def test_csv_block_reader_takes_canonical_files(tmp_path, monkeypatch):
+    # values of every kind the writer writes: 17 digits or fewer, "0.0",
+    # "-0.0", 1.0 and below 1e-4; only the header's physical line goes
+    # to the line reader
+    rng = np.random.default_rng(8)
+    vectors = rng.normal(size=(500, 16))
+    vectors[rng.random(vectors.shape) < 0.05] = 0.0
+    vectors[:, 1] *= np.where(rng.random(500) < 0.2, 1e-5, 1.0)
+    vectors[:, 2] = np.where(rng.random(500) < 0.1, -0.0, vectors[:, 2])
+    vectors[:5] = np.eye(16)[:5]
+    ds = EmbeddingDataset.reals(rng.integers(0, 2**32, 500), _unit_rows(vectors))
+    path = tmp_path / "c.csv"
+    write_csv(path, ds)
+    parse_rows = dataset_io_module._parse_csv_rows
+    parsed = []
+
+    def counted(lines, *args):
+        rows, count, fault = parse_rows(lines, *args)
+        parsed.append(rows)
+        return rows, count, fault
+
+    monkeypatch.setattr(dataset_io_module, "_parse_csv_rows", counted)
+    assert read_csv(path) == ds
+    assert parsed == [0]  # the header's physical line
+    monkeypatch.undo()
+    _matches_line_reader(monkeypatch, path)
+
+
+ODD_TOKENS = [
+    "0.50", "+0.5", " 0.5", ".5", "5e-1", "0.1_2", "-0.5", "0.5 ", "0.", "-0", "-0.",
+    "0.5000000000000000000000001", "0." + "5" * 24, "0.00000000000000000005", "1e39", "nan",
+    "-nan", "inf", "0x1p-1", "", "0.5.5", "0.-5", "--0.5", "0.05e1", "00.5", "0.5\t",
+]
+
+
+@pytest.mark.parametrize("token", ODD_TOKENS)
+def test_csv_block_reader_matches_line_reader_on_odd_values(tmp_path, monkeypatch, token):
+    rows = _line_break_rows()
+    path = tmp_path / "o.csv"
+    lines = rows[:3] + [f"7,7,real,none,{token},0.8660254"] + rows[3:]
+    path.write_text(CSV_HEADER + "\n".join(lines) + "\n")
+    _matches_line_reader(monkeypatch, path)
+
+
+ODD_IDS = ["+5", "007", "5_0", "4294967295", "4294967296", "0", "", "1 "]
+
+
+@pytest.mark.parametrize("ids", ODD_IDS)
+def test_csv_block_reader_matches_line_reader_on_odd_ids(tmp_path, monkeypatch, ids):
+    rows = _line_break_rows()
+    path = tmp_path / "i.csv"
+    lines = rows[:2] + [f"{ids},{ids},real,none,1.0,0.0"] + rows[2:]
+    path.write_text(CSV_HEADER + "\n".join(lines) + "\n")
+    _matches_line_reader(monkeypatch, path)
+
+
+def test_csv_block_reader_matches_line_reader_at_float32_midpoints(tmp_path, monkeypatch):
+    # the decimal midpoint between two adjacent float32s, exactly and cut
+    # to 17 digits, and its neighbours one unit in the last place away:
+    # the block reader's float32 must not be a rounding off the line's
+    rng = np.random.default_rng(12)
+    lows = np.concatenate([rng.uniform(1e-4, 0.9, 300), 2.0 ** -np.arange(1, 14)])
+    lows = lows.astype(np.float32)
+    lines = []
+    with decimal.localcontext() as context:
+        context.prec = 80
+        for low in lows:
+            high = np.nextafter(low, np.float32(1))
+            middle = (decimal.Decimal(float(low)) + decimal.Decimal(float(high))) / 2
+            places = 16 - middle.adjusted()  # 17 significant digits
+            cut = middle.quantize(decimal.Decimal(1).scaleb(-places))
+            step = decimal.Decimal(1).scaleb(-places)
+            partner = repr(float(np.float32(np.sqrt(1 - float(low) ** 2))))
+            for token in (middle, cut, cut - step, cut + step):
+                lines.append(f"3,3,real,none,{token:f},{partner}")
+    path = tmp_path / "m.csv"
+    path.write_text(CSV_HEADER + "\n".join(lines) + "\n")
+    outcome = _matches_line_reader(monkeypatch, path)
+    assert isinstance(outcome, list), outcome
+
+
 def test_csv_row_on_the_header_line_is_read(tmp_path):
     rows = _line_break_rows()
     path = tmp_path / "h.csv"
@@ -517,15 +660,16 @@ def test_csv_row_on_the_header_line_is_read(tmp_path):
 
 
 def test_csv_writer_bytes_do_not_depend_on_the_split(tmp_path, monkeypatch):
+    # 7 rows in blocks of 1, 2, 3 and 7 rows: no split is even
     rng = np.random.default_rng(11)
     ds = EmbeddingDataset.reals(list(range(7)), [unit(rng, 3) for _ in range(7)])
     ref = tmp_path / "ref.csv"
     reference_write_csv(ref, ds.dim, records_of(ds))
-    for parts in (1, 2, 3):  # 7 rows: no split is even
-        _split_codec(monkeypatch, parts)
-        path = tmp_path / f"{parts}.csv"
+    for rows in (1, 2, 3, 7):
+        monkeypatch.setattr(dataset_io_module, "_CSV_WRITE_VALUES", rows * ds.dim)
+        path = tmp_path / f"{rows}.csv"
         write_csv(path, ds)
-        assert path.read_bytes() == ref.read_bytes(), parts
+        assert path.read_bytes() == ref.read_bytes(), rows
         assert read_csv(path) == ds
 
 
