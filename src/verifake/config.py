@@ -75,6 +75,8 @@ class SwapSettings:
 
     def __post_init__(self):
         section = f"swap.{METHOD_NAMES[self.method]}"
+        if self.method == Method.NONE:
+            raise ConfigError("'none' is not a manipulation method", field=section)
         if self.per_subject < 1:
             raise ConfigError("per_subject must be >= 1", field=f"{section}.per_subject")
         _keyed(section, {}, check_finite, self, "alpha", "sigma")

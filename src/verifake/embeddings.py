@@ -10,7 +10,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import DegenerateVector, DimensionMismatch
+from .errors import VerifakeError
 
 MIN_DIM = 2
 
@@ -55,16 +55,25 @@ def method_group(method: Method) -> str:
     raise ValueError(f"method {method!r} is not a manipulation method")
 
 
-def l2_normalize(v) -> np.ndarray:
-    """Scale `v` to unit L2 norm, preserving direction.
+def row_dots(X, Y):
+    """Per-row dot products of two vectors or two stacks of rows, each
+    through BLAS ddot like `x @ y` on one pair of vectors (an elementwise
+    product summed per row rounds differently)."""
+    return np.matmul(X[..., None, :], Y[..., :, None])[..., 0, 0]
 
-    Raises DegenerateVector when the norm is at or below 1e-12.
+
+def l2_normalize(v) -> np.ndarray:
+    """Scale the vector `v`, or each row of the matrix `v`, to unit L2
+    norm, preserving direction. Each norm is the square root of the row's
+    own dot product, as np.linalg.norm takes it on one vector.
+
+    Raises VerifakeError when a norm is at or below 1e-12.
     """
     v = np.asarray(v, dtype=np.float64)
-    norm = float(np.linalg.norm(v))
-    if norm <= 1e-12:
-        raise DegenerateVector(f"cannot normalize vector with norm {norm:.3e}")
-    return v / norm
+    norms = np.sqrt(row_dots(v, v))
+    if np.any(norms <= 1e-12):
+        raise VerifakeError(f"cannot normalize vector with norm {norms.min():.3e}")
+    return v / norms[..., None]
 
 
 @dataclass(eq=False)
@@ -88,7 +97,7 @@ class EmbeddingDataset:
     def __post_init__(self):
         self.vectors = np.ascontiguousarray(self.vectors, dtype=np.float32)
         if self.vectors.ndim != 2 or self.vectors.shape[1] < MIN_DIM:
-            raise DimensionMismatch(
+            raise VerifakeError(
                 f"vectors must be an (n, dim >= {MIN_DIM}) matrix, "
                 f"got shape {self.vectors.shape}"
             )
@@ -99,7 +108,7 @@ class EmbeddingDataset:
         self.method = np.ascontiguousarray(self.method, dtype=np.uint8)
         for column in (self.subject, self.host, self.fake, self.method):
             if column.shape != (n,):
-                raise DimensionMismatch(
+                raise VerifakeError(
                     f"label column has shape {column.shape}, expected ({n},)"
                 )
         faults = label_faults(self.subject, self.host, self.fake, self.method)
@@ -206,7 +215,7 @@ def within_identity_cosine(dataset: EmbeddingDataset) -> float:
         iu = np.triu_indices(M.shape[0], k=1)
         per_subject.append(float(C[iu].mean()))
     if not per_subject:
-        raise DegenerateVector("no subject has two or more real records")
+        raise VerifakeError("no subject has two or more real records")
     return float(np.mean(per_subject))
 
 
@@ -214,7 +223,7 @@ def between_center_cosine(dataset: EmbeddingDataset) -> float:
     """Mean pairwise cosine between the subjects' center directions."""
     centers = subject_centers(dataset)
     if len(centers) < 2:
-        raise DegenerateVector("need at least two subjects for center spread")
+        raise VerifakeError("need at least two subjects for center spread")
     M = np.stack([centers[sid] for sid in sorted(centers)])
     C = M @ M.T
     iu = np.triu_indices(M.shape[0], k=1)

@@ -4,15 +4,8 @@ import math
 
 
 class VerifakeError(Exception):
-    """Base class for all errors raised by this package."""
-
-
-class DegenerateVector(VerifakeError):
-    """Vector has (near-)zero norm and cannot be normalized."""
-
-
-class DimensionMismatch(VerifakeError):
-    """Operands have incompatible dimensions."""
+    """Base class for all errors raised by this package, and the type of
+    every fault that no caller tells apart; its message names the fault."""
 
 
 class FormatError(VerifakeError):
@@ -31,14 +24,6 @@ class FormatError(VerifakeError):
         super().__init__(message)
         self.offset = offset
         self.line = line
-
-
-class LabelError(VerifakeError):
-    """Class label out of range for the classifier head."""
-
-
-class NormalizationError(VerifakeError):
-    """Input vectors were expected to be unit-norm but are not."""
 
 
 class ConfigError(VerifakeError):
@@ -86,10 +71,6 @@ class InsufficientEnrollment(VerifakeError):
         self.required = required
 
 
-class UnknownSubject(VerifakeError):
-    """Probe references a host subject that is not enrolled."""
-
-
 class SubjectOverlap(VerifakeError):
     """Training and evaluation identity sets intersect.
 
@@ -100,14 +81,6 @@ class SubjectOverlap(VerifakeError):
         ids = sorted(ids)
         super().__init__(f"subject sets overlap on ids {ids}")
         self.ids = ids
-
-
-class EmptyScores(VerifakeError):
-    """Metric requested on an empty score list."""
-
-
-class RangeError(VerifakeError):
-    """Score outside the admissible [-1, 1] range."""
 
 
 class CalibrationWarning(UserWarning):

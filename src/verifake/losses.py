@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, LabelError, NormalizationError, check_finite
+from .embeddings import row_dots
+from .errors import ConfigError, VerifakeError, check_finite
 
 ARCCOS_EPS = 1e-7
 # Gate for "approximately unit" inputs; loose enough that finite-difference
@@ -158,26 +159,40 @@ def target_logit(cos_theta: float, cfg: MarginConfig) -> float:
 
 def _unit_vectors(X, axis, what):
     """X as float64 with each vector along `axis` renormalized exactly,
-    plus the norms; a NormalizationError unless each is approximately unit."""
+    plus the norms; a VerifakeError unless each is approximately unit."""
     X = np.asarray(X, dtype=np.float64)
     norms = np.linalg.norm(X, axis=axis)
     if np.any(np.abs(norms - 1.0) > INPUT_NORM_TOL):
         worst = float(np.max(np.abs(norms - 1.0)))
         kind = "rows" if axis == 1 else "columns"
-        raise NormalizationError(f"{what} {kind} must be unit-norm (max |norm-1| = {worst:.3e})")
+        raise VerifakeError(f"{what} {kind} must be unit-norm (max |norm-1| = {worst:.3e})")
     return X / np.expand_dims(norms, axis), norms
 
 
 def _check_labels(labels, num_classes):
     labels = np.asarray(labels, dtype=np.int64)
     if labels.ndim != 1:
-        raise LabelError(f"labels must be a vector, got shape {labels.shape}")
+        raise VerifakeError(f"labels must be a vector, got shape {labels.shape}")
     if np.any(labels < 0) or np.any(labels >= num_classes):
-        raise LabelError(
+        raise VerifakeError(
             f"labels must lie in [0, {num_classes}), got range "
             f"[{labels.min()}, {labels.max()}]"
         )
     return labels
+
+
+def _cross_entropy(logits, labels):
+    """Mean softmax cross-entropy of (N, C) logits against (N,) class
+    indices, and its gradient with respect to the logits: (loss, dlogits)."""
+    n = np.arange(labels.shape[0])
+    zmax = logits.max(axis=1, keepdims=True)
+    expz = np.exp(logits - zmax)
+    sumexp = expz.sum(axis=1, keepdims=True)
+    ce = (zmax[:, 0] + np.log(sumexp[:, 0])) - logits[n, labels]
+    G = expz / sumexp
+    G[n, labels] -= 1.0
+    G /= labels.shape[0]
+    return float(ce.mean()), G
 
 
 def margin_loss(X, labels, head: ClassHead, cfg: MarginConfig):
@@ -195,7 +210,7 @@ def margin_loss(X, labels, head: ClassHead, cfg: MarginConfig):
     Wh, wnorms = _unit_vectors(head.W, 0, "class-center")
     N = labels.shape[0]
     if Xh.shape[0] != N:
-        raise LabelError("batch size and label count differ")
+        raise VerifakeError("batch size and label count differ")
 
     cosines = Xh @ Wh  # (N, C)
     n = np.arange(N)
@@ -204,17 +219,7 @@ def margin_loss(X, labels, head: ClassHead, cfg: MarginConfig):
 
     logits = cfg.s * cosines
     logits[n, labels] = cfg.s * psi
-
-    zmax = logits.max(axis=1, keepdims=True)
-    expz = np.exp(logits - zmax)
-    sumexp = expz.sum(axis=1, keepdims=True)
-    ce = (zmax[:, 0] + np.log(sumexp[:, 0])) - logits[n, labels]
-    loss = float(ce.mean())
-
-    # d(mean CE)/d(logit)
-    G = expz / sumexp
-    G[n, labels] -= 1.0
-    G /= N
+    loss, G = _cross_entropy(logits, labels)
 
     # d(logit)/d(cosine): s off target, s * dpsi/da on target
     dC = G * cfg.s
@@ -237,30 +242,13 @@ def plain_softmax_loss(X, labels, head: ClassHead):
     X = np.asarray(X, dtype=np.float64)
     labels = _check_labels(labels, head.num_classes)
     if X.shape[0] != labels.shape[0]:
-        raise LabelError("batch size and label count differ")
+        raise VerifakeError("batch size and label count differ")
 
-    Z = X @ head.W + head.b
-    zmax = Z.max(axis=1, keepdims=True)
-    expz = np.exp(Z - zmax)
-    sumexp = expz.sum(axis=1, keepdims=True)
-    n = np.arange(labels.shape[0])
-    ce = (zmax[:, 0] + np.log(sumexp[:, 0])) - Z[n, labels]
-    loss = float(ce.mean())
-
-    dZ = expz / sumexp
-    dZ[n, labels] -= 1.0
-    dZ /= labels.shape[0]
+    loss, dZ = _cross_entropy(X @ head.W + head.b, labels)
     dX = dZ @ head.W.T
     dW = X.T @ dZ
     db = dZ.sum(axis=0)
     return loss, dX, dW, db
-
-
-def _row_dots(X, Y):
-    """Per-row dot products, each through BLAS ddot like `x @ y` on one
-    pair of vectors (an elementwise product summed per row rounds
-    differently)."""
-    return np.matmul(X[:, None, :], Y[:, :, None])[:, 0, 0]
 
 
 def triplet_loss_batch(E, cfg: TripletConfig):
@@ -275,12 +263,12 @@ def triplet_loss_batch(E, cfg: TripletConfig):
     """
     E = np.asarray(E, dtype=np.float64)
     if E.ndim != 2 or E.shape[0] == 0 or E.shape[0] % 3:
-        raise DimensionMismatch(f"triplet batch must be (3B, d), got shape {E.shape}")
+        raise VerifakeError(f"triplet batch must be (3B, d), got shape {E.shape}")
     En, norms = _unit_vectors(E, 1, "triplet")
     A, P, Ng = En[0::3], En[1::3], En[2::3]
 
-    cap_raw = _row_dots(A, P)
-    can_raw = _row_dots(A, Ng)
+    cap_raw = row_dots(A, P)
+    can_raw = row_dots(A, Ng)
     cap = np.clip(cap_raw, -1.0 + ARCCOS_EPS, 1.0 - ARCCOS_EPS)
     can = np.clip(can_raw, -1.0 + ARCCOS_EPS, 1.0 - ARCCOS_EPS)
     # math.acos per triple: np.arccos may take a SIMD path that differs
@@ -300,7 +288,7 @@ def triplet_loss_batch(E, cfg: TripletConfig):
     a, p, ng = A[t], P[t], Ng[t]
 
     def through_norm(g, unit, rows):
-        return (g - _row_dots(g, unit)[:, None] * unit) / norms[rows, None]
+        return (g - row_dots(g, unit)[:, None] * unit) / norms[rows, None]
 
     dE = np.zeros_like(En)
     dE[3 * t] += through_norm(dcap[:, None] * p + dcan[:, None] * ng, a, 3 * t)
@@ -319,6 +307,6 @@ def triplet_loss(anchor, positive, negative, cfg: TripletConfig):
     """
     vecs = [np.asarray(v, dtype=np.float64) for v in (anchor, positive, negative)]
     if not (vecs[0].shape == vecs[1].shape == vecs[2].shape):
-        raise NormalizationError("triplet vectors must share one dimension")
+        raise VerifakeError("triplet vectors must share one dimension")
     loss, dE = triplet_loss_batch(np.stack(vecs), cfg)
     return loss, (dE[0], dE[1], dE[2])

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .embeddings import METHOD_NAMES, method_group, row_groups, run_starts
-from .errors import EmptyScores, RangeError
+from .errors import VerifakeError
 
 HISTOGRAM_BINS = 50
 
@@ -59,7 +59,7 @@ class RocCurve:
 def _as_scores(scores, what):
     arr = np.asarray(scores, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
-        raise EmptyScores(f"{what} score list must be non-empty")
+        raise VerifakeError(f"{what} score list must be non-empty")
     return arr
 
 
@@ -103,11 +103,11 @@ def histogram(scores) -> np.ndarray:
     """Bin counts over HISTOGRAM_BINS uniform bins spanning [-1, 1].
 
     Bin edges are inclusive on the left; the last bin also includes its
-    right edge. Scores outside [-1, 1] raise RangeError.
+    right edge. Scores outside [-1, 1] raise VerifakeError.
     """
     arr = np.asarray(scores, dtype=np.float64)
     if arr.size and (arr.min() < -1.0 or arr.max() > 1.0):
-        raise RangeError(
+        raise VerifakeError(
             f"scores must lie in [-1, 1], got range [{arr.min()}, {arr.max()}]"
         )
     counts, _ = np.histogram(arr, bins=HISTOGRAM_BINS, range=(-1.0, 1.0))
@@ -177,7 +177,7 @@ def build_report(scores, metadata: dict | None = None, curves: dict | None = Non
     """
     genuine = scores.score[scores.genuine]
     if not genuine.size:
-        raise EmptyScores("report requires at least one genuine record")
+        raise VerifakeError("report requires at least one genuine record")
     imposter = scores.score[~scores.genuine]
 
     report = EvalReport(metadata=dict(metadata or {}))

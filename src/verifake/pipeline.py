@@ -22,7 +22,6 @@ from . import __version__
 from .config import FORMAT_VERSIONS, PipelineConfig, child_seed
 from .dataset_io import write_dataset
 from .embeddings import (
-    EXPRESSION_SWAP_METHODS,
     IDENTITY_SWAP_METHODS,
     METHOD_NAMES,
     EmbeddingDataset,
@@ -154,8 +153,6 @@ def simulate_fakes(real_subject, real_vectors, swaps, seed: int) -> EmbeddingDat
         identity_swap = code in IDENTITY_SWAP_METHODS
         if identity_swap and n_subjects < 2:
             raise ConfigError("identity swaps need at least 2 subjects")
-        if not identity_swap and code not in EXPRESSION_SWAP_METHODS:
-            raise ConfigError(f"{code!r} is not a manipulation method")
         noisy = draws_noise(settings.alpha, settings.sigma, identity_swap)
         k = n_subjects * settings.per_subject
         host[start : start + k] = np.repeat(subjects, settings.per_subject)

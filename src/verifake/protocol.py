@@ -21,7 +21,7 @@ from .embeddings import (
     first_fault,
     row_groups,
 )
-from .errors import ConfigError, InsufficientEnrollment, SubjectOverlap, UnknownSubject
+from .errors import ConfigError, InsufficientEnrollment, SubjectOverlap, VerifakeError
 
 DEFAULT_GALLERY_SIZE = 20
 DEFAULT_PROBE_CAP = 1000
@@ -146,7 +146,7 @@ def run_protocol(
     unknown = ~np.isin(hosts, list(gallery))
     if unknown.any():
         host = int(hosts[np.argmax(unknown)])
-        raise UnknownSubject(f"probe host subject {host} is not enrolled")
+        raise VerifakeError(f"probe host subject {host} is not enrolled")
     scores = np.empty(len(rows))
     for host, pos in row_groups(hosts):
         vectors = dataset.vectors[rows[pos]].astype(np.float64)

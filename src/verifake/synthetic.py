@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateVector, check_finite
+from .embeddings import l2_normalize
+from .errors import ConfigError, check_finite
 
 
 @dataclass(frozen=True)
@@ -102,16 +103,6 @@ def draws_noise(alpha: float, sigma: float, identity_swap: bool) -> bool:
     return identity_swap and alpha not in (0.0, 1.0)
 
 
-def _normalize_rows(V: np.ndarray) -> np.ndarray:
-    # l2_normalize on every row of V, in place and bit for bit: each norm is
-    # the square root of the row's own dot product, as np.linalg.norm takes it
-    norms = np.sqrt(np.matmul(V[:, None, :], V[:, :, None])[:, 0, 0])
-    if np.any(norms <= 1e-12):
-        raise DegenerateVector(f"cannot normalize vector with norm {norms.min():.3e}")
-    V /= norms[:, None]
-    return V
-
-
 def identity_swap_rows(donor, host, alpha: float, noise) -> np.ndarray:
     """Identity-swap fakes for aligned (k, d) float64 donor and host rows:
 
@@ -123,10 +114,7 @@ def identity_swap_rows(donor, host, alpha: float, noise) -> np.ndarray:
     """
     if noise is None:
         return donor if alpha == 1.0 else host
-    fakes = alpha * donor
-    fakes += (1.0 - alpha) * host
-    fakes += noise
-    return _normalize_rows(fakes)
+    return l2_normalize(alpha * donor + (1.0 - alpha) * host + noise)
 
 
 def expression_swap_rows(host, noise) -> np.ndarray:
@@ -138,4 +126,4 @@ def expression_swap_rows(host, noise) -> np.ndarray:
     """
     if noise is None:
         return host
-    return _normalize_rows(host + noise)
+    return l2_normalize(host + noise)

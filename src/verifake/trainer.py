@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddingDataset
-from .errors import ConfigError, DegenerateVector, DimensionMismatch, VerifakeError, check_finite
+from .errors import ConfigError, VerifakeError, check_finite
 from .losses import (
     LOSS_NAMES,
     ClassHead,
@@ -82,7 +82,7 @@ class EmbedderNetwork:
         self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
         for W, b in zip(self.weights, self.biases):
             if W.ndim != 2 or b.shape != (W.shape[1],):
-                raise DimensionMismatch("layer shapes are inconsistent")
+                raise VerifakeError("layer shapes are inconsistent")
 
     @property
     def raw_dim(self) -> int:
@@ -112,9 +112,9 @@ class EmbedderNetwork:
             znorm = np.linalg.norm(z, axis=1)
         if not np.all(np.isfinite(znorm)):
             # an infinite norm of finite z would give zero rows below
-            raise DegenerateVector("embedder produced a non-finite vector (training diverged)")
+            raise VerifakeError("embedder produced a non-finite vector (training diverged)")
         if np.any(znorm <= 1e-12):
-            raise DegenerateVector("embedder produced a zero vector")
+            raise VerifakeError("embedder produced a zero vector")
         e = z / znorm[:, None]
         return e, {"acts": acts, "z": z, "znorm": znorm, "e": e}
 
@@ -148,7 +148,7 @@ class EmbedderNetwork:
         """Embed a single raw vector (unit-norm float64 output)."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.raw_dim,):
-            raise DimensionMismatch(
+            raise VerifakeError(
                 f"expected raw vector of dim {self.raw_dim}, got shape {x.shape}"
             )
         h = x
@@ -157,7 +157,7 @@ class EmbedderNetwork:
         z = np.dot(h, self.weights[-1]) + self.biases[-1]
         norm = np.linalg.norm(z)
         if norm <= 1e-12:
-            raise DegenerateVector("embedder produced a zero vector")
+            raise VerifakeError("embedder produced a zero vector")
         return z / norm
 
     def embed(self, X) -> np.ndarray:
@@ -165,7 +165,7 @@ class EmbedderNetwork:
         composition bit for bit."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
-            raise DimensionMismatch(f"expected (n, raw_dim) input, got {X.shape}")
+            raise VerifakeError(f"expected (n, raw_dim) input, got {X.shape}")
         return np.stack([self.embed_one(row) for row in X])
 
 
@@ -202,17 +202,17 @@ def train_embedder(
     Returns (network, loss_curve) where loss_curve[k] is the
     sample-weighted mean batch loss of epoch k. Deterministic for a
     fixed config: parameter init, shuffling, and triplet sampling all
-    derive from cfg.seed. Diverged training raises: DegenerateVector
-    when the network output stops being finite, VerifakeError when an
-    epoch's loss does or exceeds DIVERGENCE_FACTOR times the first
-    epoch's; each names the loss and the epoch.
+    derive from cfg.seed. Diverged training raises a VerifakeError
+    naming the loss and the epoch: when the network output stops being
+    finite, or an epoch's loss is not finite or exceeds
+    DIVERGENCE_FACTOR times the first epoch's.
     """
     if loss_name not in LOSS_NAMES:
         raise ConfigError(f"unknown loss {loss_name!r}; expected one of {LOSS_NAMES}")
     features = np.asarray(dataset.features, dtype=np.float64)
     labels = np.asarray(dataset.labels, dtype=np.int64)
     if features.ndim != 2 or features.shape[0] != labels.shape[0]:
-        raise DimensionMismatch("features and labels are inconsistent")
+        raise VerifakeError("features and labels are inconsistent")
     n = features.shape[0]
     if n == 0:
         raise ConfigError("cannot train on an empty dataset")
@@ -274,8 +274,8 @@ def train_embedder(
 
             try:
                 e, cache = network._forward_batch(features[batch.reshape(-1)])
-            except DegenerateVector as exc:
-                raise DegenerateVector(f"{loss_name} training, epoch {epoch + 1}: {exc}") from exc
+            except VerifakeError as exc:
+                raise VerifakeError(f"{loss_name} training, epoch {epoch + 1}: {exc}") from exc
             if loss_name == "triplet":
                 loss_sum, de = triplet_loss_batch(e, triplet_cfg)
                 loss = loss_sum / nb
@@ -323,9 +323,9 @@ def extract_embeddings(network: EmbedderNetwork, features, labels) -> EmbeddingD
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if features.ndim != 2 or features.shape[0] != labels.shape[0]:
-        raise DimensionMismatch("features and labels are inconsistent")
+        raise VerifakeError("features and labels are inconsistent")
     if features.shape[1] != network.raw_dim:
-        raise DimensionMismatch(
+        raise VerifakeError(
             f"network expects raw dim {network.raw_dim}, got {features.shape[1]}"
         )
     return EmbeddingDataset.reals(labels, network.embed(features))

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .embeddings import METHOD_NAMES, row_dots
 from .errors import CalibrationWarning, ConfigError, check_finite
 
 MACHINE_EPSILON = np.finfo(np.float64).eps
@@ -78,10 +79,8 @@ def _entropy_bits(S: np.ndarray, beta: np.ndarray):
     np.exp(p, out=p)
     sum_w = p.sum(axis=1)
     np.divide(p, sum_w[:, None], out=p)
-    # H = ln(sum_w) + beta * E[d^2]; a stacked matmul of 1 x k by k x 1
-    # is one BLAS dot per row, the call np.dot makes on a single row
-    expected = np.matmul(S[:, None, :], p[:, :, None])[:, 0, 0]
-    return (np.log(sum_w) + beta * expected) / np.log(2.0), p
+    # H = ln(sum_w) + beta * E[d^2]
+    return (np.log(sum_w) + beta * row_dots(S, p)) / np.log(2.0), p
 
 
 def _calibrated_betas(S: np.ndarray, target_perplexity) -> np.ndarray:
@@ -443,8 +442,6 @@ def run_tsne(X, cfg: TsneConfig):
 def layout_to_csv(Y, dataset) -> str:
     """Serialize a layout and its source records (an EmbeddingDataset) as
     `x,y,subject,realness,method` CSV (one row per point)."""
-    from .embeddings import METHOD_NAMES
-
     Y = np.asarray(Y, dtype=np.float64)
     if Y.shape[0] != len(dataset):
         raise ConfigError("layout and record count differ")

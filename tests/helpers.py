@@ -25,11 +25,9 @@ from verifake.embeddings import (
 from verifake.errors import (
     CalibrationWarning,
     ConfigError,
-    DimensionMismatch,
     FormatError,
     InsufficientEnrollment,
-    NormalizationError,
-    UnknownSubject,
+    VerifakeError,
 )
 from verifake.losses import ARCCOS_EPS, TripletConfig, _unit_vectors
 from verifake.protocol import AGGREGATIONS, ScoreSet
@@ -264,7 +262,7 @@ def reference_triplet_loss(anchor, positive, negative, cfg: TripletConfig):
     Ng, nneg = _unit_vectors(np.asarray(negative, dtype=np.float64)[None, :], 1, "negative")
     a, p, ng = A[0], P[0], Ng[0]
     if not (a.shape == p.shape == ng.shape):
-        raise NormalizationError("triplet vectors must share one dimension")
+        raise VerifakeError("triplet vectors must share one dimension")
 
     cap_raw = float(a @ p)
     can_raw = float(a @ ng)
@@ -329,7 +327,7 @@ def concat(first, *others) -> EmbeddingDataset:
     """The records of `first` followed by those of each of `others`."""
     for other in others:
         if other.dim != first.dim:
-            raise DimensionMismatch(f"dims {first.dim} and {other.dim} differ")
+            raise VerifakeError(f"dims {first.dim} and {other.dim} differ")
     return EmbeddingDataset(*(
         np.concatenate(columns)
         for columns in zip(first._columns(), *(o._columns() for o in others))
@@ -631,7 +629,7 @@ def reference_run_protocol(gallery, probes, aggregation="mean") -> list:
     for rec in probes:
         host = rec.host_subject_id
         if host not in gallery:
-            raise UnknownSubject(f"probe host subject {host} is not enrolled")
+            raise VerifakeError(f"probe host subject {host} is not enrolled")
         score = reference_match_probe(
             rec.vector.astype(np.float64), gallery[host], aggregation
         )

@@ -18,7 +18,7 @@ from verifake import dataset_io, metrics, pipeline
 from verifake.cli import EXIT_CONFIG, EXIT_FAILURE, EXIT_OK, build_parser, main
 from verifake.config import load_config
 from verifake.dataset_io import read_dataset
-from verifake.errors import DegenerateVector
+from verifake.errors import VerifakeError
 from verifake.losses import LOSS_NAMES
 from verifake.protocol import AGGREGATIONS
 
@@ -457,7 +457,7 @@ def test_failed_rerun_removes_the_old_manifest(cfg_path, tmp_path, monkeypatch, 
     assert (out / "manifest.json").is_file()
 
     def failing_embed(*args):
-        raise DegenerateVector("embedder fault")
+        raise VerifakeError("embedder fault")
 
     monkeypatch.setattr(pipeline, "embed_stage", failing_embed)
     assert main(argv) == EXIT_FAILURE
@@ -509,6 +509,19 @@ def test_report_bad_csv_exits_2(tmp_path, capsys):
     bad.write_bytes(rows.encode() + b"0.2\xff,imposter,FaceSwap,1\n")
     assert main(["report", str(bad)]) == EXIT_CONFIG
     assert "line 4" in capsys.readouterr().err
+
+
+def test_python_m_verifake_exits_as_main_returns(tmp_path):
+    # `python -m verifake` is the console script: a bad scores.csv exits 2
+    bad = tmp_path / "scores.csv"
+    bad.write_text("score,kind,method,subject\n0.5,maybe,none,0\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    result = subprocess.run(
+        [sys.executable, "-m", "verifake", "report", str(bad)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == EXIT_CONFIG, result.stderr
+    assert "line 2" in result.stderr
 
 
 def test_report_without_genuine_scores_fails_its_stage(tmp_path, capsys):

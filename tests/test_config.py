@@ -212,6 +212,14 @@ def test_swap_settings_defaults():
     assert (s.alpha, s.sigma, s.per_subject) == (0.8, 0.05, 40)
 
 
+def test_swap_settings_reject_method_none():
+    # built in code, it would pass PipelineConfig, and `run` would train
+    # before its embed stage failed without naming a field
+    with pytest.raises(ConfigError, match="'none' is not a manipulation method") as info:
+        SwapSettings(Method.NONE)
+    assert info.value.field == "swap.none"
+
+
 @pytest.mark.parametrize(
     "key, value",
     [("max_points", "3"), ("perplexity", "1"), ("iterations", "0"), ("learning_rate", "-1")],

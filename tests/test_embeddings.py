@@ -19,7 +19,7 @@ from verifake.embeddings import (
     subject_centers,
     within_identity_cosine,
 )
-from verifake.errors import DegenerateVector, DimensionMismatch
+from verifake.errors import VerifakeError
 
 
 def test_l2_normalize_pythagorean():
@@ -33,8 +33,25 @@ def test_l2_normalize_identity():
 
 
 def test_l2_normalize_zero_vector():
-    with pytest.raises(DegenerateVector):
+    with pytest.raises(VerifakeError, match="cannot normalize vector with norm 0.000e"):
         l2_normalize([0.0, 0.0])
+
+
+def test_l2_normalize_rows_match_one_vector_calls():
+    # each row of a matrix is normalized by its own norm, bit for bit as
+    # the call on that row alone, and that call equals np.linalg.norm's
+    rng = np.random.default_rng(8)
+    for dim in (2, 3, 16, 31, 128):
+        M = rng.normal(size=(200, dim)) * 10.0 ** rng.integers(-3, 4, size=(200, 1))
+        rows = np.stack([l2_normalize(v) for v in M])
+        assert l2_normalize(M).tobytes() == rows.tobytes()
+        assert rows.tobytes() == np.stack([v / np.linalg.norm(v) for v in M]).tobytes()
+
+
+def test_l2_normalize_rows_zero_row_raises():
+    M = np.array([[3.0, 4.0], [0.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(VerifakeError, match="cannot normalize vector with norm 0.000e"):
+        l2_normalize(M)
 
 
 def test_l2_normalize_unit_norm_tolerance():
@@ -105,12 +122,12 @@ def test_record_equality_is_bitwise():
 
 
 def test_min_dim_enforced():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(VerifakeError, match=r"vectors must be an \(n, dim >= 2\) matrix"):
         EmbeddingDataset.reals([0], [[1.0]])
 
 
 def test_dataset_dim_consistency():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(VerifakeError, match=r"label column has shape \(1,\), expected \(2,\)"):
         EmbeddingDataset([[1.0, 0.0], [0.0, 1.0]], [0, 1], [0], [False] * 2, [0] * 2)
 
 
@@ -123,7 +140,7 @@ def test_dataset_accessors():
     assert ds.take(ds.fake) == fakes
     assert ds.take(np.array([2, 0])).subject.tolist() == [0, 0]
     assert concat(reals.take(slice(0, 0)), reals, fakes) == ds
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(VerifakeError, match="dims 2 and 3 differ"):
         concat(reals, EmbeddingDataset.reals([0], [[1.0, 0.0, 0.0]]))
 
 
@@ -160,11 +177,11 @@ def test_subject_centers_and_spread_stats():
 
 def test_within_identity_needs_pairs():
     ds = EmbeddingDataset.reals([0], [[1.0, 0.0]])
-    with pytest.raises(DegenerateVector):
+    with pytest.raises(VerifakeError, match="no subject has two or more real records"):
         within_identity_cosine(ds)
 
 
 def test_between_center_needs_two_subjects():
     ds = EmbeddingDataset.reals([0, 0], [[1.0, 0.0], [1.0, 0.0]])
-    with pytest.raises(DegenerateVector):
+    with pytest.raises(VerifakeError, match="need at least two subjects"):
         between_center_cosine(ds)

@@ -17,7 +17,7 @@ from helpers import (
     unit_cols,
     unit_rows,
 )
-from verifake.errors import ConfigError, DimensionMismatch, LabelError, NormalizationError
+from verifake.errors import ConfigError, VerifakeError
 from verifake.losses import (
     ARCCOS_EPS,
     DEFAULT_SCALE,
@@ -199,18 +199,18 @@ def test_scale_zero_constant_loss_zero_grads():
 
 def test_label_out_of_range():
     X, _, head = head_and_batch(14)
-    with pytest.raises(LabelError):
+    with pytest.raises(VerifakeError, match=r"labels must lie in \[0, 5\), got range \[0, 5\]"):
         margin_loss(X, [0, 1, 2, 3, 4, 5, 0, 0], head, margin_preset("cosface"))
-    with pytest.raises(LabelError):
+    with pytest.raises(VerifakeError, match=r"labels must lie in \[0, 5\), got range \[-1, -1\]"):
         margin_loss(X, [-1] * 8, head, margin_preset("cosface"))
 
 
 def test_non_normalized_inputs_rejected():
     X, labels, head = head_and_batch(15)
-    with pytest.raises(NormalizationError):
+    with pytest.raises(VerifakeError, match="input rows must be unit-norm"):
         margin_loss(X * 1.5, labels, head, margin_preset("cosface"))
     bad_head = ClassHead(head.W * 0.5)
-    with pytest.raises(NormalizationError):
+    with pytest.raises(VerifakeError, match="class-center columns must be unit-norm"):
         margin_loss(X, labels, bad_head, margin_preset("cosface"))
 
 
@@ -293,7 +293,7 @@ def test_plain_softmax_gradients_match_finite_differences():
 
 def test_plain_softmax_label_error():
     head = ClassHead(np.zeros((4, 3)))
-    with pytest.raises(LabelError):
+    with pytest.raises(VerifakeError, match=r"labels must lie in \[0, 3\), got range \[3, 3\]"):
         plain_softmax_loss(np.zeros((1, 4)), [3], head)
 
 
@@ -351,7 +351,7 @@ def test_triplet_gradients_match_finite_differences():
 
 
 def test_triplet_rejects_non_unit():
-    with pytest.raises(NormalizationError):
+    with pytest.raises(VerifakeError, match="triplet rows must be unit-norm"):
         triplet_loss([2.0, 0.0], [1.0, 0.0], [0.0, 1.0], TripletConfig(0.5))
 
 
@@ -424,11 +424,11 @@ def test_triplet_batch_rejects_bad_rows():
     rng = np.random.default_rng(73)
     E = unit_rows(rng, 6, 4)
     E[4] *= 1.5
-    with pytest.raises(NormalizationError):
+    with pytest.raises(VerifakeError, match="triplet rows must be unit-norm"):
         triplet_loss_batch(E, TripletConfig(0.5))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(VerifakeError, match=r"triplet batch must be \(3B, d\), got shape \(4, 4\)"):
         triplet_loss_batch(unit_rows(rng, 4, 4), TripletConfig(0.5))
-    with pytest.raises(NormalizationError):
+    with pytest.raises(VerifakeError, match="triplet vectors must share one dimension"):
         triplet_loss([1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0], TripletConfig(0.5))
 
 

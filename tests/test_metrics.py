@@ -8,7 +8,7 @@ from helpers import ScoreRow, score_set
 
 import verifake.metrics as metrics_module
 from verifake.embeddings import Method
-from verifake.errors import EmptyScores, RangeError
+from verifake.errors import VerifakeError
 from verifake.metrics import (
     HISTOGRAM_BINS,
     auc,
@@ -62,9 +62,9 @@ def test_roc_three_vs_three_operating_point():
 
 
 def test_roc_rejects_empty():
-    with pytest.raises(EmptyScores):
+    with pytest.raises(VerifakeError, match="genuine score list must be non-empty"):
         roc_curve([], [0.5])
-    with pytest.raises(EmptyScores):
+    with pytest.raises(VerifakeError, match="imposter score list must be non-empty"):
         roc_curve([0.5], [])
 
 
@@ -178,9 +178,9 @@ def test_histogram_includes_both_edges():
 
 
 def test_histogram_rejects_out_of_range():
-    with pytest.raises(RangeError):
+    with pytest.raises(VerifakeError, match=r"scores must lie in \[-1, 1\], got range \[0.2, 1.0001\]"):
         histogram([0.2, 1.0001])
-    with pytest.raises(RangeError):
+    with pytest.raises(VerifakeError, match=r"scores must lie in \[-1, 1\], got range \[-1.2, -1.2\]"):
         histogram([-1.2])
 
 
@@ -221,7 +221,7 @@ def test_report_counts_sum_to_input():
 
 
 def test_report_requires_genuine_scores():
-    with pytest.raises(EmptyScores):
+    with pytest.raises(VerifakeError, match="report requires at least one genuine record"):
         build_report(score_set(imposter_records([0.3], Method.FACESWAP)))
 
 

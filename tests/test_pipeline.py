@@ -17,7 +17,7 @@ from verifake.embeddings import (
     Method,
 )
 from verifake.dataset_io import read_dataset
-from verifake.errors import InsufficientEnrollment
+from verifake.errors import ConfigError, InsufficientEnrollment
 from verifake.protocol import scores_to_csv
 from verifake.pipeline import (
     StageFailure,
@@ -156,6 +156,14 @@ def test_insufficient_enrollment_is_a_stage_failure(run, tmp_path):
     assert isinstance(info.value.cause, InsufficientEnrollment)
     # eval subjects are offset past the 6 training identities
     assert info.value.cause.subjects == [6, 7, 8, 9]
+
+
+def test_config_fault_in_a_stage_is_not_a_stage_failure(run):
+    # a ConfigError passes through the stage runner unwrapped (exit 2)
+    _, result = run
+    with pytest.raises(ConfigError, match="gallery size must be >= 1") as info:
+        evaluate_dataset(result.dataset, 0, 1)
+    assert info.value.field == "gallery_size"
 
 
 def test_synth_stage_keeps_id_ranges_disjoint():

@@ -16,7 +16,7 @@ from helpers import (
 
 from verifake import protocol
 from verifake.embeddings import EmbeddingDataset, Method, l2_normalize
-from verifake.errors import ConfigError, InsufficientEnrollment, SubjectOverlap, UnknownSubject
+from verifake.errors import ConfigError, InsufficientEnrollment, SubjectOverlap, VerifakeError
 from verifake.metrics import eer, roc_curve
 from verifake.protocol import (
     ScoreSet,
@@ -194,7 +194,7 @@ def test_unknown_host_subject():
     ds = toy_dataset(subjects=2, per_subject=6)
     gallery, _ = build_gallery(ds, g=5, seed=0)
     stray = EmbeddingDataset.reals([0, 99], [[1.0, 0.0, 0.0, 0.0]] * 2)
-    with pytest.raises(UnknownSubject, match="subject 99 "):
+    with pytest.raises(VerifakeError, match="probe host subject 99 is not enrolled"):
         run_protocol(gallery, [0, 1], stray)
 
 

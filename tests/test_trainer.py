@@ -7,7 +7,7 @@ import pytest
 
 import verifake.trainer as trainer_mod
 from helpers import reference_triplet_batch
-from verifake.errors import ConfigError, DegenerateVector, DimensionMismatch, VerifakeError
+from verifake.errors import ConfigError, VerifakeError
 from verifake.synthetic import SyntheticSpec, generate_identities
 from verifake.trainer import (
     EmbedderNetwork,
@@ -79,7 +79,7 @@ def test_embed_deterministic():
 
 def test_embed_dimension_checked():
     net = EmbedderNetwork.initialized((8, 16, 4), np.random.default_rng(7))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(VerifakeError, match=r"expected raw vector of dim 8, got shape \(9,\)"):
         net.embed_one(np.zeros(9))
 
 
@@ -170,7 +170,7 @@ def test_extract_embeddings_roundtrip():
 def test_extract_embeddings_dim_checked():
     raw = small_dataset(seed=7)
     net, _ = train_embedder(raw, "cosface", quick_cfg(epochs=1), embed_dim=8)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(VerifakeError, match="network expects raw dim 16, got 15"):
         extract_embeddings(net, raw.features[:, :-1], raw.labels)
 
 
@@ -213,7 +213,7 @@ def test_margin_pieces_built_once_per_batch(monkeypatch):
 def test_non_finite_output_fails_with_loss_and_epoch():
     raw = small_dataset(seed=11)
     for loss in ("softmax", "cosface", "triplet"):
-        with pytest.raises(DegenerateVector, match=rf"{loss} training, epoch 1: .*non-finite"):
+        with pytest.raises(VerifakeError, match=rf"{loss} training, epoch 1: .*non-finite"):
             with np.errstate(over="ignore", invalid="ignore"):
                 train_embedder(raw, loss, quick_cfg(lr=1e200), embed_dim=8)
 
@@ -226,7 +226,7 @@ def test_divergence_raises_without_overflow_warnings():
     for loss in ("softmax", "cosface", "triplet"):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DegenerateVector, match=rf"{loss} training, epoch \d: .*non-finite"):
+            with pytest.raises(VerifakeError, match=rf"{loss} training, epoch \d: .*non-finite"):
                 train_embedder(raw, loss, quick_cfg(lr=1e25), embed_dim=8)
 
 
