@@ -22,7 +22,8 @@ bytes, values, errors and line numbers of a line-at-a-time codec. The
 writer computes repr's digits of each value from 1e-4 to 1 exactly (see
 _shortest_digits), and the reader parses a value like "0.123" only where
 float() is sure to give the same float32 (see _parse_csv_block). Other
-values go to repr and float(), and a block of lines that fails a check to
+values go to repr and float(); the header's physical line, a block that
+fails a check and every line from one longer than the read buffer on go to
 _parse_csv_rows, the reader of record for odd input and for every error.
 """
 
@@ -32,6 +33,7 @@ import numpy as np
 
 from .embeddings import (
     EmbeddingDataset,
+    INPUT_NORM_TOL,
     Method,
     METHOD_BY_NAME,
     METHOD_NAMES,
@@ -39,8 +41,7 @@ from .embeddings import (
     first_fault,
     label_faults,
 )
-from .errors import FormatError
-from .losses import INPUT_NORM_TOL
+from .errors import FormatError, VerifakeError
 
 MAGIC = b"EMB1"
 FORMATS = ("emb1", "csv")  # the names write_dataset takes
@@ -371,18 +372,6 @@ def _csv_lines(fh, size):
     yield from carry.splitlines()
 
 
-def _line_end(fh, pos, hi) -> int:
-    """The offset just after the first b"\\n" in bytes [pos, hi) of binary
-    file `fh`, or hi."""
-    fh.seek(pos)
-    while pos < hi and (chunk := fh.read(min(hi - pos, _CSV_PIECE_BYTES))):
-        found = chunk.find(b"\n")
-        if found >= 0:
-            return pos + found + 1
-        pos += len(chunk)
-    return hi
-
-
 def _csv_columns(fh, dim):
     """Empty dataset columns and line numbers with room for every row of
     binary file `fh`: a row, like the header, holds 3 + dim commas."""
@@ -586,12 +575,12 @@ def read_csv(path) -> EmbeddingDataset:
     """Read the CSV embedding format; FormatError names the line.
 
     The file is read as a stream of lines, counted as str.splitlines()
-    counts the lines of the whole text, into columns allocated once. The
-    body goes through _parse_csv_block in blocks of whole b"\\n" lines, at
-    most _CSV_READ_VALUES vector components and _CSV_READ_BYTES bytes (or
-    one written line) each. _parse_csv_rows reads the header's physical
-    line, a longer line and a block that fails a check, and reports the
-    earliest fault."""
+    counts the lines of the whole text, into columns allocated once, in
+    one loop over blocks of whole b"\\n" lines, at most _CSV_READ_VALUES
+    vector components and _CSV_READ_BYTES bytes (or one written line)
+    each, for _parse_csv_block. Its one fallback, _parse_csv_rows, reads
+    the header's physical line, a block that fails a check, and every
+    line from one longer than the buffer on; it reports the first fault."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         header = next(_csv_lines(fh, size), None)
@@ -606,35 +595,29 @@ def read_csv(path) -> EmbeddingDataset:
         if cols[4:] != [f"v{i}" for i in range(dim)]:
             raise FormatError("value columns must be v0..v{d-1}", line=1)
 
-        # the rows that follow the header on its physical line are read
-        # line by line, the rest of the body in blocks of whole lines
-        pos = _line_end(fh, 0, size)
         columns, linenos = _csv_columns(fh, dim)
-        fh.seek(0)
-        lines = _csv_lines(fh, pos)
-        next(lines)  # the header
-        n, line, fault = _parse_csv_rows(lines, dim, columns, linenos)
-        linenos[:n] += 1
-        line += 1
         room = max(_CSV_READ_BYTES, _CSV_TOKEN * (4 + dim))  # a whole written line fits
         buf = np.zeros(_CSV_PAD + room + 8, dtype=np.uint8)
         most = max(1, _CSV_READ_VALUES // dim)
+        n, line, pos, fault = 0, 0, 0, None
         while fault is None and pos < size:
             fh.seek(pos)
             got = fh.readinto(memoryview(buf)[_CSV_PAD : _CSV_PAD + min(room, size - pos)])
-            breaks = np.flatnonzero(buf[_CSV_PAD : _CSV_PAD + got] == ord("\n"))[:most]
+            # whole lines; the header's physical line alone; with no b"\n", the rest
+            breaks = np.flatnonzero(buf[_CSV_PAD : _CSV_PAD + got] == ord("\n"))
+            breaks = breaks[: most if pos else 1]
+            end = pos + int(breaks[-1]) + 1 if breaks.size else size
             rest = tuple(column[n:] for column in columns)
             rows = None
-            if breaks.size:
-                end = pos + int(breaks[-1]) + 1
+            if pos and breaks.size:
                 rows = _parse_csv_block(buf, end - pos, dim, rest, linenos[n:], line)
-            else:  # a line longer than the buffer
-                end = _line_end(fh, pos, size)
             if rows is None:
                 fh.seek(pos)
-                rows, lines, fault = _parse_csv_rows(
-                    _csv_lines(fh, end - pos), dim, rest, linenos[n:]
-                )
+                lines = _csv_lines(fh, end - pos)
+                if not pos:
+                    line = 1
+                    next(lines)  # the header, checked above
+                rows, lines, fault = _parse_csv_rows(lines, dim, rest, linenos[n:])
                 linenos[n : n + rows] += line
             else:
                 lines = rows
@@ -663,7 +646,7 @@ def write_dataset(path, dataset: EmbeddingDataset, fmt: str) -> None:
     elif fmt == "csv":
         write_csv(path, dataset)
     else:
-        raise ValueError(f"unknown format {fmt!r}")
+        raise VerifakeError(f"unknown format {fmt!r}")
 
 
 def read_dataset(path) -> EmbeddingDataset:

@@ -13,6 +13,10 @@ import numpy as np
 from .errors import VerifakeError
 
 MIN_DIM = 2
+# Gate for "approximately unit" inputs; loose enough that finite-difference
+# probes (h ~ 1e-5) of a unit vector still pass.
+INPUT_NORM_TOL = 1e-3
+ZERO_NORM = 1e-12  # a vector with a norm at or below this has no direction
 
 
 class Method(IntEnum):
@@ -52,7 +56,7 @@ def method_group(method: Method) -> str:
         return "identity-swap"
     if method in EXPRESSION_SWAP_METHODS:
         return "expression-swap"
-    raise ValueError(f"method {method!r} is not a manipulation method")
+    raise VerifakeError(f"method {method!r} is not a manipulation method")
 
 
 def row_dots(X, Y):
@@ -67,11 +71,11 @@ def l2_normalize(v) -> np.ndarray:
     norm, preserving direction. Each norm is the square root of the row's
     own dot product, as np.linalg.norm takes it on one vector.
 
-    Raises VerifakeError when a norm is at or below 1e-12.
+    Raises VerifakeError when a norm is at or below ZERO_NORM.
     """
     v = np.asarray(v, dtype=np.float64)
     norms = np.sqrt(row_dots(v, v))
-    if np.any(norms <= 1e-12):
+    if np.any(norms <= ZERO_NORM):
         raise VerifakeError(f"cannot normalize vector with norm {norms.min():.3e}")
     return v / norms[..., None]
 
@@ -114,7 +118,7 @@ class EmbeddingDataset:
         faults = label_faults(self.subject, self.host, self.fake, self.method)
         hit = first_fault([mask for mask, _ in faults])
         if hit is not None:
-            raise ValueError(f"record {hit[0]}: {faults[hit[1]][1]}")
+            raise VerifakeError(f"record {hit[0]}: {faults[hit[1]][1]}")
 
     @classmethod
     def reals(cls, subject, vectors) -> "EmbeddingDataset":

@@ -17,13 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import row_dots
+from .embeddings import INPUT_NORM_TOL, row_dots
 from .errors import ConfigError, VerifakeError, check_finite
 
 ARCCOS_EPS = 1e-7
-# Gate for "approximately unit" inputs; loose enough that finite-difference
-# probes (h ~ 1e-5) of a unit vector still pass.
-INPUT_NORM_TOL = 1e-3
 
 DEFAULT_SCALE = 64.0
 

@@ -187,11 +187,13 @@ def scores_to_csv(scores: ScoreSet, fh) -> None:
 
 def scores_from_csv(text: str) -> ScoreSet:
     """Parse the CSV written by scores_to_csv; a ConfigError names the
-    earliest line at fault, counted in `text` as given."""
+    earliest line at fault, counted in `text` as given and as
+    str.splitlines() counts lines, as read_csv does."""
     body = text.lstrip()
-    header_line = text.count("\n", 0, len(text) - len(body)) + 1
-    lines = body.rstrip().split("\n")
-    if lines[0] != _HEADER:
+    # the number of the line that the header starts on
+    header_line = len((text[: len(text) - len(body)] + "x").splitlines())
+    lines = body.rstrip().splitlines()
+    if lines[:1] != [_HEADER]:
         raise ConfigError("bad score CSV header", line=header_line)
     rows = []
 
@@ -232,6 +234,6 @@ def read_scores(path) -> ScoreSet:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())  # the byte's line
         raise ConfigError(f"undecodable byte {data[exc.start]:#04x}", line=line) from None
     return scores_from_csv(text)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingDataset
+from .embeddings import ZERO_NORM, EmbeddingDataset
 from .errors import ConfigError, VerifakeError, check_finite
 from .losses import (
     LOSS_NAMES,
@@ -113,7 +113,7 @@ class EmbedderNetwork:
         if not np.all(np.isfinite(znorm)):
             # an infinite norm of finite z would give zero rows below
             raise VerifakeError("embedder produced a non-finite vector (training diverged)")
-        if np.any(znorm <= 1e-12):
+        if np.any(znorm <= ZERO_NORM):
             raise VerifakeError("embedder produced a zero vector")
         e = z / znorm[:, None]
         return e, {"acts": acts, "z": z, "znorm": znorm, "e": e}
@@ -156,7 +156,7 @@ class EmbedderNetwork:
             h = np.tanh(np.dot(h, W) + b)
         z = np.dot(h, self.weights[-1]) + self.biases[-1]
         norm = np.linalg.norm(z)
-        if norm <= 1e-12:
+        if norm <= ZERO_NORM:
             raise VerifakeError("embedder produced a zero vector")
         return z / norm
 

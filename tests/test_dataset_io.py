@@ -26,7 +26,7 @@ from verifake.dataset_io import (
     write_emb1,
 )
 from verifake.embeddings import EmbeddingDataset, Method, l2_normalize
-from verifake.errors import FormatError
+from verifake.errors import FormatError, VerifakeError
 from verifake.pipeline import synth_embedding_dataset
 
 CSV_HEADER = "subject,host,realness,method,v0,v1\n"
@@ -571,6 +571,20 @@ def _matches_line_reader(monkeypatch, path):
     return outcome
 
 
+def _counted_line_reader(monkeypatch):
+    """The row counts of read_csv's calls to _parse_csv_rows, in order."""
+    parse_rows = dataset_io_module._parse_csv_rows
+    parsed = []
+
+    def counted(lines, *args):
+        rows, count, fault = parse_rows(lines, *args)
+        parsed.append(rows)
+        return rows, count, fault
+
+    monkeypatch.setattr(dataset_io_module, "_parse_csv_rows", counted)
+    return parsed
+
+
 def test_csv_block_reader_takes_canonical_files(tmp_path, monkeypatch):
     # values of every kind the writer writes: 17 digits or fewer, "0.0",
     # "-0.0", 1.0 and below 1e-4; only the header's physical line goes
@@ -584,17 +598,51 @@ def test_csv_block_reader_takes_canonical_files(tmp_path, monkeypatch):
     ds = EmbeddingDataset.reals(rng.integers(0, 2**32, 500), _unit_rows(vectors))
     path = tmp_path / "c.csv"
     write_csv(path, ds)
-    parse_rows = dataset_io_module._parse_csv_rows
-    parsed = []
-
-    def counted(lines, *args):
-        rows, count, fault = parse_rows(lines, *args)
-        parsed.append(rows)
-        return rows, count, fault
-
-    monkeypatch.setattr(dataset_io_module, "_parse_csv_rows", counted)
+    parsed = _counted_line_reader(monkeypatch)
     assert read_csv(path) == ds
     assert parsed == [0]  # the header's physical line
+    monkeypatch.undo()
+    _matches_line_reader(monkeypatch, path)
+
+
+@pytest.mark.parametrize("fault", [None, "after", "norm"])
+def test_csv_line_longer_than_the_buffer_sends_the_rest_to_the_line_reader(
+    tmp_path, monkeypatch, fault
+):
+    # line 101 of a written file has a value padded with zeros past the
+    # read buffer; with a syntax fault on line 301, or a bad norm on the
+    # padded line itself
+    rng = np.random.default_rng(13)
+    ds = EmbeddingDataset.reals(list(range(400)), _unit_rows(rng.normal(size=(400, 8))))
+    path = tmp_path / "long.csv"
+    write_csv(path, ds)
+    lines = path.read_text().split("\n")
+    fields = lines[100].split(",")
+    col = next(i for i in range(4, 12) if "e" not in fields[i])
+    fields[col] = ("0.9" if fault == "norm" else fields[col]) + "0" * 60_000
+    lines[100] = ",".join(fields)
+    if fault == "after":
+        lines[300] = lines[300].replace("real", "maybe")
+    path.write_text("\n".join(lines))
+    parsed = _counted_line_reader(monkeypatch)
+    outcome = _csv_outcome(read_csv, path)
+    assert parsed == [0, {None: 301, "after": 200, "norm": 301}[fault]]
+    monkeypatch.undo()
+    assert _matches_line_reader(monkeypatch, path) == outcome
+    if fault is None:
+        assert read_csv(path) == ds
+    else:
+        assert outcome[1] == {"after": 301, "norm": 101}[fault], outcome
+
+
+def test_csv_rows_after_a_break_on_the_header_line_match_line_reader(tmp_path, monkeypatch):
+    rows = _line_break_rows()
+    path = tmp_path / "r.csv"
+    header_line = CSV_HEADER[:-1] + "\r" + "\r".join(rows[:2])
+    path.write_text(header_line + "\n" + "\n".join(rows[2:]) + "\n")
+    parsed = _counted_line_reader(monkeypatch)
+    assert read_csv(path).subject.tolist() == [0, 1, 2, 3, 4]
+    assert parsed == [2]  # the header's physical line; the rest is one block
     monkeypatch.undo()
     _matches_line_reader(monkeypatch, path)
 
@@ -704,6 +752,13 @@ def test_sniffing_dispatch(tmp_path):
     write_dataset(c, ds, fmt="csv")
     assert read_dataset(b) == ds
     assert read_dataset(c) == ds
+
+
+def test_write_dataset_unknown_format_is_a_verifake_error(tmp_path):
+    path = tmp_path / "a.xml"
+    with pytest.raises(VerifakeError, match="unknown format 'xml'"):
+        write_dataset(path, sample_dataset(), fmt="xml")
+    assert not path.exists()
 
 
 def test_record_order_stable(tmp_path):

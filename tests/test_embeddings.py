@@ -84,17 +84,17 @@ def test_real_record_invariants():
     assert ds.method[0] == Method.NONE
     assert ds.host[0] == ds.subject[0] == 3
 
-    with pytest.raises(ValueError, match="record 0: real records must carry method"):
+    with pytest.raises(VerifakeError, match="record 0: real records must carry method"):
         one_record(1, 1, False, Method.FACESWAP, [1.0, 0.0])
-    with pytest.raises(ValueError, match="host == subject"):
+    with pytest.raises(VerifakeError, match="host == subject"):
         one_record(1, 2, False, Method.NONE, [1.0, 0.0])
-    with pytest.raises(ValueError, match="fake records must carry"):
+    with pytest.raises(VerifakeError, match="fake records must carry"):
         one_record(1, 2, True, Method.NONE, [1.0, 0.0])
 
 
 def test_label_fault_names_first_bad_record():
     vectors = np.eye(3)[:, :2]
-    with pytest.raises(ValueError, match="record 1: real records must have host"):
+    with pytest.raises(VerifakeError, match="record 1: real records must have host"):
         EmbeddingDataset(vectors, [0, 1, 2], [0, 5, 6], [False] * 3, [0] * 3)
 
 
@@ -162,7 +162,7 @@ def test_method_groups_partition():
     assert not IDENTITY_SWAP_METHODS & EXPRESSION_SWAP_METHODS
     assert method_group(Method.FACESWAP) == "identity-swap"
     assert method_group(Method.NEURALTEXTURES) == "expression-swap"
-    with pytest.raises(ValueError):
+    with pytest.raises(VerifakeError, match="is not a manipulation method"):
         method_group(Method.NONE)
 
 

@@ -22,6 +22,7 @@ from verifake.protocol import (
     ScoreSet,
     assert_subject_disjoint,
     build_gallery,
+    read_scores,
     run_protocol,
     scores_from_csv,
     scores_to_csv,
@@ -392,3 +393,24 @@ def test_scores_csv_errors_carry_line_numbers():
         scores_from_csv("\n\n" + good + "0.1,maybe,FaceSwap,1\n")
     with pytest.raises(ConfigError, match="outside.*line 4"):
         scores_from_csv("\n\n" + good.replace("0.5", "1.5"))
+
+
+@pytest.mark.parametrize("brk", ["\r\n", "\r"])
+def test_scores_csv_lines_count_as_splitlines_counts_them(tmp_path, brk):
+    # a scores.csv with CRLF or CR line ends reads as its LF twin, and a
+    # fault names its line as str.splitlines() counts lines
+    scores = ScoreSet([0.875, -0.25, 0.5], [True, False, False], [0, 1, 4], [0, 1, 2])
+    text = scores_csv_text(scores)
+    path = tmp_path / "scores.csv"
+    path.write_bytes(text.replace("\n", brk).encode())
+    assert read_scores(path) == scores_from_csv(text) == scores
+    bad = 2 * brk + (text + "0.1,maybe,FaceSwap,1\n").replace("\n", brk)
+    path.write_bytes(bad.encode())
+    with pytest.raises(ConfigError, match="bad score kind.*line 7"):
+        read_scores(path)
+    path.write_bytes(bad.replace("maybe", "imposter").replace("0.1,", "0.\xff,").encode("latin-1"))
+    with pytest.raises(ConfigError, match="undecodable byte 0xff.*line 7"):
+        read_scores(path)
+    path.write_bytes(brk.join(["", "x", *text.splitlines()]).encode())
+    with pytest.raises(ConfigError, match="bad score CSV header: line 2"):
+        read_scores(path)
