@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 from .dataset_io import FORMATS
 from .embeddings import METHOD_BY_NAME, METHOD_NAMES, MIN_DIM, Method
-from .errors import ConfigError, check_finite
+from .errors import ConfigError, check_finite, decode_text
 from .losses import LOSS_NAMES, MarginConfig, TripletConfig, margin_preset
 from .protocol import (
     AGGREGATIONS,
@@ -284,7 +284,7 @@ def parse_config(text: str) -> PipelineConfig:
     swap_raw: dict = {}
     seen: set = set()
 
-    for ln, line in enumerate(text.split("\n"), start=1):
+    for ln, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -355,10 +355,10 @@ def parse_config(text: str) -> PipelineConfig:
 
 
 def load_config(path) -> PipelineConfig:
-    """Read and parse a config file; missing file is a ConfigError."""
+    """Read and parse a config file; an unreadable or non-UTF-8 file is a ConfigError."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
-    return parse_config(text)
+    return parse_config(decode_text(data))

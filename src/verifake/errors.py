@@ -1,4 +1,4 @@
-"""Exception and warning types, and the settings' finite-value check."""
+"""Exception and warning types, and the two checks that raise ConfigError."""
 
 import math
 
@@ -44,6 +44,16 @@ class ConfigError(VerifakeError):
         self.reason = message
         self.line = line
         self.field = field
+
+
+def decode_text(data: bytes) -> str:
+    """`data` decoded as UTF-8; a byte that is not UTF-8 is a ConfigError
+    naming the byte and its 1-based line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())  # the byte's line
+        raise ConfigError(f"undecodable byte {data[exc.start]:#04x}", line=line) from None
 
 
 def check_finite(settings, *names) -> None:

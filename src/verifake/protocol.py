@@ -21,7 +21,7 @@ from .embeddings import (
     first_fault,
     row_groups,
 )
-from .errors import ConfigError, InsufficientEnrollment, SubjectOverlap, VerifakeError
+from .errors import ConfigError, InsufficientEnrollment, SubjectOverlap, VerifakeError, decode_text
 
 DEFAULT_GALLERY_SIZE = 20
 DEFAULT_PROBE_CAP = 1000
@@ -230,10 +230,4 @@ def scores_from_csv(text: str) -> ScoreSet:
 
 def read_scores(path) -> ScoreSet:
     """Read a scores.csv file; a byte that is not UTF-8 fails at its line."""
-    data = Path(path).read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())  # the byte's line
-        raise ConfigError(f"undecodable byte {data[exc.start]:#04x}", line=line) from None
-    return scores_from_csv(text)
+    return scores_from_csv(decode_text(Path(path).read_bytes()))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import ZERO_NORM, EmbeddingDataset
+from .embeddings import ZERO_NORM, EmbeddingDataset, row_dots
 from .errors import ConfigError, VerifakeError, check_finite
 from .losses import (
     LOSS_NAMES,
@@ -144,29 +144,21 @@ class EmbedderNetwork:
                 dh = dpre @ self.weights[k].T
         return grads_W, grads_b
 
-    def embed_one(self, x) -> np.ndarray:
-        """Embed a single raw vector (unit-norm float64 output)."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.raw_dim,):
-            raise VerifakeError(
-                f"expected raw vector of dim {self.raw_dim}, got shape {x.shape}"
-            )
-        h = x
-        for W, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.tanh(np.dot(h, W) + b)
-        z = np.dot(h, self.weights[-1]) + self.biases[-1]
-        norm = np.linalg.norm(z)
-        if norm <= ZERO_NORM:
-            raise VerifakeError("embedder produced a zero vector")
-        return z / norm
-
     def embed(self, X) -> np.ndarray:
-        """Embed rows one at a time so results are independent of batch
-        composition bit for bit."""
+        """Unit-norm float64 embeddings of the (n, raw_dim) rows of X, all
+        rows at once, each through its own matrix-vector products as np.dot
+        makes them on one vector: a row's bits do not depend on its batch."""
         X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2:
-            raise VerifakeError(f"expected (n, raw_dim) input, got {X.shape}")
-        return np.stack([self.embed_one(row) for row in X])
+        if X.ndim != 2 or X.shape[1] != self.raw_dim:
+            raise VerifakeError(f"expected (n, {self.raw_dim}) input, got shape {X.shape}")
+        h = X
+        for W, b in zip(self.weights[:-1], self.biases[:-1]):
+            h = np.tanh(np.matmul(h[:, None, :], W)[:, 0] + b)
+        z = np.matmul(h[:, None, :], self.weights[-1])[:, 0] + self.biases[-1]
+        norms = np.sqrt(row_dots(z, z))
+        if np.any(norms <= ZERO_NORM):
+            raise VerifakeError("embedder produced a zero vector")
+        return z / norms[:, None]
 
 
 def _triplet_indices(labels: np.ndarray, by_label: dict, rng: np.random.Generator):
@@ -317,15 +309,11 @@ def train_embedder(
 def extract_embeddings(network: EmbedderNetwork, features, labels) -> EmbeddingDataset:
     """Embed labeled raw vectors into a dataset of real records.
 
-    Extraction is per sample, so the result is independent of how the
-    input rows are batched.
+    `network.embed` takes each row on its own, so the result is
+    independent of how the input rows are batched.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if features.ndim != 2 or features.shape[0] != labels.shape[0]:
         raise VerifakeError("features and labels are inconsistent")
-    if features.shape[1] != network.raw_dim:
-        raise VerifakeError(
-            f"network expects raw dim {network.raw_dim}, got {features.shape[1]}"
-        )
     return EmbeddingDataset.reals(labels, network.embed(features))

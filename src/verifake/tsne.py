@@ -63,10 +63,6 @@ class AffinityMatrix:
     P: np.ndarray
     sigmas: np.ndarray
 
-    def __post_init__(self):
-        self.P = np.asarray(self.P, dtype=np.float64)
-        self.sigmas = np.asarray(self.sigmas, dtype=np.float64)
-
 
 def _entropy_bits(S: np.ndarray, beta: np.ndarray):
     """Shannon entropy (bits) and conditional probabilities of the
@@ -196,7 +192,10 @@ def joint_affinities(X, perplexity: float) -> AffinityMatrix:
 
     Perplexity is clamped to (n-1)/3 with a warning when the input is
     too small for the requested value. Duplicate points are jittered by
-    1e-10 (seeded, deterministic) so calibration stays solvable.
+    1e-10 (seeded, deterministic). The twins stay 0 apart, to rounding;
+    the jitter breaks their tie as every other point sees them. A row
+    whose k nearest neighbors tie cannot reach a perplexity below k, and
+    its calibration would warn.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 4:
@@ -371,6 +370,15 @@ def _gradient_from_q(P, w, Z, Y, scratch, exaggeration=1.0):
     return 4.0 * (acc[:, 2:] * Y - acc[:, :2]), p_log_q
 
 
+def _kl_pass(P, Y):
+    """KL(P || Q(Y)) and its layout gradient from one kernel pass -> (kl, grad)."""
+    P = _upper_strips(np.asarray(P, dtype=np.float64))
+    Y = np.asarray(Y, dtype=np.float64)
+    w, Z = _student_q(Y)
+    grad, p_log_q = _gradient_from_q(P, w, Z, Y, np.empty((2, w[0].size)))
+    return _p_log_p(P) - p_log_q, grad
+
+
 def kl_divergence(P, Y) -> float:
     """KL(P || Q(Y)) where Q is the Student-t kernel of the layout.
 
@@ -378,11 +386,7 @@ def kl_divergence(P, Y) -> float:
     (1/2, 1/2) and the divergence is exactly zero. The sum runs over the
     pairs i != j with p_ij > 0; the diagonal of P is not read.
     """
-    P = _upper_strips(np.asarray(P, dtype=np.float64))
-    plogp = _p_log_p(P)
-    Y = np.asarray(Y, dtype=np.float64)
-    w, Z = _student_q(Y)
-    return float(plogp - _gradient_from_q(P, w, Z, Y, np.empty((2, w[0].size)))[1])
+    return float(_kl_pass(P, Y)[0])
 
 
 def kl_gradient(P, Y) -> np.ndarray:
@@ -390,10 +394,7 @@ def kl_gradient(P, Y) -> np.ndarray:
 
         dKL/dy_i = 4 * sum_j (p_ij - q_ij) * (1 + |y_i - y_j|^2)^-1 * (y_i - y_j)
     """
-    P = _upper_strips(np.asarray(P, dtype=np.float64))
-    Y = np.asarray(Y, dtype=np.float64)
-    w, Z = _student_q(Y)
-    return _gradient_from_q(P, w, Z, Y, np.empty((2, w[0].size)))[0]
+    return _kl_pass(P, Y)[1]
 
 
 def run_tsne(X, cfg: TsneConfig):
@@ -413,12 +414,8 @@ def run_tsne(X, cfg: TsneConfig):
     k: the constant sum of p log p less the sum of p log q. One more pass
     after the last step gives the last KL.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] < 4:
-        raise ConfigError("run_tsne needs at least 4 points")
-    n = X.shape[0]
-
     P = _upper_strips(joint_affinities(X, cfg.perplexity).P)
+    n = P[0].shape[1]
     plogp = _p_log_p(P)
     rng = np.random.default_rng(cfg.seed)
     Y = rng.normal(0.0, INIT_STD, size=(n, 2))

@@ -253,6 +253,20 @@ def reference_kl_divergence(P, Y) -> float:
     return float(np.sum(terms))
 
 
+def reference_embed(network, X) -> np.ndarray:
+    """The embedder's forward pass one row at a time, each layer one
+    np.dot of the row vector with the weight matrix, each norm
+    np.linalg.norm of one vector: the bits `EmbedderNetwork.embed` keeps."""
+    rows = []
+    for x in np.asarray(X, dtype=np.float64):
+        h = x
+        for W, b in zip(network.weights[:-1], network.biases[:-1]):
+            h = np.tanh(np.dot(h, W) + b)
+        z = np.dot(h, network.weights[-1]) + network.biases[-1]
+        rows.append(z / np.linalg.norm(z))
+    return np.array(rows)
+
+
 def reference_triplet_loss(anchor, positive, negative, cfg: TripletConfig):
     """The one-triple angular triplet loss as it was written before the
     batched form: (loss, (da, dp, dn)) for max(0, theta(a,p) - theta(a,n)

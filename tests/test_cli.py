@@ -93,6 +93,13 @@ def test_bad_config_line_exits_2(tmp_path, capsys):
     assert "run.bogus_key" in capsys.readouterr().err
 
 
+def test_undecodable_config_byte_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"run.seed = 1\nrun.out = \xff\n")
+    assert main(["synth", "--config", str(bad)]) == EXIT_CONFIG
+    assert "undecodable byte 0xff: line 2" in capsys.readouterr().err
+
+
 def test_run_determinism_byte_identical(cfg_path, run_dir, tmp_path):
     out2 = tmp_path / "second"
     assert main(["run", "--config", str(cfg_path), "--out", str(out2)]) == EXIT_OK

@@ -99,6 +99,19 @@ def test_comments_and_blanks_ignored():
     assert cfg.seed == 3
 
 
+def test_cr_and_crlf_line_breaks_parse_as_lf():
+    # lines end at "\r" and "\r\n" too, counted as the CSV readers count them
+    text = "run.seed = 3\n# comment\ntrain.epochs = 4\nrun.seed = 5\n"
+    for brk in ("\r", "\r\n"):
+        twin = text.replace("\n", brk)
+        with pytest.raises(ConfigError, match="duplicate assignment of run.seed.*line 4"):
+            parse_config(twin)
+        a = parse_config(twin.replace("run.seed = 5", ""))
+        b = parse_config(text.replace("run.seed = 5", ""))
+        assert dataclasses.replace(a, raw_text="") == dataclasses.replace(b, raw_text="")
+        assert (a.seed, a.epochs) == (3, 4)
+
+
 def test_duplicate_key_rejected_with_line():
     text = "run.seed = 1\nrun.seed = 2\n"
     with pytest.raises(ConfigError, match="line 2"):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import verifake.trainer as trainer_mod
-from helpers import reference_triplet_batch
+from helpers import reference_embed, reference_triplet_batch
 from verifake.errors import ConfigError, VerifakeError
 from verifake.synthetic import SyntheticSpec, generate_identities
 from verifake.trainer import (
@@ -63,24 +63,38 @@ def test_embed_output_unit_norm():
 
 
 def test_embed_batch_independence():
-    # embedding a row alone equals embedding it inside any batch, bitwise
-    net = EmbedderNetwork.initialized((8, 16, 4), np.random.default_rng(3))
-    X = np.random.default_rng(4).normal(size=(7, 8))
-    batch = net.embed(X)
-    for i in range(7):
-        assert np.array_equal(batch[i], net.embed_one(X[i]))
+    # each row is embedded by its own matrix-vector products, bit for bit
+    # the one-row np.dot reference, whatever batch it sits in; the second
+    # shape is the defaults' (raw dim 32, 600 eval rows)
+    for dims in ((8, 16, 4), (32, 128, 128, 64)):
+        net = EmbedderNetwork.initialized(dims, np.random.default_rng(3))
+        X = np.random.default_rng(4).normal(size=(600, dims[0]))
+        ref = reference_embed(net, X)
+        assert net.embed(X).tobytes() == ref.tobytes()
+        assert net.embed(X[:1]).tobytes() == ref[:1].tobytes()
+        assert net.embed(X[17:18]).tobytes() == ref[17].tobytes()
 
 
 def test_embed_deterministic():
     net = EmbedderNetwork.initialized((8, 16, 4), np.random.default_rng(5))
-    x = np.random.default_rng(6).normal(size=8)
-    assert np.array_equal(net.embed_one(x), net.embed_one(x))
+    X = np.random.default_rng(6).normal(size=(3, 8))
+    assert np.array_equal(net.embed(X), net.embed(X))
 
 
 def test_embed_dimension_checked():
     net = EmbedderNetwork.initialized((8, 16, 4), np.random.default_rng(7))
-    with pytest.raises(VerifakeError, match=r"expected raw vector of dim 8, got shape \(9,\)"):
-        net.embed_one(np.zeros(9))
+    with pytest.raises(VerifakeError, match=r"expected \(n, 8\) input, got shape \(1, 9\)"):
+        net.embed(np.zeros((1, 9)))
+    with pytest.raises(VerifakeError, match=r"expected \(n, 8\) input, got shape \(8,\)"):
+        net.embed(np.zeros(8))
+
+
+def test_embed_zero_rows():
+    net = EmbedderNetwork.initialized((8, 16, 4), np.random.default_rng(8))
+    assert net.embed(np.zeros((0, 8))).shape == (0, 4)
+    ds = extract_embeddings(net, np.zeros((0, 8)), np.zeros(0, dtype=np.int64))
+    assert len(ds) == 0
+    assert ds.dim == 4
 
 
 def test_training_reduces_loss():
@@ -158,10 +172,10 @@ def test_extract_embeddings_roundtrip():
     assert ds.dim == 8
     assert not ds.fake.any()
     assert ds.subject.tolist() == raw.labels.tolist()
-    # rows embedded one at a time, stored float32
-    assert ds.vectors.tobytes() == np.stack(
-        [net.embed_one(row) for row in raw.features]
-    ).astype(np.float32).tobytes()
+    # the one-row reference's bits, stored float32
+    assert ds.vectors.tobytes() == (
+        reference_embed(net, raw.features).astype(np.float32).tobytes()
+    )
     # unit norm within float32 storage tolerance
     M = ds.vectors.astype(np.float64)
     assert np.abs(np.linalg.norm(M, axis=1) - 1.0).max() < 1e-6
@@ -170,7 +184,7 @@ def test_extract_embeddings_roundtrip():
 def test_extract_embeddings_dim_checked():
     raw = small_dataset(seed=7)
     net, _ = train_embedder(raw, "cosface", quick_cfg(epochs=1), embed_dim=8)
-    with pytest.raises(VerifakeError, match="network expects raw dim 16, got 15"):
+    with pytest.raises(VerifakeError, match=r"expected \(n, 16\) input, got shape \(60, 15\)"):
         extract_embeddings(net, raw.features[:, :-1], raw.labels)
 
 
